@@ -1,29 +1,35 @@
 """Searchable alias index: exact cosine top-k and an LSH approximation.
 
-The exact backend is an inverted index over gram ids: a query's score
-against every alias is accumulated from the posting lists of its grams.
-Since all weights are non-negative and vectors unit-normalized, scores
-are cosines in [0, 1]. Ties at the same cosine break lexicographically
-by alias string.
+Alias vectors are one CSR matrix (`indptr`, `indices`, `weights`), the
+same three arrays a `.blix` file stores, from build through disk to
+search. The exact backend's inverted index over gram ids is the CSC
+transpose of that matrix, derived on every build and load and never
+stored. A query's score against every alias is accumulated from the
+posting lists of its grams. Since all weights are non-negative and
+vectors unit-normalized, scores are cosines in [0, 1]. Ties at the same
+cosine break lexicographically by alias string.
 
 The approximate backend hashes vectors with random hyperplanes, ranks
 aliases by signature Hamming distance and exactly re-scores the closest
-`rescore` of them.
+`rescore` of them from the same posting lists.
 
 Persistence: single little-endian binary file, magic "BLIX" (see
-docs/index-format.md).
+docs/index-format.md). `save_index` replaces the target atomically;
+`load_index` checks the CSR structure and raises `IndexFormatError`
+on any corrupt file.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from typing import BinaryIO, Sequence
 
 import numpy as np
 
-from .kb import KnowledgeBase, normalize_alias
-from .vectorizer import NgramVectorizer, SparseVector, zero_vector
+from .kb import KnowledgeBase
+from .vectorizer import NgramVectorizer, SparseVector
 
 MAGIC = b"BLIX"
 FORMAT_VERSION = 1
@@ -52,21 +58,29 @@ class LshParams:
 
 
 class AliasIndex:
-    """Encoded alias vectors plus the alias -> concept-id table."""
+    """Alias vectors as one CSR matrix plus the alias -> concept-id table.
+
+    Row i of (`indptr`, `indices`, `weights`) is the vector of
+    `aliases[i]`; the arrays are used as given, without copies.
+    """
 
     def __init__(
         self,
         aliases: Sequence[str],
-        vectors: Sequence[SparseVector],
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        weights: np.ndarray,
         vectorizer: NgramVectorizer,
         alias_table: dict[str, frozenset[str]],
         backend: str = BACKEND_EXACT,
         lsh_params: LshParams | None = None,
     ):
-        if len(aliases) != len(vectors):
-            raise ValueError("one vector per alias required")
+        if backend not in (BACKEND_EXACT, BACKEND_LSH):
+            raise IndexBackendError(f"unknown backend {backend!r}")
         self.aliases = list(aliases)
-        self.vectors = list(vectors)
+        self.indptr = np.asarray(indptr, dtype=np.int64)
+        self.indices = np.asarray(indices, dtype=np.int32)
+        self.weights = np.asarray(weights, dtype=np.float64)
         self.vectorizer = vectorizer
         self.alias_table = alias_table
         self.backend = backend
@@ -74,35 +88,30 @@ class AliasIndex:
         # lexicographic rank of each alias, used as the tie-break key
         order = sorted(range(len(self.aliases)), key=lambda i: self.aliases[i])
         self._lex_rank = np.empty(len(self.aliases), dtype=np.int64)
-        for rank, row in enumerate(order):
-            self._lex_rank[row] = rank
-        self._postings: dict[int, tuple[np.ndarray, np.ndarray]] | None = None
+        self._lex_rank[order] = np.arange(len(self.aliases))
+        # postings: the CSC transpose. The stable sort keeps each gram's
+        # rows ascending, the order in which their scores accumulate.
+        by_gram = np.argsort(self.indices, kind="stable")
+        row_of_entry = np.repeat(np.arange(len(self.aliases)), np.diff(self.indptr))
+        self._post_rows = row_of_entry[by_gram]
+        self._post_weights = self.weights[by_gram]
+        self._post_ptr = np.zeros(vectorizer.vocab_size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.indices, minlength=vectorizer.vocab_size),
+                  out=self._post_ptr[1:])
         self._signatures: np.ndarray | None = None
         self._planes: np.ndarray | None = None
-        if backend == BACKEND_EXACT:
-            self._build_postings()
-        elif backend == BACKEND_LSH:
+        if backend == BACKEND_LSH:
             self._build_lsh()
-        else:
-            raise IndexBackendError(f"unknown backend {backend!r}")
 
     def __len__(self) -> int:
         return len(self.aliases)
 
-    # -- backend construction -------------------------------------------
+    def row(self, i: int) -> SparseVector:
+        """The vector of alias i, as views into the CSR arrays."""
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        return SparseVector(self.indices[lo:hi], self.weights[lo:hi])
 
-    def _build_postings(self) -> None:
-        rows: dict[int, list[int]] = {}
-        weights: dict[int, list[float]] = {}
-        for row, vec in enumerate(self.vectors):
-            for gi, w in zip(vec.indices, vec.weights):
-                rows.setdefault(int(gi), []).append(row)
-                weights.setdefault(int(gi), []).append(float(w))
-        self._postings = {
-            gi: (np.array(rows[gi], dtype=np.int64),
-                 np.array(weights[gi], dtype=np.float64))
-            for gi in rows
-        }
+    # -- backend construction -------------------------------------------
 
     def _build_lsh(self) -> None:
         p = self.lsh_params
@@ -110,9 +119,9 @@ class AliasIndex:
             raise IndexBackendError("LSH bit count must be a positive multiple of 64")
         rng = np.random.default_rng(p.seed)
         self._planes = rng.standard_normal((p.n_bits, self.vectorizer.vocab_size))
-        sigs = np.empty((len(self.vectors), p.n_bits // 64), dtype=np.uint64)
-        for row, vec in enumerate(self.vectors):
-            sigs[row] = self._signature(vec)
+        sigs = np.empty((len(self.aliases), p.n_bits // 64), dtype=np.uint64)
+        for row in range(len(self.aliases)):
+            sigs[row] = self._signature(self.row(row))
         self._signatures = sigs
 
     def _signature(self, vec: SparseVector) -> np.ndarray:
@@ -128,19 +137,9 @@ class AliasIndex:
     def _exact_scores(self, query: SparseVector) -> np.ndarray:
         scores = np.zeros(len(self.aliases), dtype=np.float64)
         for gi, w in zip(query.indices, query.weights):
-            posting = self._postings.get(int(gi))
-            if posting is not None:
-                rows, ws = posting
-                scores[rows] += float(w) * ws
+            lo, hi = self._post_ptr[gi], self._post_ptr[gi + 1]
+            scores[self._post_rows[lo:hi]] += float(w) * self._post_weights[lo:hi]
         return scores
-
-    def _select_top(self, scores: np.ndarray, k: int, rows: np.ndarray | None = None):
-        """Rows of the top-k by (score desc, alias lexicographic asc)."""
-        if rows is None:
-            order = np.lexsort((self._lex_rank, -scores))
-            return order[:k], scores
-        order = np.lexsort((self._lex_rank[rows], -scores))
-        return rows[order[:k]], None
 
     def nearest_aliases(self, query: SparseVector, k: int) -> list[tuple[str, float]]:
         """Up to k (alias, cosine) pairs, best first.
@@ -154,7 +153,7 @@ class AliasIndex:
             return []
         if self.backend == BACKEND_EXACT:
             scores = self._exact_scores(query)
-            top, _ = self._select_top(scores, k)
+            top = np.lexsort((self._lex_rank, -scores))[:k]
             return [(self.aliases[int(r)], float(scores[int(r)]))
                     for r in top if scores[int(r)] > 0.0]
         return self._nearest_lsh(query, k)
@@ -170,7 +169,7 @@ class AliasIndex:
         m = min(max(self.lsh_params.rescore, k), len(self.aliases))
         cand = np.argpartition(dist, m - 1)[:m] if m < len(self.aliases) \
             else np.arange(len(self.aliases))
-        scores = np.array([query.dot(self.vectors[int(r)]) for r in cand])
+        scores = self._exact_scores(query)[cand]
         order = np.lexsort((self._lex_rank[cand], -scores))[:k]
         return [(self.aliases[int(cand[i])], float(scores[int(i)]))
                 for i in order if scores[int(i)] > 0.0]
@@ -185,8 +184,12 @@ def build_index(
     """Index every distinct alias surface of the KB."""
     aliases = kb.alias_surfaces()
     vectors = [vectorizer.encode(a) for a in aliases]
-    return AliasIndex(aliases, vectors, vectorizer, dict(kb.alias_table),
-                      backend, lsh_params)
+    indptr = np.zeros(len(vectors) + 1, dtype=np.int64)
+    np.cumsum([v.nnz for v in vectors], dtype=np.int64, out=indptr[1:])
+    indices = np.concatenate([np.empty(0, np.int32)] + [v.indices for v in vectors])
+    weights = np.concatenate([np.empty(0)] + [v.weights for v in vectors])
+    return AliasIndex(aliases, indptr, indices, weights, vectorizer,
+                      dict(kb.alias_table), backend, lsh_params)
 
 
 # -- persistence --------------------------------------------------------
@@ -197,111 +200,154 @@ def _write_str(fp: BinaryIO, s: str) -> None:
     fp.write(data)
 
 
-def _read_str(fp: BinaryIO) -> str:
-    (n,) = struct.unpack("<I", _read_exact(fp, 4))
-    return _read_exact(fp, n).decode("utf-8")
-
-
-def _read_exact(fp: BinaryIO, n: int) -> bytes:
-    data = fp.read(n)
-    if len(data) != n:
-        raise IndexFormatError("unexpected end of file")
-    return data
-
-
 def _write_array(fp: BinaryIO, arr: np.ndarray, dtype: str) -> None:
     arr = np.asarray(arr, dtype=dtype)
     fp.write(struct.pack("<Q", len(arr)))
     fp.write(arr.tobytes())
 
 
-def _read_array(fp: BinaryIO, dtype: str) -> np.ndarray:
-    (n,) = struct.unpack("<Q", _read_exact(fp, 8))
-    return np.frombuffer(_read_exact(fp, n * np.dtype(dtype).itemsize), dtype=dtype)
+def _write_index(fp: BinaryIO, index: AliasIndex) -> None:
+    fp.write(MAGIC)
+    fp.write(struct.pack("<H", FORMAT_VERSION))
+    # vectorizer
+    v = index.vectorizer
+    fp.write(struct.pack("<III", v.n_docs, v.min_df, v.vocab_size))
+    for gram in v.grams:
+        _write_str(fp, gram)
+    _write_array(fp, v.df, "<i8")
+    # aliases
+    fp.write(struct.pack("<I", len(index.aliases)))
+    for alias in index.aliases:
+        _write_str(fp, alias)
+    # vectors, CSR
+    _write_array(fp, index.indptr, "<i8")
+    _write_array(fp, index.indices, "<i4")
+    _write_array(fp, index.weights, "<f8")
+    # alias -> concept ids
+    fp.write(struct.pack("<I", len(index.alias_table)))
+    for key in sorted(index.alias_table):
+        _write_str(fp, key)
+        ids = sorted(index.alias_table[key])
+        fp.write(struct.pack("<I", len(ids)))
+        for cid in ids:
+            _write_str(fp, cid)
+    # backend
+    if index.backend == BACKEND_EXACT:
+        fp.write(struct.pack("<B", 0))
+    else:
+        fp.write(struct.pack("<B", 1))
+        p = index.lsh_params
+        fp.write(struct.pack("<QII", p.seed, p.n_bits, p.rescore))
 
 
 def save_index(index: AliasIndex, path: str) -> None:
-    with open(path, "wb") as fp:
-        fp.write(MAGIC)
-        fp.write(struct.pack("<H", FORMAT_VERSION))
-        # vectorizer
-        v = index.vectorizer
-        fp.write(struct.pack("<III", v.n_docs, v.min_df, v.vocab_size))
-        for gram in v.grams:
-            _write_str(fp, gram)
-        _write_array(fp, v.df, "<i8")
-        # aliases
-        fp.write(struct.pack("<I", len(index.aliases)))
-        for alias in index.aliases:
-            _write_str(fp, alias)
-        # vectors, CSR-style
-        indptr = np.zeros(len(index.vectors) + 1, dtype=np.int64)
-        for i, vec in enumerate(index.vectors):
-            indptr[i + 1] = indptr[i] + vec.nnz
-        _write_array(fp, indptr, "<i8")
-        if index.vectors:
-            _write_array(fp, np.concatenate([v.indices for v in index.vectors]), "<i4")
-            _write_array(fp, np.concatenate([v.weights for v in index.vectors]), "<f8")
-        else:
-            _write_array(fp, np.empty(0), "<i4")
-            _write_array(fp, np.empty(0), "<f8")
-        # alias -> concept ids
-        fp.write(struct.pack("<I", len(index.alias_table)))
-        for key in sorted(index.alias_table):
-            _write_str(fp, key)
-            ids = sorted(index.alias_table[key])
-            fp.write(struct.pack("<I", len(ids)))
-            for cid in ids:
-                _write_str(fp, cid)
-        # backend
-        if index.backend == BACKEND_EXACT:
-            fp.write(struct.pack("<B", 0))
-        else:
-            fp.write(struct.pack("<B", 1))
-            p = index.lsh_params
-            fp.write(struct.pack("<QII", p.seed, p.n_bits, p.rescore))
+    """Write the index to `path` atomically: a temporary file in the same
+    directory is renamed over it only once completely written."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fp:
+            _write_index(fp, index)
+            fp.flush()
+            os.fsync(fp.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+class _Reader:
+    """Bounds-checked cursor over the bytes of a `.blix` file."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+        self.pos = 0
+
+    def skip(self, n: int) -> int:
+        """Advance past n bytes and return the offset they start at."""
+        start = self.pos
+        if n > len(self.data) - start:
+            raise IndexFormatError("unexpected end of file")
+        self.pos = start + n
+        return start
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack_from(fmt, self.data, self.skip(struct.calcsize(fmt)))
+
+    def string(self) -> str:
+        (n,) = self.unpack("<I")
+        start = self.skip(n)
+        try:
+            return self.data[start:start + n].decode("utf-8")
+        except UnicodeDecodeError:
+            raise IndexFormatError(f"invalid UTF-8 in string at byte {start}") from None
+
+    def array(self, dtype: str) -> np.ndarray:
+        (n,) = self.unpack("<Q")
+        start = self.skip(n * np.dtype(dtype).itemsize)
+        return np.frombuffer(self.data, dtype=dtype, count=n, offset=start)
+
+
+def _check_csr(n_aliases: int, vocab_size: int, indptr: np.ndarray,
+               indices: np.ndarray, weights: np.ndarray) -> None:
+    if len(indptr) != n_aliases + 1:
+        raise IndexFormatError(f"indptr has {len(indptr)} entries for {n_aliases} aliases")
+    if indptr[0] != 0 or np.any(indptr[1:] < indptr[:-1]):
+        raise IndexFormatError("indptr must start at 0 and never decrease")
+    if indptr[-1] != len(indices) or indptr[-1] != len(weights):
+        raise IndexFormatError(
+            f"indptr ends at {indptr[-1]} but there are {len(indices)} gram ids "
+            f"and {len(weights)} weights")
+    if len(indices) and (indices.min() < 0 or indices.max() >= vocab_size):
+        raise IndexFormatError(f"gram id outside [0, {vocab_size})")
+
+
+def _parse_index(r: _Reader) -> AliasIndex:
+    if r.data[:4] != MAGIC:
+        raise IndexFormatError("not an index file (bad magic)")
+    r.skip(4)
+    (version,) = r.unpack("<H")
+    if version != FORMAT_VERSION:
+        raise IndexFormatError(
+            f"unsupported format version {version} (expected {FORMAT_VERSION})")
+    n_docs, min_df, vocab_size = r.unpack("<III")
+    grams = [r.string() for _ in range(vocab_size)]
+    df = r.array("<i8")
+    if len(df) != vocab_size:
+        raise IndexFormatError(f"{len(df)} document frequencies for {vocab_size} grams")
+    vectorizer = NgramVectorizer(grams, df, n_docs, min_df)
+    (n_aliases,) = r.unpack("<I")
+    aliases = [r.string() for _ in range(n_aliases)]
+    indptr, indices, weights = r.array("<i8"), r.array("<i4"), r.array("<f8")
+    _check_csr(n_aliases, vocab_size, indptr, indices, weights)
+    (n_table,) = r.unpack("<I")
+    alias_table: dict[str, frozenset[str]] = {}
+    for _ in range(n_table):
+        key = r.string()
+        (n_ids,) = r.unpack("<I")
+        alias_table[key] = frozenset(r.string() for _ in range(n_ids))
+    (tag,) = r.unpack("<B")
+    if tag == 0:
+        backend, lsh_params = BACKEND_EXACT, None
+    elif tag == 1:
+        seed, n_bits, rescore = r.unpack("<QII")
+        backend, lsh_params = BACKEND_LSH, LshParams(n_bits, rescore, seed)
+    else:
+        raise IndexFormatError(f"unknown backend tag {tag}")
+    if r.pos != len(r.data):
+        raise IndexFormatError(
+            f"{len(r.data) - r.pos} trailing bytes after the backend section")
+    try:
+        return AliasIndex(aliases, indptr, indices, weights, vectorizer,
+                          alias_table, backend, lsh_params)
+    except IndexBackendError as exc:
+        raise IndexFormatError(str(exc)) from None
 
 
 def load_index(path: str) -> AliasIndex:
     with open(path, "rb") as fp:
-        magic = fp.read(4)
-        if magic != MAGIC:
-            raise IndexFormatError(f"{path}: not an index file (bad magic)")
-        (version,) = struct.unpack("<H", _read_exact(fp, 2))
-        if version != FORMAT_VERSION:
-            raise IndexFormatError(
-                f"{path}: unsupported format version {version} "
-                f"(expected {FORMAT_VERSION})"
-            )
-        n_docs, min_df, vocab_size = struct.unpack("<III", _read_exact(fp, 12))
-        grams = [_read_str(fp) for _ in range(vocab_size)]
-        df = _read_array(fp, "<i8")
-        vectorizer = NgramVectorizer(grams, df, n_docs, min_df)
-        (n_aliases,) = struct.unpack("<I", _read_exact(fp, 4))
-        aliases = [_read_str(fp) for _ in range(n_aliases)]
-        indptr = _read_array(fp, "<i8")
-        all_indices = _read_array(fp, "<i4")
-        all_weights = _read_array(fp, "<f8")
-        vectors = []
-        for i in range(n_aliases):
-            lo, hi = int(indptr[i]), int(indptr[i + 1])
-            if lo == hi:
-                vectors.append(zero_vector())
-            else:
-                vectors.append(SparseVector(
-                    all_indices[lo:hi].astype(np.int32),
-                    all_weights[lo:hi].astype(np.float64),
-                ))
-        (n_table,) = struct.unpack("<I", _read_exact(fp, 4))
-        alias_table: dict[str, frozenset[str]] = {}
-        for _ in range(n_table):
-            key = _read_str(fp)
-            (n_ids,) = struct.unpack("<I", _read_exact(fp, 4))
-            alias_table[key] = frozenset(_read_str(fp) for _ in range(n_ids))
-        (tag,) = struct.unpack("<B", _read_exact(fp, 1))
-        if tag == 0:
-            return AliasIndex(aliases, vectors, vectorizer, alias_table,
-                              BACKEND_EXACT)
-        seed, n_bits, rescore = struct.unpack("<QII", _read_exact(fp, 16))
-        return AliasIndex(aliases, vectors, vectorizer, alias_table,
-                          BACKEND_LSH, LshParams(n_bits, rescore, seed))
+        data = fp.read()
+    try:
+        return _parse_index(_Reader(data))
+    except IndexFormatError as exc:
+        raise IndexFormatError(f"{path}: {exc}") from None

@@ -1,10 +1,12 @@
 import json
+import pathlib
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from bioling.index import build_index
+from bioling.index import LshParams, build_index, save_index
 from bioling.kb import KnowledgeBase, load_kb
 from bioling.vectorizer import NgramVectorizer
 
@@ -127,7 +129,8 @@ def synth_index(synth_kb):
 class BruteForceOracle:
     """Independent search oracle: the query is scored against every alias
     via a scipy sparse matrix product, ranked (score desc, alias asc),
-    zero scores dropped. Built once per index; shares nothing with the
+    zero scores dropped. Built once per index from the public `encode` of
+    each alias, so it shares no data with the index's CSR arrays or its
     inverted-index scoring path."""
 
     def __init__(self, index):
@@ -136,7 +139,8 @@ class BruteForceOracle:
         n = len(index.aliases)
         vocab = index.vectorizer.vocab_size
         rows, cols, data = [], [], []
-        for i, vec in enumerate(index.vectors):
+        vectors = [index.vectorizer.encode(a) for a in index.aliases]
+        for i, vec in enumerate(vectors):
             rows.extend([i] * vec.nnz)
             cols.extend(int(c) for c in vec.indices)
             data.extend(float(w) for w in vec.weights)
@@ -163,3 +167,67 @@ class BruteForceOracle:
             (self.aliases[int(i)], float(scores[int(i)]))
             for i in order[:k] if scores[int(i)] > 0.0
         ]
+
+
+def stand_in(index, **changes):
+    """An object `save_index` writes like `index`, with some fields replaced."""
+    return SimpleNamespace(**{**vars(index), **changes})
+
+
+def _set(arr, i, value):
+    out = np.array(arr)
+    out[i] = value
+    return out
+
+
+# Ways to corrupt a valid .blix file of the toy KB, each with the message
+# the reader must reject it with. A case maps (index, file bytes) either to
+# new bytes or to a stand-in index that `save_index` writes instead.
+BLIX_CORRUPTIONS = {
+    "indptr length": (lambda ix, raw: stand_in(ix, indptr=ix.indptr[:-1]),
+                      "indptr has"),
+    "indptr start": (lambda ix, raw: stand_in(ix, indptr=ix.indptr + 1),
+                     "start at 0"),
+    "indptr decreases": (
+        lambda ix, raw: stand_in(ix, indptr=_set(ix.indptr, 1, ix.indptr[2] + 1)),
+        "never decrease"),
+    "indptr end vs indices": (
+        lambda ix, raw: stand_in(ix, indices=ix.indices[:-1]), "indptr ends"),
+    "indptr end vs weights": (
+        lambda ix, raw: stand_in(ix, weights=ix.weights[:-1]), "indptr ends"),
+    "gram id too large": (
+        lambda ix, raw: stand_in(
+            ix, indices=_set(ix.indices, 0, ix.vectorizer.vocab_size + 5)),
+        "gram id"),
+    "gram id negative": (
+        lambda ix, raw: stand_in(ix, indices=_set(ix.indices, 0, -1)), "gram id"),
+    "df length": (
+        lambda ix, raw: stand_in(ix, vectorizer=NgramVectorizer(
+            ix.vectorizer.grams, ix.vectorizer.df[:-1],
+            ix.vectorizer.n_docs, ix.vectorizer.min_df)),
+        "document frequencies"),
+    "trailing bytes": (lambda ix, raw: raw + b"\x00", "trailing"),
+    # the first gram's bytes start after magic, version, three u32 and its length
+    "invalid UTF-8 in gram": (lambda ix, raw: raw[:22] + b"\xff" + raw[23:], "UTF-8"),
+    "invalid UTF-8 in alias": (
+        lambda ix, raw: raw.replace(b"Lung", b"Lun\xff", 1), "UTF-8"),
+    "invalid UTF-8 in concept id": (
+        lambda ix, raw: raw.replace(b"C01", b"C0\xff", 1), "UTF-8"),
+    "backend tag": (lambda ix, raw: raw[:-1] + b"\x07", "backend tag"),
+    "LSH bit count": (
+        lambda ix, raw: stand_in(ix, backend="lsh", lsh_params=LshParams(n_bits=100)),
+        "multiple of 64"),
+}
+
+
+def write_corrupt_blix(index, case: str, path: str) -> str:
+    """Write `index` to `path` corrupted as BLIX_CORRUPTIONS[case] says;
+    return the pattern the reader's error message must match."""
+    save_index(index, path)
+    corrupt, match = BLIX_CORRUPTIONS[case]
+    bad = corrupt(index, pathlib.Path(path).read_bytes())
+    if isinstance(bad, bytes):
+        pathlib.Path(path).write_bytes(bad)
+    else:
+        save_index(bad, path)
+    return match

@@ -336,7 +336,7 @@ def test_tf_scale_invariance(capsys, synth_index):
     vec = synth_index.vectorizer
     rng = random.Random(0x5CA1E)
     sample = rng.sample(synth_index.aliases, 60)
-    others = [synth_index.vectors[rng.randrange(len(synth_index.vectors))]
+    others = [synth_index.row(rng.randrange(len(synth_index)))
               for _ in range(50)]
     worst = 0.0
     for text in sample:

@@ -6,6 +6,8 @@ from bioling.cli import main
 from bioling.index import build_index, save_index
 from bioling.vectorizer import NgramVectorizer
 
+from conftest import BLIX_CORRUPTIONS, write_corrupt_blix
+
 
 @pytest.fixture
 def run(capsys, monkeypatch):
@@ -142,6 +144,15 @@ def test_link_missing_index_names_path(run):
     code, _, err = run(["link", "--index", "/nope/missing.blix"], stdin="")
     assert code == 2
     assert "/nope/missing.blix" in err
+
+
+@pytest.mark.parametrize("case", sorted(BLIX_CORRUPTIONS))
+def test_link_corrupt_index_exits_2(run, toy_index, tmp_path, case):
+    path = str(tmp_path / "bad.blix")
+    write_corrupt_blix(toy_index, case, path)
+    code, _, err = run(["link", "--index", path], stdin="")
+    assert code == 2
+    assert path in err
 
 
 def test_link_bad_mention_span_exits_2(run, index_path):

@@ -1,3 +1,5 @@
+import os
+import pathlib
 import random
 import struct
 
@@ -10,7 +12,14 @@ from bioling.index import (
 )
 from bioling.vectorizer import NgramVectorizer, zero_vector
 
-from conftest import BruteForceOracle, make_synthetic_kb, synth_alias
+from conftest import (
+    BLIX_CORRUPTIONS, BruteForceOracle, make_synthetic_kb, stand_in, synth_alias,
+    write_corrupt_blix,
+)
+
+# written from the `toy_kb` fixture (exact backend, min_df=1) by an earlier
+# implementation of the writer; pins the format across implementations
+GOLDEN_BLIX = pathlib.Path(__file__).parent / "data" / "toy.blix"
 
 
 def query_pool(n, seed):
@@ -163,6 +172,52 @@ def test_load_rejects_truncated_file(toy_index, tmp_path):
     trunc.write_bytes(good.read_bytes()[:-10])
     with pytest.raises(IndexFormatError):
         load_index(str(trunc))
+
+
+@pytest.mark.parametrize("case", sorted(BLIX_CORRUPTIONS))
+def test_load_rejects_corrupt_file(case, toy_index, tmp_path):
+    path = str(tmp_path / "bad.blix")
+    match = write_corrupt_blix(toy_index, case, path)
+    with pytest.raises(IndexFormatError, match=match):
+        load_index(path)
+
+
+def test_golden_fixture_round_trips(toy_index, tmp_path):
+    golden = GOLDEN_BLIX.read_bytes()
+    loaded = load_index(str(GOLDEN_BLIX))
+    resaved, fresh = tmp_path / "resaved.blix", tmp_path / "fresh.blix"
+    save_index(loaded, str(resaved))
+    save_index(toy_index, str(fresh))
+    assert resaved.read_bytes() == golden
+    assert fresh.read_bytes() == golden
+    for text in ["cancer", "lung carcinoma", "interleukin", "HSP", "neoplasm"]:
+        q = toy_index.vectorizer.encode(text)
+        assert loaded.nearest_aliases(q, 5) == toy_index.nearest_aliases(q, 5)
+
+
+def test_rows_equal_encoded_aliases(toy_kb, tmp_path):
+    # fitted on two aliases only, so most others have zero-length rows
+    vec = NgramVectorizer.fit(["cancer", "tumor"], min_df=1)
+    built = build_index(toy_kb, vec)
+    path = str(tmp_path / "rows.blix")
+    save_index(built, path)
+    for idx in (built, load_index(path)):
+        assert any(idx.row(i).is_zero for i in range(len(idx)))
+        for i, alias in enumerate(idx.aliases):
+            want = vec.encode(alias)
+            assert np.array_equal(idx.row(i).indices, want.indices)
+            assert np.array_equal(idx.row(i).weights, want.weights)
+
+
+def test_failed_save_keeps_existing_file(toy_index, tmp_path):
+    path = tmp_path / "toy.blix"
+    save_index(toy_index, str(path))
+    before = path.read_bytes()
+    # the alias table is written after the vectors, so this fails part-way
+    with pytest.raises(TypeError):
+        save_index(stand_in(toy_index, alias_table=None), str(path))
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["toy.blix"]
 
 
 def test_magic_constant():
