@@ -12,7 +12,6 @@ from __future__ import annotations
 import platform
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -42,7 +41,6 @@ class BenchReport:
     ms_per_sentence_median: float
     setup_s: float
     hardware_note: str
-    workers: int = 1
     cpu_total_s: float = 0.0
     per_rep_total_s: tuple[float, ...] = ()
 
@@ -59,7 +57,6 @@ class BenchReport:
             "ms_per_sentence_median": self.ms_per_sentence_median,
             "setup_s": self.setup_s,
             "hardware_note": self.hardware_note,
-            "workers": self.workers,
             "cpu_total_s": self.cpu_total_s,
             "per_rep_total_s": list(self.per_rep_total_s),
         }
@@ -100,14 +97,11 @@ def run_bench(
     index: AliasIndex | None = None,
     rules: TokenizerRules | None = None,
     seg_config: SegmenterConfig | None = None,
-    workers: int = 1,
 ) -> BenchReport:
     if not corpus:
         raise ValueError("empty corpus")
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     stage_set = frozenset(stages)
     unknown = stage_set - set(STAGES)
     if unknown:
@@ -127,15 +121,8 @@ def run_bench(
     setup_s = time.perf_counter() - setup_start
 
     def one_pass():
-        if workers == 1:
-            for text in corpus:
-                _process(text, stage_set, rules, seg_config, index)
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(
-                    lambda t: _process(t, stage_set, rules, seg_config, index),
-                    corpus,
-                ))
+        for text in corpus:
+            _process(text, stage_set, rules, seg_config, index)
 
     for _ in range(warmup):
         one_pass()
@@ -165,7 +152,6 @@ def run_bench(
         setup_s=setup_s,
         hardware_note=f"{platform.processor() or platform.machine()}, "
                       f"python {platform.python_version()}",
-        workers=workers,
         cpu_total_s=cpu_total,
         per_rep_total_s=tuple(per_rep),
     )

@@ -13,7 +13,6 @@ import contextlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .abbrev import expansion_map, find_abbreviations
@@ -36,8 +35,6 @@ from .tokenizer import (
     RulesFileError, default_biomedical_rules, load_rules, tokenize,
 )
 from .vectorizer import NgramVectorizer
-
-_CHUNK = 256  # documents per worker batch; bounds memory under --workers
 
 
 class UsageError(Exception):
@@ -125,7 +122,7 @@ def _iter_doc_lines(fp):
                 raise DataError(f"line {lineno}: document object needs a 'text' field")
             try:
                 yield from_json_obj(obj), obj
-            except (KeyError, TypeError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise DataError(f"line {lineno}: malformed document: {exc}")
         else:
             yield None, line
@@ -138,23 +135,6 @@ def _ensure_doc(parsed, rules) -> tuple[Document, dict]:
     if not doc.tokens and doc.text.strip():
         return tokenize(doc.text, rules), obj if isinstance(obj, dict) else {}
     return doc, obj if isinstance(obj, dict) else {}
-
-
-def _map_ordered(fn, items, workers: int):
-    """Apply fn preserving order, batching to bound memory."""
-    if workers <= 1:
-        for item in items:
-            yield fn(item)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        batch = []
-        for item in items:
-            batch.append(item)
-            if len(batch) >= _CHUNK * workers:
-                yield from pool.map(fn, batch)
-                batch = []
-        if batch:
-            yield from pool.map(fn, batch)
 
 
 # -- subcommands --------------------------------------------------------
@@ -283,8 +263,8 @@ def _cmd_link(args) -> int:
         return lines
 
     with _open_in(args.input) as fin, _open_out(args.output) as fout:
-        for lines in _map_ordered(process, _iter_doc_lines(fin), args.workers):
-            for line in lines:
+        for parsed in _iter_doc_lines(fin):
+            for line in process(parsed):
                 fout.write(line + "\n")
     return 0
 
@@ -365,7 +345,7 @@ def _cmd_bench(args) -> int:
         corpus = [line.strip() for line in fp if line.strip()]
     try:
         report = run_bench(corpus, stages, reps=args.reps, warmup=args.warmup,
-                           index=index, workers=args.workers)
+                           index=index)
     except ValueError as exc:
         raise UsageError(str(exc))
     if args.json:
@@ -436,7 +416,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--no-abbrev", dest="no_abbrev", action="store_true")
     p.add_argument("--rules", metavar="FILE")
     p.add_argument("--seg-config", dest="seg_config", metavar="FILE")
-    p.add_argument("--workers", type=int, default=1)
     add_io(p)
     p.set_defaults(func=_cmd_link)
 
@@ -468,7 +447,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--index", metavar="FILE")
     p.add_argument("--reps", type=int, default=3)
     p.add_argument("--warmup", type=int, default=1)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_bench)
 
@@ -479,8 +457,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "workers", 1) < 1:
-            raise UsageError("--workers must be >= 1")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

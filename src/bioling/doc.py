@@ -112,11 +112,29 @@ def to_json_obj(doc: Document) -> dict:
 def from_json_obj(obj: dict) -> Document:
     """Rebuild a Document from its JSON form.
 
-    Surfaces and whitespace are recovered from the text and the spans; the
-    gaps between consecutive token spans must be whitespace.
+    Surfaces and whitespace are recovered from the text and the spans.
+    Raises ValueError, naming the token, on a span that is out of range,
+    empty or not after the previous one, or on non-whitespace text before,
+    between or after the tokens; and, naming the sentence, on sentences
+    that do not cover the tokens in order without gaps or overlaps.
     """
     text = obj["text"]
+    if not isinstance(text, str):
+        raise ValueError("text must be a string")
     spans = [(t["start"], t["end"]) for t in obj.get("tokens", [])]
+    prev_end = 0
+    for i, (start, end) in enumerate(spans):
+        if not (isinstance(start, int) and isinstance(end, int)):
+            raise ValueError(f"token {i}: start and end must be integers")
+        if not prev_end <= start < end <= len(text):
+            raise ValueError(
+                f"token {i}: span [{start}, {end}) is empty, past the end of the "
+                f"text ({len(text)}) or overlaps the previous token")
+        if text[prev_end:start].strip():
+            raise ValueError(f"token {i}: non-whitespace text before it")
+        prev_end = end
+    if spans and text[prev_end:].strip():
+        raise ValueError(f"token {len(spans) - 1}: non-whitespace text after it")
     tokens = []
     for i, (start, end) in enumerate(spans):
         nxt = spans[i + 1][0] if i + 1 < len(spans) else len(text)
@@ -126,6 +144,16 @@ def from_json_obj(obj: dict) -> Document:
         SentenceSpan(s["first_token"], s["last_token"])
         for s in obj.get("sentences", [])
     )
+    next_first = 0
+    for i, s in enumerate(sentences):
+        if not (isinstance(s.first_token, int) and isinstance(s.last_token, int)
+                and next_first == s.first_token <= s.last_token < len(tokens)):
+            raise ValueError(
+                f"sentence {i}: tokens [{s.first_token}, {s.last_token}] do not "
+                f"start at token {next_first} or lie outside the {len(tokens)} tokens")
+        next_first = s.last_token + 1
+    if sentences and next_first != len(tokens):
+        raise ValueError(f"sentence {len(sentences) - 1}: ends before the last token")
     return Document(text, tuple(tokens), sentences, leading)
 
 

@@ -9,14 +9,20 @@ posting lists of its grams. Since all weights are non-negative and
 vectors unit-normalized, scores are cosines in [0, 1]. Ties at the same
 cosine break lexicographically by alias string.
 
+Top-k selection never sorts the whole index: zero scores are dropped,
+`np.partition` finds the k-th best remaining score, and only the rows
+scoring at least that much (so every row tied with it) are sorted by
+(score desc, alias asc).
+
 The approximate backend hashes vectors with random hyperplanes, ranks
 aliases by signature Hamming distance and exactly re-scores the closest
-`rescore` of them from the same posting lists.
+`rescore` of them from the same posting lists, through the same top-k
+selection.
 
 Persistence: single little-endian binary file, magic "BLIX" (see
 docs/index-format.md). `save_index` replaces the target atomically;
-`load_index` checks the CSR structure and raises `IndexFormatError`
-on any corrupt file.
+`load_index` checks the CSR structure and values and raises
+`IndexFormatError` on any corrupt file.
 """
 
 from __future__ import annotations
@@ -152,11 +158,23 @@ class AliasIndex:
         if query.is_zero or not self.aliases:
             return []
         if self.backend == BACKEND_EXACT:
-            scores = self._exact_scores(query)
-            top = np.lexsort((self._lex_rank, -scores))[:k]
-            return [(self.aliases[int(r)], float(scores[int(r)]))
-                    for r in top if scores[int(r)] > 0.0]
+            return self._top_k(self._exact_scores(query), k)
         return self._nearest_lsh(query, k)
+
+    def _top_k(self, scores: np.ndarray, k: int) -> list[tuple[str, float]]:
+        """The k best rows by (score desc, alias asc), zero scores dropped.
+
+        Only rows scoring at least the k-th best positive score are sorted,
+        so every row tied with it survives to the lexicographic tie-break.
+        """
+        rows = np.flatnonzero(scores > 0.0)
+        vals = scores[rows]
+        if len(rows) > k:
+            kth = np.partition(vals, len(rows) - k)[len(rows) - k]
+            keep = vals >= kth
+            rows, vals = rows[keep], vals[keep]
+        rows = rows[np.lexsort((self._lex_rank[rows], -vals))[:k]]
+        return [(self.aliases[r], float(scores[r])) for r in rows.tolist()]
 
     def _nearest_lsh(self, query: SparseVector, k: int) -> list[tuple[str, float]]:
         sig = self._signature(query)
@@ -166,13 +184,14 @@ class AliasIndex:
             dist += np.unpackbits(
                 x.view(np.uint8).reshape(-1, 8), axis=1
             ).sum(axis=1).astype(np.int64)
-        m = min(max(self.lsh_params.rescore, k), len(self.aliases))
-        cand = np.argpartition(dist, m - 1)[:m] if m < len(self.aliases) \
-            else np.arange(len(self.aliases))
-        scores = self._exact_scores(query)[cand]
-        order = np.lexsort((self._lex_rank[cand], -scores))[:k]
-        return [(self.aliases[int(cand[i])], float(scores[int(i)]))
-                for i in order if scores[int(i)] > 0.0]
+        scores = self._exact_scores(query)
+        m = max(self.lsh_params.rescore, k)
+        if m < len(self.aliases):  # keep the scores of the m nearest signatures
+            cand = np.argpartition(dist, m - 1)[:m]
+            rescored = np.zeros_like(scores)
+            rescored[cand] = scores[cand]
+            scores = rescored
+        return self._top_k(scores, k)
 
 
 def build_index(
@@ -300,6 +319,14 @@ def _check_csr(n_aliases: int, vocab_size: int, indptr: np.ndarray,
             f"and {len(weights)} weights")
     if len(indices) and (indices.min() < 0 or indices.max() >= vocab_size):
         raise IndexFormatError(f"gram id outside [0, {vocab_size})")
+    # a repeated gram id in a row would be scored twice
+    unordered = np.diff(indices) <= 0
+    row_starts = indptr[1:-1]
+    unordered[row_starts[(row_starts > 0) & (row_starts < len(indices))] - 1] = False
+    if unordered.any():
+        raise IndexFormatError("gram ids must be strictly increasing within a row")
+    if not np.all(np.isfinite(weights) & (weights >= 0.0)):
+        raise IndexFormatError("weights must be finite and non-negative")
 
 
 def _parse_index(r: _Reader) -> AliasIndex:

@@ -82,6 +82,10 @@ def _parse_concept(obj: dict, lineno: int) -> Concept:
     definition = obj.get("definition")
     if not isinstance(aliases, list) or not all(isinstance(a, str) for a in aliases):
         raise KBFormatError(f"line {lineno}: aliases must be a list of strings")
+    if not isinstance(types, list) or not all(isinstance(t, str) for t in types):
+        raise KBFormatError(f"line {lineno}: types must be a list of strings")
+    if definition is not None and not isinstance(definition, str):
+        raise KBFormatError(f"line {lineno}: definition must be a string or null")
     # canonical name is always an alias of its own concept
     if normalize_alias(canonical) not in {normalize_alias(a) for a in aliases}:
         aliases = [canonical, *aliases]
@@ -101,6 +105,9 @@ def load_kb(path: str) -> KnowledgeBase:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise KBFormatError(f"line {lineno}: invalid JSON: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise KBFormatError(
+                    f"line {lineno}: expected a JSON object, got {type(obj).__name__}")
             concept = _parse_concept(obj, lineno)
             if concept.concept_id in concepts:
                 raise KBFormatError(

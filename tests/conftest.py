@@ -201,6 +201,21 @@ BLIX_CORRUPTIONS = {
         "gram id"),
     "gram id negative": (
         lambda ix, raw: stand_in(ix, indices=_set(ix.indices, 0, -1)), "gram id"),
+    "gram id repeated in a row": (
+        lambda ix, raw: stand_in(ix, indices=_set(ix.indices, 1, ix.indices[0])),
+        "strictly increasing"),
+    "gram ids descending in a row": (
+        lambda ix, raw: stand_in(ix, indices=_set(ix.indices, [0, 1], ix.indices[[1, 0]])),
+        "strictly increasing"),
+    "weight negative": (
+        lambda ix, raw: stand_in(ix, weights=_set(ix.weights, 0, -0.5)),
+        "finite and non-negative"),
+    "weight NaN": (
+        lambda ix, raw: stand_in(ix, weights=_set(ix.weights, 0, np.nan)),
+        "finite and non-negative"),
+    "weight infinite": (
+        lambda ix, raw: stand_in(ix, weights=_set(ix.weights, 0, np.inf)),
+        "finite and non-negative"),
     "df length": (
         lambda ix, raw: stand_in(ix, vectorizer=NgramVectorizer(
             ix.vectorizer.grams, ix.vectorizer.df[:-1],

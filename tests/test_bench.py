@@ -34,13 +34,6 @@ def test_stage_subsets():
     assert report.stages == ("tokenize", "segment")
 
 
-def test_workers_parallel_pass(toy_index):
-    report = run_bench(CORPUS, STAGES, reps=1, warmup=0,
-                       index=toy_index, workers=2)
-    assert report.workers == 2
-    assert report.cpu_total_s >= 0
-
-
 def test_as_dict_round_trips_fields(toy_index):
     report = run_bench(CORPUS, ["tokenize"], reps=1, warmup=0)
     d = report.as_dict()
@@ -58,5 +51,3 @@ def test_errors():
         run_bench(CORPUS, ["tokenize", "link"])
     with pytest.raises(ValueError, match="reps"):
         run_bench(CORPUS, ["tokenize"], reps=0)
-    with pytest.raises(ValueError, match="workers"):
-        run_bench(CORPUS, ["tokenize"], workers=0)

@@ -86,6 +86,20 @@ def test_kb_validate_bad_file_exits_2(run, tmp_path):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize("line, field", [
+    ("[1, 2]", "JSON object"),
+    ('{"concept_id": "X1", "canonical_name": "A", "types": "T1"}', "types"),
+    ('{"concept_id": "X1", "canonical_name": "A", "definition": 5}', "definition"),
+])
+def test_kb_validate_malformed_concept_exits_2(run, tmp_path, line, field):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(line + "\n")
+    code, _, err = run(["kb", "validate", "--input", str(bad)])
+    assert code == 2
+    assert "line 1" in err and field in err
+    assert "Traceback" not in err
+
+
 def test_index_build_and_link_end_to_end(run, toy_kb_path, tmp_path):
     out_path = str(tmp_path / "built.blix")
     code, _, err = run([
@@ -124,20 +138,6 @@ def test_link_uses_abbreviation_expansion(run, index_path):
                        stdin=doc_line + "\n")
     (raw,) = out_lines(out)
     assert raw["query_text"] == "HSP"
-
-
-def test_link_workers_preserve_order(run, index_path):
-    lines = "".join(
-        json.dumps({"text": f"case {i}: tumor growth",
-                    "mentions": [{"start": 8, "end": 13}]}) + "\n"
-        for i in range(20)
-    )
-    code, seq, _ = run(["link", "--index", index_path], stdin=lines)
-    assert code == 0
-    code, par, _ = run(["link", "--index", index_path, "--workers", "4"],
-                       stdin=lines)
-    assert code == 0
-    assert seq == par
 
 
 def test_link_missing_index_names_path(run):
@@ -250,6 +250,21 @@ def test_invalid_json_line_exits_2(run):
     code, _, err = run(["tokenize"], stdin='{"text": broken}\n')
     assert code == 2
     assert "line 1" in err
+
+
+def test_bad_token_span_exits_2(run):
+    line = '{"text":"cancer","tokens":[{"start":0,"end":99}],"leading_ws":""}'
+    code, _, err = run(["abbrev"], stdin=line + "\n")
+    assert code == 2
+    assert "line 1" in err and "token 0" in err
+
+
+def test_bad_sentence_span_exits_2(run):
+    line = ('{"text":"Heat shock","tokens":[{"start":0,"end":4},{"start":5,"end":10}],'
+            '"sentences":[{"first_token":0,"last_token":9}]}')
+    code, _, err = run(["abbrev"], stdin=line + "\n")
+    assert code == 2
+    assert "line 1" in err and "sentence 0" in err
 
 
 def test_custom_rules_via_flag_and_env(run, tmp_path, monkeypatch):

@@ -83,6 +83,46 @@ def test_read_jsonl_reports_line_numbers():
         list(read_jsonl(buf))
 
 
+@pytest.mark.parametrize("text, spans, match", [
+    ("cancer", [(0, 99)], "token 0: span"),
+    ("cancer", [(-1, 3)], "token 0: span"),
+    ("cancer cell", [(0, 0), (0, 6)], "token 0: span"),
+    ("cancer cell", [(0, 6), (4, 11)], "token 1: span"),
+    ("cancer cell", [(0, 6), (7, 11), (0, 6)], "token 2: span"),
+    ("cancer cell", [(0, 3), (7, 11)], "token 1: non-whitespace"),
+    ("cancer cell", [(7, 11)], "token 0: non-whitespace"),
+    ("cancer cell", [(0, 6)], "token 0: non-whitespace text after"),
+    ("cancer", [(0, "6")], "token 0: start and end must be integers"),
+])
+def test_from_json_obj_rejects_bad_spans(text, spans, match):
+    obj = {"text": text, "tokens": [{"start": a, "end": b} for a, b in spans]}
+    with pytest.raises(ValueError, match=match):
+        from_json_obj(obj)
+
+
+@pytest.mark.parametrize("sentences, match", [
+    ([(0, 9)], "sentence 0: tokens"),
+    ([(1, 2)], "sentence 0: tokens"),
+    ([(0, 0), (2, 2)], "sentence 1: tokens"),
+    ([(0, 1), (1, 2)], "sentence 1: tokens"),
+    ([(0, 2), (3, 2)], "sentence 1: tokens"),
+    ([(0, 1)], "sentence 0: ends before the last token"),
+])
+def test_from_json_obj_rejects_bad_sentences(sentences, match):
+    obj = to_json_obj(tokenize("Heat shock rose"))
+    obj["sentences"] = [{"first_token": a, "last_token": b} for a, b in sentences]
+    with pytest.raises(ValueError, match=match):
+        from_json_obj(obj)
+
+
+def test_from_json_obj_accepts_whitespace_gaps():
+    obj = {"text": " a\tb \n", "tokens": [{"start": 1, "end": 2},
+                                          {"start": 3, "end": 4}]}
+    doc = from_json_obj(obj)
+    validate_document(doc)
+    assert doc.leading_ws == " " and doc.tokens[-1].trailing_ws == " \n"
+
+
 def test_sentence_char_span():
     doc = tokenize("One two. Three.")
     doc = doc.with_sentences([SentenceSpan(0, 2), SentenceSpan(3, 4)])

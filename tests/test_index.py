@@ -10,6 +10,7 @@ from bioling.index import (
     AliasIndex, BACKEND_EXACT, BACKEND_LSH, FORMAT_VERSION, IndexBackendError,
     IndexFormatError, LshParams, MAGIC, build_index, load_index, save_index,
 )
+from bioling.kb import Concept, KnowledgeBase, normalize_alias
 from bioling.vectorizer import NgramVectorizer, zero_vector
 
 from conftest import (
@@ -112,6 +113,76 @@ def test_exact_backend_matches_brute_force_small():
             assert [a for a, _ in got] == [a for a, _ in want]
             for (_, s1), (_, s2) in zip(got, want):
                 assert s1 == pytest.approx(s2, abs=1e-9)
+
+
+# six surfaces of one alias that differ only in case or whitespace, so
+# they have identical vectors and tie at every query's score
+TIED_VARIANTS = ["tumor growth", "Tumor growth", "TUMOR GROWTH", "tumor  growth",
+                 "Tumor Growth", "tumor\tgrowth"]
+
+
+@pytest.fixture(scope="module")
+def tie_indexes():
+    """(vectorizer, exact index, LSH index rescoring every alias)."""
+    aliases = ["tumor growths", *TIED_VARIANTS, "heart failure", "renal failure",
+               "growth factor", "kidney stone", "lung tumor"]
+    concepts = {f"T{i}": Concept(f"T{i}", a, (a,)) for i, a in enumerate(aliases)}
+    table = {normalize_alias(a): frozenset({f"T{i}"}) for i, a in enumerate(aliases)}
+    kb = KnowledgeBase(concepts, table)
+    vec = NgramVectorizer.fit(aliases, min_df=1)
+    exact = build_index(kb, vec)
+    lsh = build_index(kb, vec, BACKEND_LSH, LshParams(n_bits=64, rescore=len(exact)))
+    return vec, exact, lsh
+
+
+def assert_equals_oracle(got, want):
+    assert [a for a, _ in got] == [a for a, _ in want]
+    for (_, s1), (_, s2) in zip(got, want):
+        assert s1 == pytest.approx(s2, abs=1e-9)
+
+
+@pytest.mark.parametrize("backend", [BACKEND_EXACT, BACKEND_LSH])
+def test_top_k_inside_tied_block(tie_indexes, backend):
+    vec, exact, lsh = tie_indexes
+    idx = exact if backend == BACKEND_EXACT else lsh
+    oracle = BruteForceOracle(exact)
+    q = vec.encode("tumor growths")
+    ranked = oracle.top_k(q, len(exact))
+    # "tumor growths" first, then the six tied variants, then the rest
+    assert {a for a, _ in ranked[1:7]} == set(TIED_VARIANTS)
+    assert ranked[0][1] > ranked[1][1] == ranked[6][1] > ranked[7][1]
+    for k in (2, 3, 4, 6):
+        got = idx.nearest_aliases(q, k)
+        assert_equals_oracle(got, oracle.top_k(q, k))
+        assert [a for a, _ in got[1:]] == sorted(TIED_VARIANTS)[:k - 1]
+        assert got == exact.nearest_aliases(q, k)
+
+
+@pytest.mark.parametrize("backend", [BACKEND_EXACT, BACKEND_LSH])
+def test_top_k_fewer_positive_than_k(tie_indexes, backend):
+    vec, exact, lsh = tie_indexes
+    idx = exact if backend == BACKEND_EXACT else lsh
+    oracle = BruteForceOracle(exact)
+    q = vec.encode("renal failure")
+    k = len(exact) - 1
+    got = idx.nearest_aliases(q, k)
+    assert 0 < len(got) < k
+    assert all(s > 0.0 for _, s in got)
+    assert_equals_oracle(got, oracle.top_k(q, k))
+    assert got == exact.nearest_aliases(q, k)
+
+
+@pytest.mark.parametrize("backend", [BACKEND_EXACT, BACKEND_LSH])
+def test_top_k_k_at_least_index_size(tie_indexes, backend):
+    vec, exact, lsh = tie_indexes
+    idx = exact if backend == BACKEND_EXACT else lsh
+    oracle = BruteForceOracle(exact)
+    for text in ["tumor growth", "growth failure", "lung"]:
+        q = vec.encode(text)
+        for k in (len(exact), len(exact) + 7):
+            got = idx.nearest_aliases(q, k)
+            assert_equals_oracle(got, oracle.top_k(q, k))
+            assert got == exact.nearest_aliases(q, k)
 
 
 def test_save_load_round_trip_exact(toy_index, tmp_path):

@@ -86,6 +86,32 @@ def test_rejects_non_string_aliases(tmp_path):
         load_kb(path)
 
 
+@pytest.mark.parametrize("line, match", [
+    ("[1, 2]", "line 2: expected a JSON object, got list"),
+    ('"C1"', "line 2: expected a JSON object, got str"),
+    ({"concept_id": "X2", "canonical_name": "B", "types": "T1"},
+     "line 2: types must be a list of strings"),
+    ({"concept_id": "X2", "canonical_name": "B", "types": ["T1", 7]},
+     "line 2: types must be a list of strings"),
+    ({"concept_id": "X2", "canonical_name": "B", "definition": 5},
+     "line 2: definition must be a string or null"),
+])
+def test_rejects_malformed_concept_line(tmp_path, line, match):
+    path = write_kb(tmp_path, [{"concept_id": "X1", "canonical_name": "A"}, line])
+    with pytest.raises(KBFormatError, match=match):
+        load_kb(path)
+
+
+def test_accepts_string_definition_and_type_list(tmp_path):
+    path = write_kb(tmp_path, [
+        {"concept_id": "X1", "canonical_name": "A", "types": ["T1", "T2"],
+         "definition": "a thing"},
+    ])
+    concept = load_kb(path).concepts["X1"]
+    assert concept.types == ("T1", "T2")
+    assert concept.definition == "a thing"
+
+
 def test_blank_lines_skipped(tmp_path):
     path = write_kb(tmp_path, [
         {"concept_id": "X1", "canonical_name": "A"}, "", "  ",
