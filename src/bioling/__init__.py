@@ -11,7 +11,7 @@ from .abbrev import expansion_map, find_abbreviations
 from .doc import (
     AbbreviationPair, Document, MentionSpan, SentenceSpan, Token, detokenize,
 )
-from .index import AliasIndex, LshParams, build_index, load_index, save_index
+from .index import AliasIndex, build_index, load_index, save_index
 from .kb import Concept, KnowledgeBase, kb_stats, load_kb, normalize_alias, save_kb
 from .linker import Candidate, CandidateSet, generate_candidates
 from .segmenter import (
@@ -24,7 +24,7 @@ from .vectorizer import NgramVectorizer, SparseVector, extract_3grams
 
 __all__ = [
     "AbbreviationPair", "AliasIndex", "Candidate", "CandidateSet", "Concept",
-    "Document", "KnowledgeBase", "LshParams", "MentionSpan", "NgramVectorizer",
+    "Document", "KnowledgeBase", "MentionSpan", "NgramVectorizer",
     "SegmenterConfig", "SentenceSpan", "SparseVector", "Token",
     "TokenizerRules", "build_index", "citation_split_rate",
     "default_biomedical_rules", "default_segmenter_config", "detokenize",

@@ -21,10 +21,7 @@ from .doc import Document, from_json_obj, to_json_obj
 from .evals import (
     GoldMention, make_citation_corpus, recall_at_k, segmentation_accuracy,
 )
-from .index import (
-    BACKEND_EXACT, BACKEND_LSH, IndexFormatError, LshParams, build_index,
-    load_index, save_index,
-)
+from .index import IndexFormatError, build_index, load_index, save_index
 from .kb import KBFormatError, kb_stats, load_kb
 from .linker import generate_candidates
 from .segmenter import (
@@ -70,27 +67,28 @@ def _open_out(path: str):
             yield fp
 
 
+def _load_directive_file(path: str, loader, what: str):
+    try:
+        return loader(path)
+    except FileNotFoundError:
+        raise DataError(f"{what} not found: {path}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}")
+    except RulesFileError as exc:
+        raise DataError(f"{path}: {exc}")
+
+
 def _get_rules(args):
     path = getattr(args, "rules", None) or os.environ.get("BIOLING_RULES")
     if path:
-        try:
-            return load_rules(path)
-        except FileNotFoundError:
-            raise DataError(f"rules file not found: {path}")
-        except RulesFileError as exc:
-            raise DataError(f"{path}: {exc}")
+        return _load_directive_file(path, load_rules, "rules file")
     return default_biomedical_rules()
 
 
 def _get_seg_config(args):
     path = getattr(args, "seg_config", None) or os.environ.get("BIOLING_SEG_CONFIG")
     if path:
-        try:
-            return load_segmenter_config(path)
-        except FileNotFoundError:
-            raise DataError(f"segmenter config not found: {path}")
-        except RulesFileError as exc:
-            raise DataError(f"{path}: {exc}")
+        return _load_directive_file(path, load_segmenter_config, "segmenter config")
     return default_segmenter_config()
 
 
@@ -104,7 +102,7 @@ def _load_index(path: str):
 
 
 def _iter_doc_lines(fp):
-    """Yield (doc_or_none, raw_obj_or_text) per nonempty input line.
+    """Yield (lineno, doc_or_none, raw_obj_or_text) per nonempty input line.
 
     Lines holding a JSON object with a "text" field are core_text
     documents; any other line is raw text for tokenization.
@@ -121,15 +119,14 @@ def _iter_doc_lines(fp):
             if not isinstance(obj, dict) or "text" not in obj:
                 raise DataError(f"line {lineno}: document object needs a 'text' field")
             try:
-                yield from_json_obj(obj), obj
+                yield lineno, from_json_obj(obj), obj
             except (KeyError, TypeError, ValueError) as exc:
                 raise DataError(f"line {lineno}: malformed document: {exc}")
         else:
-            yield None, line
+            yield lineno, None, line
 
 
-def _ensure_doc(parsed, rules) -> tuple[Document, dict]:
-    doc, obj = parsed
+def _ensure_doc(doc, obj, rules) -> tuple[Document, dict]:
     if doc is None:
         return tokenize(obj, rules), {}
     if not doc.tokens and doc.text.strip():
@@ -142,8 +139,8 @@ def _ensure_doc(parsed, rules) -> tuple[Document, dict]:
 def _cmd_tokenize(args) -> int:
     rules = _get_rules(args)
     with _open_in(args.input) as fin, _open_out(args.output) as fout:
-        for parsed in _iter_doc_lines(fin):
-            doc, _ = _ensure_doc(parsed, rules)
+        for _, doc, obj in _iter_doc_lines(fin):
+            doc, _ = _ensure_doc(doc, obj, rules)
             fout.write(json.dumps(to_json_obj(doc), ensure_ascii=False) + "\n")
     return 0
 
@@ -152,8 +149,8 @@ def _cmd_segment(args) -> int:
     rules = _get_rules(args)
     cfg = _get_seg_config(args)
     with _open_in(args.input) as fin, _open_out(args.output) as fout:
-        for parsed in _iter_doc_lines(fin):
-            doc, _ = _ensure_doc(parsed, rules)
+        for _, doc, obj in _iter_doc_lines(fin):
+            doc, _ = _ensure_doc(doc, obj, rules)
             doc = segment(doc, cfg)
             fout.write(json.dumps(to_json_obj(doc), ensure_ascii=False) + "\n")
     return 0
@@ -163,8 +160,8 @@ def _cmd_abbrev(args) -> int:
     rules = _get_rules(args)
     cfg = _get_seg_config(args)
     with _open_in(args.input) as fin, _open_out(args.output) as fout:
-        for parsed in _iter_doc_lines(fin):
-            doc, _ = _ensure_doc(parsed, rules)
+        for _, doc, obj in _iter_doc_lines(fin):
+            doc, _ = _ensure_doc(doc, obj, rules)
             if not doc.sentences:
                 doc = segment(doc, cfg)
             for pair in find_abbreviations(doc):
@@ -211,61 +208,61 @@ def _cmd_index_build(args) -> int:
         vectorizer = NgramVectorizer.fit(aliases, min_df=args.min_df)
     except ValueError as exc:
         raise DataError(str(exc))
-    params = LshParams(args.lsh_bits, args.lsh_rescore, args.seed)
-    index = build_index(kb, vectorizer, args.backend, params)
+    index = build_index(kb, vectorizer)
     save_index(index, args.output)
-    print(f"indexed {len(index)} aliases ({args.backend}) -> {args.output}",
-          file=sys.stderr)
+    print(f"indexed {len(index)} aliases -> {args.output}", file=sys.stderr)
     return 0
 
 
-def _mention_spans(doc: Document, obj: dict, lineno_hint: str = ""):
+def _mention_spans(lineno: int, doc: Document, obj: dict) -> list[tuple[int, int]]:
+    mentions = obj.get("mentions", [])
+    if not isinstance(mentions, list):
+        raise DataError(f"line {lineno}: 'mentions' must be a list")
     spans = []
-    for m in obj.get("mentions", []):
-        try:
-            start, end = int(m["start"]), int(m["end"])
-        except (KeyError, TypeError, ValueError):
-            raise DataError(f"malformed mention {m!r}{lineno_hint}")
+    for i, m in enumerate(mentions):
+        if not isinstance(m, dict):
+            raise DataError(f"line {lineno}: mention {i} must be an object")
+        start, end = m.get("start"), m.get("end")
+        # only JSON integers are offsets; bool is an int subclass in Python
+        if type(start) is not int or type(end) is not int:
+            raise DataError(
+                f"line {lineno}: mention {i} needs integer 'start' and 'end': {m!r}")
         if not (0 <= start < end <= len(doc.text)):
-            raise DataError(f"mention span out of range {m!r}{lineno_hint}")
+            raise DataError(f"line {lineno}: mention span out of range {m!r}")
         spans.append((start, end))
     return spans
 
 
 def _cmd_link(args) -> int:
+    if args.k < 1:
+        raise UsageError(f"--k must be >= 1, got {args.k}")
     index = _load_index(args.index)
     rules = _get_rules(args)
     cfg = _get_seg_config(args)
-
-    def process(parsed):
-        doc, obj = _ensure_doc(parsed, rules)
-        lines = []
-        expansion = None
-        if not args.no_abbrev:
-            if not doc.sentences:
-                doc = segment(doc, cfg)
-            expansion = expansion_map(find_abbreviations(doc))
-        for start, end in _mention_spans(doc, obj):
-            mention = doc.text[start:end]
-            cs = generate_candidates(index, index.alias_table, mention,
-                                     args.k, expansion, start, end)
-            lines.append(json.dumps({
-                "mention": mention,
-                "start": start,
-                "end": end,
-                "query_text": cs.query_text,
-                "candidates": [
-                    {"concept_id": c.concept_id, "alias": c.alias,
-                     "score": c.similarity}
-                    for c in cs.candidates
-                ],
-            }, ensure_ascii=False))
-        return lines
-
     with _open_in(args.input) as fin, _open_out(args.output) as fout:
-        for parsed in _iter_doc_lines(fin):
-            for line in process(parsed):
-                fout.write(line + "\n")
+        for lineno, doc, obj in _iter_doc_lines(fin):
+            doc, obj = _ensure_doc(doc, obj, rules)
+            spans = _mention_spans(lineno, doc, obj)
+            expansion = None
+            if not args.no_abbrev:
+                if not doc.sentences:
+                    doc = segment(doc, cfg)
+                expansion = expansion_map(find_abbreviations(doc))
+            for start, end in spans:
+                mention = doc.text[start:end]
+                cs = generate_candidates(index, index.alias_table, mention,
+                                         args.k, expansion, start, end)
+                fout.write(json.dumps({
+                    "mention": mention,
+                    "start": start,
+                    "end": end,
+                    "query_text": cs.query_text,
+                    "candidates": [
+                        {"concept_id": c.concept_id, "alias": c.alias,
+                         "score": c.similarity}
+                        for c in cs.candidates
+                    ],
+                }, ensure_ascii=False) + "\n")
     return 0
 
 
@@ -281,11 +278,17 @@ def _cmd_eval_recall(args) -> int:
             line = line.strip()
             if not line:
                 continue
+            where = f"{args.gold}:{lineno}"
             try:
                 obj = json.loads(line)
-                gold.append(GoldMention(obj["mention"], obj["concept_id"]))
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                raise DataError(f"{args.gold}:{lineno}: {exc}")
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{where}: invalid JSON: {exc}")
+            if not isinstance(obj, dict):
+                raise DataError(f"{where}: gold line must be a JSON object")
+            for field in ("mention", "concept_id"):
+                if not isinstance(obj.get(field), str) or not obj[field]:
+                    raise DataError(f"{where}: '{field}' must be a nonempty string")
+            gold.append(GoldMention(obj["mention"], obj["concept_id"]))
     if not gold:
         raise DataError("empty gold mention set")
     try:
@@ -303,10 +306,9 @@ def _cmd_eval_recall(args) -> int:
 def _read_docs_jsonl(path: str):
     docs = []
     with _open_in(path) as fp:
-        for parsed in _iter_doc_lines(fp):
-            doc, _ = parsed
+        for lineno, doc, _ in _iter_doc_lines(fp):
             if doc is None:
-                raise DataError(f"{path}: expected core_text JSONL documents")
+                raise DataError(f"{path}:{lineno}: expected core_text JSONL documents")
             docs.append(doc)
     return docs
 
@@ -402,12 +404,7 @@ def _build_parser() -> _Parser:
     bp = idx_sub.add_parser("build")
     bp.add_argument("--kb", required=True, metavar="FILE")
     bp.add_argument("--min-df", dest="min_df", type=int, default=10)
-    bp.add_argument("--backend", choices=(BACKEND_EXACT, BACKEND_LSH),
-                    default=BACKEND_EXACT)
     bp.add_argument("--output", required=True, metavar="FILE")
-    bp.add_argument("--lsh-bits", dest="lsh_bits", type=int, default=256)
-    bp.add_argument("--lsh-rescore", dest="lsh_rescore", type=int, default=1000)
-    bp.add_argument("--seed", type=int, default=LshParams().seed)
     bp.set_defaults(func=_cmd_index_build)
 
     p = sub.add_parser("link", help="generate linking candidates for mentions")

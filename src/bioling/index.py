@@ -1,23 +1,18 @@
-"""Searchable alias index: exact cosine top-k and an LSH approximation.
+"""Searchable alias index: exact cosine top-k.
 
 Alias vectors are one CSR matrix (`indptr`, `indices`, `weights`), the
 same three arrays a `.blix` file stores, from build through disk to
-search. The exact backend's inverted index over gram ids is the CSC
-transpose of that matrix, derived on every build and load and never
-stored. A query's score against every alias is accumulated from the
-posting lists of its grams. Since all weights are non-negative and
-vectors unit-normalized, scores are cosines in [0, 1]. Ties at the same
-cosine break lexicographically by alias string.
+search. The inverted index over gram ids is the CSC transpose of that
+matrix, derived on every build and load and never stored. A query's
+score against every alias is accumulated from the posting lists of its
+grams. Since all weights are non-negative and vectors unit-normalized,
+scores are cosines in [0, 1]. Ties at the same cosine break
+lexicographically by alias string.
 
 Top-k selection never sorts the whole index: zero scores are dropped,
 `np.partition` finds the k-th best remaining score, and only the rows
 scoring at least that much (so every row tied with it) are sorted by
 (score desc, alias asc).
-
-The approximate backend hashes vectors with random hyperplanes, ranks
-aliases by signature Hamming distance and exactly re-scores the closest
-`rescore` of them from the same posting lists, through the same top-k
-selection.
 
 Persistence: single little-endian binary file, magic "BLIX" (see
 docs/index-format.md). `save_index` replaces the target atomically;
@@ -29,7 +24,6 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass
 from typing import BinaryIO, Sequence
 
 import numpy as np
@@ -40,27 +34,9 @@ from .vectorizer import NgramVectorizer, SparseVector
 MAGIC = b"BLIX"
 FORMAT_VERSION = 1
 
-BACKEND_EXACT = "exact"
-BACKEND_LSH = "lsh"
-
-DEFAULT_LSH_BITS = 256
-DEFAULT_LSH_RESCORE = 1000
-DEFAULT_LSH_SEED = 0x5EED
-
 
 class IndexFormatError(ValueError):
     """Raised on a corrupt or incompatible serialized index."""
-
-
-class IndexBackendError(RuntimeError):
-    """Raised when a search backend cannot be constructed."""
-
-
-@dataclass(frozen=True)
-class LshParams:
-    n_bits: int = DEFAULT_LSH_BITS
-    rescore: int = DEFAULT_LSH_RESCORE
-    seed: int = DEFAULT_LSH_SEED
 
 
 class AliasIndex:
@@ -78,19 +54,13 @@ class AliasIndex:
         weights: np.ndarray,
         vectorizer: NgramVectorizer,
         alias_table: dict[str, frozenset[str]],
-        backend: str = BACKEND_EXACT,
-        lsh_params: LshParams | None = None,
     ):
-        if backend not in (BACKEND_EXACT, BACKEND_LSH):
-            raise IndexBackendError(f"unknown backend {backend!r}")
         self.aliases = list(aliases)
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.indices = np.asarray(indices, dtype=np.int32)
         self.weights = np.asarray(weights, dtype=np.float64)
         self.vectorizer = vectorizer
         self.alias_table = alias_table
-        self.backend = backend
-        self.lsh_params = lsh_params or LshParams()
         # lexicographic rank of each alias, used as the tie-break key
         order = sorted(range(len(self.aliases)), key=lambda i: self.aliases[i])
         self._lex_rank = np.empty(len(self.aliases), dtype=np.int64)
@@ -104,10 +74,6 @@ class AliasIndex:
         self._post_ptr = np.zeros(vectorizer.vocab_size + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.indices, minlength=vectorizer.vocab_size),
                   out=self._post_ptr[1:])
-        self._signatures: np.ndarray | None = None
-        self._planes: np.ndarray | None = None
-        if backend == BACKEND_LSH:
-            self._build_lsh()
 
     def __len__(self) -> int:
         return len(self.aliases)
@@ -116,27 +82,6 @@ class AliasIndex:
         """The vector of alias i, as views into the CSR arrays."""
         lo, hi = self.indptr[i], self.indptr[i + 1]
         return SparseVector(self.indices[lo:hi], self.weights[lo:hi])
-
-    # -- backend construction -------------------------------------------
-
-    def _build_lsh(self) -> None:
-        p = self.lsh_params
-        if p.n_bits % 64 != 0 or p.n_bits <= 0:
-            raise IndexBackendError("LSH bit count must be a positive multiple of 64")
-        rng = np.random.default_rng(p.seed)
-        self._planes = rng.standard_normal((p.n_bits, self.vectorizer.vocab_size))
-        sigs = np.empty((len(self.aliases), p.n_bits // 64), dtype=np.uint64)
-        for row in range(len(self.aliases)):
-            sigs[row] = self._signature(self.row(row))
-        self._signatures = sigs
-
-    def _signature(self, vec: SparseVector) -> np.ndarray:
-        proj = self._planes[:, vec.indices] @ vec.weights if vec.nnz else np.zeros(
-            self.lsh_params.n_bits
-        )
-        bits = (proj >= 0).astype(np.uint8)
-        packed = np.packbits(bits)
-        return packed.view(">u8").astype(np.uint64)
 
     # -- scoring --------------------------------------------------------
 
@@ -157,18 +102,11 @@ class AliasIndex:
             raise ValueError("k must be >= 1")
         if query.is_zero or not self.aliases:
             return []
-        if self.backend == BACKEND_EXACT:
-            return self._top_k(self._exact_scores(query), k)
-        return self._nearest_lsh(query, k)
-
-    def _top_k(self, scores: np.ndarray, k: int) -> list[tuple[str, float]]:
-        """The k best rows by (score desc, alias asc), zero scores dropped.
-
-        Only rows scoring at least the k-th best positive score are sorted,
-        so every row tied with it survives to the lexicographic tie-break.
-        """
+        scores = self._exact_scores(query)
         rows = np.flatnonzero(scores > 0.0)
         vals = scores[rows]
+        # sort only the rows scoring at least the k-th best, so every row
+        # tied with it survives to the lexicographic tie-break
         if len(rows) > k:
             kth = np.partition(vals, len(rows) - k)[len(rows) - k]
             keep = vals >= kth
@@ -176,30 +114,8 @@ class AliasIndex:
         rows = rows[np.lexsort((self._lex_rank[rows], -vals))[:k]]
         return [(self.aliases[r], float(scores[r])) for r in rows.tolist()]
 
-    def _nearest_lsh(self, query: SparseVector, k: int) -> list[tuple[str, float]]:
-        sig = self._signature(query)
-        dist = np.zeros(len(self.aliases), dtype=np.int64)
-        for word in range(self._signatures.shape[1]):
-            x = np.bitwise_xor(self._signatures[:, word], sig[word])
-            dist += np.unpackbits(
-                x.view(np.uint8).reshape(-1, 8), axis=1
-            ).sum(axis=1).astype(np.int64)
-        scores = self._exact_scores(query)
-        m = max(self.lsh_params.rescore, k)
-        if m < len(self.aliases):  # keep the scores of the m nearest signatures
-            cand = np.argpartition(dist, m - 1)[:m]
-            rescored = np.zeros_like(scores)
-            rescored[cand] = scores[cand]
-            scores = rescored
-        return self._top_k(scores, k)
 
-
-def build_index(
-    kb: KnowledgeBase,
-    vectorizer: NgramVectorizer,
-    backend: str = BACKEND_EXACT,
-    lsh_params: LshParams | None = None,
-) -> AliasIndex:
+def build_index(kb: KnowledgeBase, vectorizer: NgramVectorizer) -> AliasIndex:
     """Index every distinct alias surface of the KB."""
     aliases = kb.alias_surfaces()
     vectors = [vectorizer.encode(a) for a in aliases]
@@ -208,7 +124,7 @@ def build_index(
     indices = np.concatenate([np.empty(0, np.int32)] + [v.indices for v in vectors])
     weights = np.concatenate([np.empty(0)] + [v.weights for v in vectors])
     return AliasIndex(aliases, indptr, indices, weights, vectorizer,
-                      dict(kb.alias_table), backend, lsh_params)
+                      dict(kb.alias_table))
 
 
 # -- persistence --------------------------------------------------------
@@ -250,13 +166,8 @@ def _write_index(fp: BinaryIO, index: AliasIndex) -> None:
         fp.write(struct.pack("<I", len(ids)))
         for cid in ids:
             _write_str(fp, cid)
-    # backend
-    if index.backend == BACKEND_EXACT:
-        fp.write(struct.pack("<B", 0))
-    else:
-        fp.write(struct.pack("<B", 1))
-        p = index.lsh_params
-        fp.write(struct.pack("<QII", p.seed, p.n_bits, p.rescore))
+    # backend tag, always 0: exact search
+    fp.write(struct.pack("<B", 0))
 
 
 def save_index(index: AliasIndex, path: str) -> None:
@@ -354,21 +265,16 @@ def _parse_index(r: _Reader) -> AliasIndex:
         (n_ids,) = r.unpack("<I")
         alias_table[key] = frozenset(r.string() for _ in range(n_ids))
     (tag,) = r.unpack("<B")
-    if tag == 0:
-        backend, lsh_params = BACKEND_EXACT, None
-    elif tag == 1:
-        seed, n_bits, rescore = r.unpack("<QII")
-        backend, lsh_params = BACKEND_LSH, LshParams(n_bits, rescore, seed)
-    else:
+    if tag == 1:
+        raise IndexFormatError(
+            "LSH indexes are no longer supported; rebuild the index with "
+            "`bioling index build`")
+    if tag != 0:
         raise IndexFormatError(f"unknown backend tag {tag}")
     if r.pos != len(r.data):
         raise IndexFormatError(
             f"{len(r.data) - r.pos} trailing bytes after the backend section")
-    try:
-        return AliasIndex(aliases, indptr, indices, weights, vectorizer,
-                          alias_table, backend, lsh_params)
-    except IndexBackendError as exc:
-        raise IndexFormatError(str(exc)) from None
+    return AliasIndex(aliases, indptr, indices, weights, vectorizer, alias_table)
 
 
 def load_index(path: str) -> AliasIndex:

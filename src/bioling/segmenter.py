@@ -16,7 +16,7 @@ from importlib import resources
 from typing import Sequence
 
 from .doc import Document, SentenceSpan
-from .tokenizer import RulesFileError, default_biomedical_rules, tokenize
+from .tokenizer import _directives, default_biomedical_rules, tokenize
 
 _TERMINALS = frozenset(".!?")
 _OPENERS = frozenset("([{")
@@ -39,28 +39,23 @@ class SegmenterConfig:
                 raise ValueError("empty stoplist entry")
 
 
+# directive -> whether it takes an argument
+_SEGMENTER_DIRECTIVES = {
+    "NOSPLIT": True, "CITE_BRACKET": False, "CITE_AUTHOR_YEAR": False,
+}
+
+
 def parse_segmenter_config(text: str) -> SegmenterConfig:
     """Parse the directive format: NOSPLIT / CITE_BRACKET / CITE_AUTHOR_YEAR."""
     stoplist: set[str] = set()
-    cite_bracket = False
-    cite_author_year = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(None, 1)
-        directive = parts[0].upper()
+    flags: set[str] = set()
+    for _, directive, arg in _directives(text, _SEGMENTER_DIRECTIVES):
         if directive == "NOSPLIT":
-            if len(parts) < 2:
-                raise RulesFileError(f"line {lineno}: NOSPLIT needs an argument")
-            stoplist.add(parts[1].lower())
-        elif directive == "CITE_BRACKET":
-            cite_bracket = True
-        elif directive == "CITE_AUTHOR_YEAR":
-            cite_author_year = True
+            stoplist.add(arg.lower())
         else:
-            raise RulesFileError(f"line {lineno}: unknown directive {directive}")
-    return SegmenterConfig(frozenset(stoplist), cite_bracket, cite_author_year)
+            flags.add(directive)
+    return SegmenterConfig(frozenset(stoplist), "CITE_BRACKET" in flags,
+                           "CITE_AUTHOR_YEAR" in flags)
 
 
 def load_segmenter_config(path: str) -> SegmenterConfig:

@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
+from typing import Iterator
 
 from .doc import Document, Token
 
@@ -41,13 +42,13 @@ class RulesFileError(ValueError):
     """Raised on a malformed tokenizer/segmenter rules file."""
 
 
-def parse_rules(text: str) -> TokenizerRules:
-    """Parse the directive format: PREFIX/SUFFIX/INFIX/PROTECT/SPECIAL."""
-    prefixes: list[str] = []
-    suffixes: list[str] = []
-    infixes: list[str] = []
-    protected: set[str] = set()
-    specials: dict[str, tuple[str, ...]] = {}
+def _directives(text: str, table: dict[str, bool]) -> Iterator[tuple[int, str, str]]:
+    """Yield (lineno, DIRECTIVE, arg) per directive line of a rules file.
+
+    Blank lines and '#' comments are skipped; directive names are
+    case-insensitive. `table` maps each known directive to whether it
+    takes an argument (arg is "" for one that does not).
+    """
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -55,32 +56,38 @@ def parse_rules(text: str) -> TokenizerRules:
         parts = line.split(None, 1)
         directive = parts[0].upper()
         arg = parts[1] if len(parts) > 1 else ""
-        if not arg:
-            raise RulesFileError(f"line {lineno}: {directive} needs an argument")
-        if directive == "PREFIX":
-            prefixes.append(arg)
-        elif directive == "SUFFIX":
-            suffixes.append(arg)
-        elif directive == "INFIX":
-            infixes.append(arg)
-        elif directive == "PROTECT":
-            protected.add(arg)
-        elif directive == "SPECIAL":
-            if "=>" not in arg:
-                raise RulesFileError(f"line {lineno}: SPECIAL needs '=>'")
-            literal, rhs = (s.strip() for s in arg.split("=>", 1))
-            pieces = tuple(p for p in rhs.split("|") if p)
-            if "".join(pieces) != literal:
-                raise RulesFileError(
-                    f"line {lineno}: SPECIAL pieces must concatenate to "
-                    f"{literal!r}"
-                )
-            specials[literal] = pieces
-        else:
+        if directive not in table:
             raise RulesFileError(f"line {lineno}: unknown directive {directive}")
+        if table[directive] and not arg:
+            raise RulesFileError(f"line {lineno}: {directive} needs an argument")
+        if arg and not table[directive]:
+            raise RulesFileError(f"line {lineno}: {directive} takes no argument")
+        yield lineno, directive, arg
+
+
+_RULE_DIRECTIVES = dict.fromkeys(
+    ("PREFIX", "SUFFIX", "INFIX", "PROTECT", "SPECIAL"), True)
+
+
+def parse_rules(text: str) -> TokenizerRules:
+    """Parse the directive format: PREFIX/SUFFIX/INFIX/PROTECT/SPECIAL."""
+    found: dict[str, list[str]] = {d: [] for d in _RULE_DIRECTIVES}
+    specials: dict[str, tuple[str, ...]] = {}
+    for lineno, directive, arg in _directives(text, _RULE_DIRECTIVES):
+        if directive != "SPECIAL":
+            found[directive].append(arg)
+            continue
+        if "=>" not in arg:
+            raise RulesFileError(f"line {lineno}: SPECIAL needs '=>'")
+        literal, rhs = (s.strip() for s in arg.split("=>", 1))
+        pieces = tuple(p for p in rhs.split("|") if p)
+        if "".join(pieces) != literal:
+            raise RulesFileError(
+                f"line {lineno}: SPECIAL pieces must concatenate to {literal!r}")
+        specials[literal] = pieces
     return TokenizerRules(
-        tuple(prefixes), tuple(suffixes), tuple(infixes),
-        frozenset(protected), specials,
+        tuple(found["PREFIX"]), tuple(found["SUFFIX"]), tuple(found["INFIX"]),
+        frozenset(found["PROTECT"]), specials,
     )
 
 

@@ -1,12 +1,13 @@
 import json
 import pathlib
 import random
+import struct
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from bioling.index import LshParams, build_index, save_index
+from bioling.index import build_index, save_index
 from bioling.kb import KnowledgeBase, load_kb
 from bioling.vectorizer import NgramVectorizer
 
@@ -229,9 +230,10 @@ BLIX_CORRUPTIONS = {
     "invalid UTF-8 in concept id": (
         lambda ix, raw: raw.replace(b"C01", b"C0\xff", 1), "UTF-8"),
     "backend tag": (lambda ix, raw: raw[:-1] + b"\x07", "backend tag"),
-    "LSH bit count": (
-        lambda ix, raw: stand_in(ix, backend="lsh", lsh_params=LshParams(n_bits=100)),
-        "multiple of 64"),
+    # a former LSH index: tag 1, then u64 seed, u32 n_bits, u32 rescore
+    "LSH backend tag": (
+        lambda ix, raw: raw[:-1] + b"\x01" + struct.pack("<QII", 0x5EED, 256, 1000),
+        "LSH indexes are no longer supported"),
 }
 
 

@@ -162,6 +162,30 @@ def test_link_bad_mention_span_exits_2(run, index_path):
     assert "out of range" in err
 
 
+@pytest.mark.parametrize("mentions", [
+    [{"start": 0.9, "end": "5"}],
+    [{"start": True, "end": 5}],
+    [{"start": 0, "end": 5.0}],
+    [{"start": 0}],
+    [5],
+    {"start": 0, "end": 5},
+], ids=["float and string", "bool", "float end", "missing end", "not an object",
+        "not a list"])
+def test_link_malformed_mention_exits_2(run, index_path, mentions):
+    good = json.dumps({"text": "tumor cells", "mentions": [{"start": 0, "end": 5}]})
+    bad = json.dumps({"text": "tumor cells", "mentions": mentions})
+    code, _, err = run(["link", "--index", index_path], stdin=f"{good}\n{bad}\n")
+    assert code == 2
+    assert "line 2" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_link_k_below_1_exits_1(run, index_path, k):
+    code, _, err = run(["link", "--index", index_path, "--k", k], stdin="")
+    assert code == 1
+    assert "--k" in err and "Traceback" not in err
+
+
 def test_eval_recall_csv(run, index_path, tmp_path):
     gold = tmp_path / "gold.jsonl"
     gold.write_text(
@@ -187,6 +211,21 @@ def test_eval_recall_bad_k_list_exits_1(run, index_path, tmp_path):
         "--k-list", "5,x",
     ])
     assert code == 1
+
+
+@pytest.mark.parametrize("line, field", [
+    ("[1, 2]", "JSON object"),
+    ('{"mention": 5, "concept_id": "C03"}', "mention"),
+    ('{"mention": "tumor"}', "concept_id"),
+    ('{"mention": "tumor", "concept_id": ""}', "concept_id"),
+])
+def test_eval_recall_malformed_gold_exits_2(run, index_path, tmp_path, line, field):
+    gold = tmp_path / "gold.jsonl"
+    gold.write_text(json.dumps({"mention": "tumor", "concept_id": "C03"}) + "\n"
+                    + line + "\n")
+    code, _, err = run(["eval", "recall", "--index", index_path, "--gold", str(gold)])
+    assert code == 2
+    assert f"{gold}:2" in err and field in err and "Traceback" not in err
 
 
 def test_eval_segmentation(run, tmp_path):
@@ -285,6 +324,20 @@ def test_bad_rules_file_exits_2(run, tmp_path):
     code, _, err = run(["tokenize", "--rules", str(rules)], stdin="abc\n")
     assert code == 2
     assert "line 1" in err
+
+
+@pytest.mark.parametrize("command, flag", [("tokenize", "--rules"),
+                                           ("segment", "--seg-config")])
+@pytest.mark.parametrize("kind", ["not UTF-8", "directory"])
+def test_unreadable_rules_file_exits_2(run, tmp_path, command, flag, kind):
+    path = tmp_path / "rules"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"PREFIX \xff\n")
+    code, _, err = run([command, flag, str(path)], stdin="abc\n")
+    assert code == 2
+    assert str(path) in err and "Traceback" not in err
 
 
 def test_version_flag(run):

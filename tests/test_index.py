@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from bioling.index import (
-    AliasIndex, BACKEND_EXACT, BACKEND_LSH, FORMAT_VERSION, IndexBackendError,
-    IndexFormatError, LshParams, MAGIC, build_index, load_index, save_index,
+    FORMAT_VERSION, IndexFormatError, MAGIC, build_index, load_index, save_index,
 )
 from bioling.kb import Concept, KnowledgeBase, normalize_alias
 from bioling.vectorizer import NgramVectorizer, zero_vector
@@ -68,38 +67,6 @@ def test_tie_break_lexicographic():
         assert s1 > s2 or (s1 == s2 and a1 < a2)
 
 
-def test_unknown_backend_rejected(toy_kb):
-    vec = NgramVectorizer.fit(toy_kb.alias_surfaces(), min_df=1)
-    with pytest.raises(IndexBackendError):
-        build_index(toy_kb, vec, backend="fuzzy")
-
-
-def test_lsh_bits_must_be_multiple_of_64(toy_kb):
-    vec = NgramVectorizer.fit(toy_kb.alias_surfaces(), min_df=1)
-    with pytest.raises(IndexBackendError):
-        build_index(toy_kb, vec, BACKEND_LSH, LshParams(n_bits=100))
-
-
-def test_lsh_full_rescore_equals_exact(toy_kb, toy_index):
-    # rescore >= corpus size means LSH candidate set is everything,
-    # so results must agree with the exact backend bit for bit
-    vec = toy_index.vectorizer
-    lsh = build_index(toy_kb, vec, BACKEND_LSH,
-                      LshParams(n_bits=64, rescore=len(toy_index)))
-    for text in ["cancer", "lung", "interleukin", "heat shock"]:
-        q = vec.encode(text)
-        assert lsh.nearest_aliases(q, 5) == toy_index.nearest_aliases(q, 5)
-
-
-def test_lsh_deterministic_for_fixed_seed():
-    kb = make_synthetic_kb(300, 100, seed=3)
-    vec = NgramVectorizer.fit(kb.alias_surfaces(), min_df=2)
-    a = build_index(kb, vec, BACKEND_LSH, LshParams(seed=11))
-    b = build_index(kb, vec, BACKEND_LSH, LshParams(seed=11))
-    q = vec.encode("chronic cardoma")
-    assert a.nearest_aliases(q, 10) == b.nearest_aliases(q, 10)
-
-
 def test_exact_backend_matches_brute_force_small():
     kb = make_synthetic_kb(400, 150, seed=9)
     vec = NgramVectorizer.fit(kb.alias_surfaces(), min_df=2)
@@ -122,17 +89,15 @@ TIED_VARIANTS = ["tumor growth", "Tumor growth", "TUMOR GROWTH", "tumor  growth"
 
 
 @pytest.fixture(scope="module")
-def tie_indexes():
-    """(vectorizer, exact index, LSH index rescoring every alias)."""
+def tie_index():
+    """(vectorizer, index) over the tied variants and a few other aliases."""
     aliases = ["tumor growths", *TIED_VARIANTS, "heart failure", "renal failure",
                "growth factor", "kidney stone", "lung tumor"]
     concepts = {f"T{i}": Concept(f"T{i}", a, (a,)) for i, a in enumerate(aliases)}
     table = {normalize_alias(a): frozenset({f"T{i}"}) for i, a in enumerate(aliases)}
     kb = KnowledgeBase(concepts, table)
     vec = NgramVectorizer.fit(aliases, min_df=1)
-    exact = build_index(kb, vec)
-    lsh = build_index(kb, vec, BACKEND_LSH, LshParams(n_bits=64, rescore=len(exact)))
-    return vec, exact, lsh
+    return vec, build_index(kb, vec)
 
 
 def assert_equals_oracle(got, want):
@@ -141,13 +106,11 @@ def assert_equals_oracle(got, want):
         assert s1 == pytest.approx(s2, abs=1e-9)
 
 
-@pytest.mark.parametrize("backend", [BACKEND_EXACT, BACKEND_LSH])
-def test_top_k_inside_tied_block(tie_indexes, backend):
-    vec, exact, lsh = tie_indexes
-    idx = exact if backend == BACKEND_EXACT else lsh
-    oracle = BruteForceOracle(exact)
+def test_top_k_inside_tied_block(tie_index):
+    vec, idx = tie_index
+    oracle = BruteForceOracle(idx)
     q = vec.encode("tumor growths")
-    ranked = oracle.top_k(q, len(exact))
+    ranked = oracle.top_k(q, len(idx))
     # "tumor growths" first, then the six tied variants, then the rest
     assert {a for a, _ in ranked[1:7]} == set(TIED_VARIANTS)
     assert ranked[0][1] > ranked[1][1] == ranked[6][1] > ranked[7][1]
@@ -155,34 +118,27 @@ def test_top_k_inside_tied_block(tie_indexes, backend):
         got = idx.nearest_aliases(q, k)
         assert_equals_oracle(got, oracle.top_k(q, k))
         assert [a for a, _ in got[1:]] == sorted(TIED_VARIANTS)[:k - 1]
-        assert got == exact.nearest_aliases(q, k)
 
 
-@pytest.mark.parametrize("backend", [BACKEND_EXACT, BACKEND_LSH])
-def test_top_k_fewer_positive_than_k(tie_indexes, backend):
-    vec, exact, lsh = tie_indexes
-    idx = exact if backend == BACKEND_EXACT else lsh
-    oracle = BruteForceOracle(exact)
+def test_top_k_fewer_positive_than_k(tie_index):
+    vec, idx = tie_index
+    oracle = BruteForceOracle(idx)
     q = vec.encode("renal failure")
-    k = len(exact) - 1
+    k = len(idx) - 1
     got = idx.nearest_aliases(q, k)
     assert 0 < len(got) < k
     assert all(s > 0.0 for _, s in got)
     assert_equals_oracle(got, oracle.top_k(q, k))
-    assert got == exact.nearest_aliases(q, k)
 
 
-@pytest.mark.parametrize("backend", [BACKEND_EXACT, BACKEND_LSH])
-def test_top_k_k_at_least_index_size(tie_indexes, backend):
-    vec, exact, lsh = tie_indexes
-    idx = exact if backend == BACKEND_EXACT else lsh
-    oracle = BruteForceOracle(exact)
+def test_top_k_k_at_least_index_size(tie_index):
+    vec, idx = tie_index
+    oracle = BruteForceOracle(idx)
     for text in ["tumor growth", "growth failure", "lung"]:
         q = vec.encode(text)
-        for k in (len(exact), len(exact) + 7):
+        for k in (len(idx), len(idx) + 7):
             got = idx.nearest_aliases(q, k)
             assert_equals_oracle(got, oracle.top_k(q, k))
-            assert got == exact.nearest_aliases(q, k)
 
 
 def test_save_load_round_trip_exact(toy_index, tmp_path):
@@ -192,22 +148,8 @@ def test_save_load_round_trip_exact(toy_index, tmp_path):
     assert loaded.aliases == toy_index.aliases
     assert loaded.vectorizer == toy_index.vectorizer
     assert loaded.alias_table == toy_index.alias_table
-    assert loaded.backend == BACKEND_EXACT
     q = loaded.vectorizer.encode("pulmonary cancer")
     assert loaded.nearest_aliases(q, 5) == toy_index.nearest_aliases(q, 5)
-
-
-def test_save_load_round_trip_lsh(toy_kb, tmp_path):
-    vec = NgramVectorizer.fit(toy_kb.alias_surfaces(), min_df=1)
-    idx = build_index(toy_kb, vec, BACKEND_LSH,
-                      LshParams(n_bits=128, rescore=64, seed=77))
-    path = str(tmp_path / "toy_lsh.blix")
-    save_index(idx, path)
-    loaded = load_index(path)
-    assert loaded.backend == BACKEND_LSH
-    assert loaded.lsh_params == LshParams(n_bits=128, rescore=64, seed=77)
-    q = vec.encode("mammary carcinoma")
-    assert loaded.nearest_aliases(q, 5) == idx.nearest_aliases(q, 5)
 
 
 def test_double_round_trip_is_fixed_point(toy_index, tmp_path):

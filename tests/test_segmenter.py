@@ -117,6 +117,9 @@ def test_config_parsing():
     )
     assert cfg.stoplist == frozenset({"al.", "fig."})
     assert cfg.cite_bracket and not cfg.cite_author_year
+    # a flag directive takes no argument
+    with pytest.raises(RulesFileError, match="line 2"):
+        parse_segmenter_config("NOSPLIT al.\nCITE_BRACKET yes please\n")
 
 
 def test_config_rejects_unknown_directive():
