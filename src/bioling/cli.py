@@ -22,7 +22,7 @@ from .evals import (
     GoldMention, make_citation_corpus, recall_at_k, segmentation_accuracy,
 )
 from .index import IndexFormatError, build_index, load_index, save_index
-from .kb import KBFormatError, kb_stats, load_kb
+from .kb import KBFormatError, first_non_utf8_line, kb_stats, load_kb
 from .linker import generate_candidates
 from .segmenter import (
     SegmenterConfig, citation_split_rate, default_segmenter_config,
@@ -49,13 +49,20 @@ class _Parser(argparse.ArgumentParser):
 
 @contextlib.contextmanager
 def _open_in(path: str):
-    if path == "-":
-        yield sys.stdin
-    else:
-        if not os.path.exists(path):
-            raise DataError(f"input file not found: {path}")
-        with open(path, encoding="utf-8") as fp:
-            yield fp
+    if path != "-" and not os.path.exists(path):
+        raise DataError(f"input file not found: {path}")
+    # text is decoded as it is read, so a bad byte surfaces in the caller's loop
+    try:
+        if path == "-":
+            yield sys.stdin
+        else:
+            with open(path, encoding="utf-8") as fp:
+                yield fp
+    except UnicodeDecodeError:
+        if path == "-":
+            raise DataError("standard input is not valid UTF-8") from None
+        raise DataError(
+            f"{path}:{first_non_utf8_line(path)}: not valid UTF-8") from None
 
 
 @contextlib.contextmanager
@@ -63,7 +70,11 @@ def _open_out(path: str):
     if path == "-":
         yield sys.stdout
     else:
-        with open(path, "w", encoding="utf-8") as fp:
+        try:
+            fp = open(path, "w", encoding="utf-8")
+        except OSError as exc:
+            raise DataError(f"cannot write {path}: {exc.strerror}") from None
+        with fp:
             yield fp
 
 
@@ -195,6 +206,8 @@ def _cmd_kb(args) -> int:
 
 
 def _cmd_index_build(args) -> int:
+    if args.min_df < 1:
+        raise UsageError(f"--min-df must be >= 1, got {args.min_df}")
     try:
         kb = load_kb(args.kb)
     except FileNotFoundError:
@@ -209,7 +222,10 @@ def _cmd_index_build(args) -> int:
     except ValueError as exc:
         raise DataError(str(exc))
     index = build_index(kb, vectorizer)
-    save_index(index, args.output)
+    try:
+        save_index(index, args.output)
+    except OSError as exc:
+        raise DataError(f"cannot write index {args.output}: {exc.strerror}") from None
     print(f"indexed {len(index)} aliases -> {args.output}", file=sys.stderr)
     return 0
 

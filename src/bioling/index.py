@@ -16,8 +16,8 @@ scoring at least that much (so every row tied with it) are sorted by
 
 Persistence: single little-endian binary file, magic "BLIX" (see
 docs/index-format.md). `save_index` replaces the target atomically;
-`load_index` checks the CSR structure and values and raises
-`IndexFormatError` on any corrupt file.
+`load_index` checks that the grams are sorted and unique, and the CSR
+structure and values, and raises `IndexFormatError` on any corrupt file.
 """
 
 from __future__ import annotations
@@ -250,6 +250,9 @@ def _parse_index(r: _Reader) -> AliasIndex:
             f"unsupported format version {version} (expected {FORMAT_VERSION})")
     n_docs, min_df, vocab_size = r.unpack("<III")
     grams = [r.string() for _ in range(vocab_size)]
+    # a repeated gram would shadow an earlier id in the vocabulary
+    if any(a >= b for a, b in zip(grams, grams[1:])):
+        raise IndexFormatError("grams must be strictly increasing (sorted, no repeats)")
     df = r.array("<i8")
     if len(df) != vocab_size:
         raise IndexFormatError(f"{len(df)} document frequencies for {vocab_size} grams")

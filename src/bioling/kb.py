@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 __all__ = [
     "Concept", "KnowledgeBase", "KBFormatError", "KBStats",
-    "load_kb", "save_kb", "normalize_alias", "kb_stats",
+    "load_kb", "save_kb", "normalize_alias", "kb_stats", "first_non_utf8_line",
 ]
 
 
@@ -96,28 +96,44 @@ def load_kb(path: str) -> KnowledgeBase:
     """Load and validate a KB file; raises KBFormatError with line context."""
     concepts: dict[str, Concept] = {}
     table: dict[str, set[str]] = {}
-    with open(path, encoding="utf-8") as fp:
-        for lineno, line in enumerate(fp, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise KBFormatError(f"line {lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise KBFormatError(
-                    f"line {lineno}: expected a JSON object, got {type(obj).__name__}")
-            concept = _parse_concept(obj, lineno)
-            if concept.concept_id in concepts:
-                raise KBFormatError(
-                    f"line {lineno}: duplicate concept_id {concept.concept_id!r}"
-                )
-            concepts[concept.concept_id] = concept
-            for alias in concept.aliases:
-                table.setdefault(normalize_alias(alias), set()).add(concept.concept_id)
+    try:
+        with open(path, encoding="utf-8") as fp:
+            for lineno, line in enumerate(fp, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise KBFormatError(f"line {lineno}: invalid JSON: {exc}") from exc
+                if not isinstance(obj, dict):
+                    raise KBFormatError(
+                        f"line {lineno}: expected a JSON object, got {type(obj).__name__}")
+                concept = _parse_concept(obj, lineno)
+                if concept.concept_id in concepts:
+                    raise KBFormatError(
+                        f"line {lineno}: duplicate concept_id {concept.concept_id!r}"
+                    )
+                concepts[concept.concept_id] = concept
+                for alias in concept.aliases:
+                    table.setdefault(normalize_alias(alias), set()).add(concept.concept_id)
+    except UnicodeDecodeError:
+        raise KBFormatError(
+            f"line {first_non_utf8_line(path)}: not valid UTF-8") from None
     alias_table = {k: frozenset(v) for k, v in table.items()}
     return KnowledgeBase(concepts, alias_table, source_path=path)
+
+
+def first_non_utf8_line(path: str) -> int | None:
+    """The 1-based number of the first line of the file at `path` that is
+    not valid UTF-8, or None if every line decodes."""
+    with open(path, "rb") as fp:
+        for lineno, raw in enumerate(fp, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return lineno
+    return None
 
 
 def save_kb(kb: KnowledgeBase, path: str) -> None:

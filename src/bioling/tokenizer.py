@@ -5,6 +5,23 @@ infix splitters, with protected tokens (abbreviations like "Fig.",
 hyphenated compounds, decimal numbers) left intact. Rules are data: a
 plain-text directive file, with a compiled-in biomedical default.
 
+Ordering rules, per whitespace-free chunk: a piece that is protected or
+a special case is never split further; otherwise the first listed
+prefix it starts with is peeled, else the first listed suffix it ends
+with, unless that suffix is the whole piece (peeling then stops; a
+later, shorter suffix is not tried). What is left splits at infixes:
+the leftmost match first and, at one position, the first listed infix,
+with no overlaps.
+
+Speed, as in spaCy's tokenizer: each `TokenizerRules` compiles its
+rules once, on first use. Prefixes and infixes each become one regex
+alternation, which tries alternatives in list order; the infix one is
+scanned with `finditer`. Suffixes become a dict from suffix to its first
+list index, looked up once per distinct suffix length. Each rules object
+also memoizes the split of every chunk it has seen, up to 4,096 chunks,
+and empties the memo when it is full. Neither changes an output; tokens
+are still built per occurrence, with absolute offsets.
+
 The tokenizer is lossless: detokenize(tokenize(s)) == s for any input.
 """
 
@@ -12,13 +29,17 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from typing import Iterator
 
 from .doc import Document, Token
 
-_CHUNK_RE = re.compile(r"\S+")
+_SPACE_RE = re.compile(r"\s*")
+# a whitespace-free chunk and the whitespace after it
+_CHUNK_RE = re.compile(r"(\S+)(\s*)")
+# chunks memoized per rules object; a full memo is emptied
+_MEMO_MAX = 4096
 
 
 @dataclass(frozen=True)
@@ -30,12 +51,21 @@ class TokenizerRules:
     specials: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
+        for kind in ("prefixes", "suffixes", "infixes", "protected"):
+            if not all(getattr(self, kind)):
+                raise ValueError(f"empty string in {kind}")
         for literal, pieces in self.specials.items():
             if "".join(pieces) != literal:
                 raise ValueError(
                     f"special-case pieces for {literal!r} do not concatenate "
                     f"back to the literal"
                 )
+
+    @cached_property
+    def _splitter(self) -> _Splitter:
+        # built on first use, so loading rules costs no more than parsing
+        # them; not a dataclass field, so == and repr ignore it
+        return _Splitter(self)
 
 
 class RulesFileError(ValueError):
@@ -103,95 +133,102 @@ def default_biomedical_rules() -> TokenizerRules:
     return parse_rules(text)
 
 
-def _match_prefix(rules: TokenizerRules, piece: str) -> str | None:
-    for p in rules.prefixes:
-        if piece.startswith(p):
-            return p
-    return None
+def _alternation(literals: tuple[str, ...]) -> re.Pattern:
+    """One regex for the literals; at a position, the first listed wins.
+    With no literals it matches nothing."""
+    return re.compile("|".join(map(re.escape, literals)) if literals else "(?!)")
 
 
-def _match_suffix(rules: TokenizerRules, piece: str) -> str | None:
-    for s in rules.suffixes:
-        if piece.endswith(s):
-            return s
-    return None
+class _Splitter:
+    """The compiled rules of one `TokenizerRules`, plus its chunk memo."""
 
+    def __init__(self, rules: TokenizerRules):
+        self.protected = rules.protected
+        self.specials = rules.specials
+        self.prefix = _alternation(rules.prefixes)
+        self.infix = _alternation(rules.infixes)
+        self.n_suffixes = len(rules.suffixes)
+        self.suffix_rank: dict[str, int] = {}
+        for rank, suf in enumerate(rules.suffixes):
+            self.suffix_rank.setdefault(suf, rank)
+        self.suffix_lens = sorted({len(suf) for suf in rules.suffixes})
+        self.memo: dict[str, tuple[tuple[str, int, int], ...]] = {}
 
-def _split_infix(rules: TokenizerRules, piece: str, offset: int) -> list[tuple[int, int]]:
-    spans: list[tuple[int, int]] = []
-    seg_start = 0
-    i = 0
-    n = len(piece)
-    while i < n:
-        hit = None
-        # earliest rule in the ordered list wins at a given position
-        for inf in rules.infixes:
-            if piece.startswith(inf, i):
-                hit = inf
+    def split(self, chunk: str) -> tuple[tuple[str, int, int], ...]:
+        """(surface, start, end) per token of one whitespace-free chunk,
+        offsets relative to the chunk."""
+        pieces = self.memo.get(chunk)
+        if pieces is None:
+            if len(self.memo) >= _MEMO_MAX:
+                self.memo.clear()
+            pieces = self.memo[chunk] = tuple(
+                (chunk[s:e], s, e) for s, e in self._spans(chunk))
+        return pieces
+
+    def _suffix_len(self, piece: str) -> int:
+        """Length of the first listed suffix `piece` ends with; 0 if none."""
+        rank, found = self.n_suffixes, 0
+        for n in self.suffix_lens:
+            if n > len(piece):
                 break
-        if hit is None:
-            i += 1
-            continue
-        if i > seg_start:
-            spans.append((offset + seg_start, offset + i))
-        spans.append((offset + i, offset + i + len(hit)))
-        seg_start = i + len(hit)
-        i = seg_start
-    if seg_start < n:
-        spans.append((offset + seg_start, offset + n))
-    return spans
+            r = self.suffix_rank.get(piece[-n:], rank)
+            if r < rank:
+                rank, found = r, n
+        return found
 
-
-def _split_chunk(rules: TokenizerRules, chunk: str) -> list[tuple[int, int]]:
-    """Token spans (relative to the chunk) for one whitespace-free chunk."""
-    spans: list[tuple[int, int]] = []
-    end_spans: list[tuple[int, int]] = []
-    start, end = 0, len(chunk)
-    while start < end:
-        piece = chunk[start:end]
-        # protected tokens and special cases beat every split rule
-        if piece in rules.protected or piece in rules.specials:
+    def _spans(self, chunk: str) -> list[tuple[int, int]]:
+        spans: list[tuple[int, int]] = []
+        end_spans: list[tuple[int, int]] = []
+        start, end = 0, len(chunk)
+        while start < end:
+            piece = chunk[start:end]
+            # protected tokens and special cases beat every split rule
+            if piece in self.protected or piece in self.specials:
+                break
+            m = self.prefix.match(chunk, start, end)
+            if m:
+                spans.append((start, m.end()))
+                start = m.end()
+                continue
+            n = self._suffix_len(piece)
+            # a suffix that is the whole piece stops peeling
+            if 0 < n < len(piece):
+                end_spans.append((end - n, end))
+                end -= n
+                continue
             break
-        pre = _match_prefix(rules, piece)
-        if pre is not None:
-            spans.append((start, start + len(pre)))
-            start += len(pre)
-            continue
-        suf = _match_suffix(rules, piece)
-        if suf is not None and len(suf) < len(piece):
-            end_spans.append((end - len(suf), end))
-            end -= len(suf)
-            continue
-        break
-    piece = chunk[start:end]
-    if piece:
-        if piece in rules.specials:
-            pos = start
-            for part in rules.specials[piece]:
-                spans.append((pos, pos + len(part)))
-                pos += len(part)
-        elif piece in rules.protected:
+        piece = chunk[start:end]
+        if piece in self.specials:
+            for part in self.specials[piece]:
+                spans.append((start, start + len(part)))
+                start += len(part)
+        elif piece in self.protected:
             spans.append((start, end))
         else:
-            spans.extend(_split_infix(rules, piece, start))
-    spans.extend(reversed(end_spans))
-    return spans
+            # leftmost infix first; at one position the first listed wins
+            for m in self.infix.finditer(chunk, start, end):
+                if m.start() > start:
+                    spans.append((start, m.start()))
+                spans.append(m.span())
+                start = m.end()
+            if start < end:
+                spans.append((start, end))
+        spans.extend(reversed(end_spans))
+        return spans
 
 
 def tokenize(text: str, rules: TokenizerRules | None = None) -> Document:
     """Tokenize into a lossless Document; any unicode string is accepted."""
     if rules is None:
         rules = default_biomedical_rules()
+    split = rules._splitter.split
     tokens: list[Token] = []
-    chunk_matches = list(_CHUNK_RE.finditer(text))
-    leading = text[:chunk_matches[0].start()] if chunk_matches else text
-    for ci, m in enumerate(chunk_matches):
-        chunk = m.group()
+    leading = _SPACE_RE.match(text).group()
+    for m in _CHUNK_RE.finditer(text, len(leading)):
         base = m.start()
-        gap_end = (chunk_matches[ci + 1].start()
-                   if ci + 1 < len(chunk_matches) else len(text))
-        rel_spans = _split_chunk(rules, chunk)
-        for si, (rs, re_) in enumerate(rel_spans):
-            trailing = text[m.end():gap_end] if si == len(rel_spans) - 1 else ""
-            tokens.append(Token(chunk[rs:re_], base + rs, base + re_, trailing))
+        pieces = split(m.group(1))
+        for surface, s, e in pieces[:-1]:
+            tokens.append(Token(surface, base + s, base + e))
+        surface, s, e = pieces[-1]
+        tokens.append(Token(surface, base + s, base + e, m.group(2)))
     return Document(text, tuple(tokens), (), leading)

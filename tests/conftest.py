@@ -181,6 +181,12 @@ def _set(arr, i, value):
     return out
 
 
+def _with_first_grams(vec, i, j):
+    """`vec` with its first two grams replaced by grams i and j."""
+    grams = [vec.grams[i], vec.grams[j], *vec.grams[2:]]
+    return NgramVectorizer(grams, vec.df, vec.n_docs, vec.min_df)
+
+
 # Ways to corrupt a valid .blix file of the toy KB, each with the message
 # the reader must reject it with. A case maps (index, file bytes) either to
 # new bytes or to a stand-in index that `save_index` writes instead.
@@ -217,6 +223,12 @@ BLIX_CORRUPTIONS = {
     "weight infinite": (
         lambda ix, raw: stand_in(ix, weights=_set(ix.weights, 0, np.inf)),
         "finite and non-negative"),
+    "gram repeated": (
+        lambda ix, raw: stand_in(ix, vectorizer=_with_first_grams(ix.vectorizer, 0, 0)),
+        "grams must be strictly increasing"),
+    "grams unsorted": (
+        lambda ix, raw: stand_in(ix, vectorizer=_with_first_grams(ix.vectorizer, 1, 0)),
+        "grams must be strictly increasing"),
     "df length": (
         lambda ix, raw: stand_in(ix, vectorizer=NgramVectorizer(
             ix.vectorizer.grams, ix.vectorizer.df[:-1],

@@ -340,6 +340,41 @@ def test_unreadable_rules_file_exits_2(run, tmp_path, command, flag, kind):
     assert str(path) in err and "Traceback" not in err
 
 
+NOT_UTF8 = b'{"text": "fine"}\n\xff\xfe\n'
+
+
+@pytest.mark.parametrize("argv", [["tokenize"], ["segment"], ["abbrev"],
+                                  ["kb", "validate"]])
+def test_non_utf8_input_exits_2(run, tmp_path, argv):
+    path = tmp_path / "input.jsonl"
+    path.write_bytes(NOT_UTF8)
+    code, _, err = run(argv + ["--input", str(path)])
+    assert code == 2
+    assert f"{path}:2:" in err or f"{path}: line 2:" in err
+    assert "UTF-8" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("min_df", ["0", "-3"])
+def test_index_build_min_df_below_1_exits_1(run, tmp_path, min_df):
+    # checked before the KB is read, so a missing KB is not reported
+    code, _, err = run(["index", "build", "--kb", str(tmp_path / "missing.jsonl"),
+                        "--min-df", min_df, "--output", str(tmp_path / "x.blix")])
+    assert code == 1
+    assert "--min-df" in err
+
+
+@pytest.mark.parametrize("command", ["index build", "tokenize"])
+def test_output_in_missing_directory_exits_2(run, toy_kb_path, tmp_path, command):
+    out = str(tmp_path / "no" / "such" / "dir" / "out")
+    if command == "tokenize":
+        code, _, err = run(["tokenize", "--output", out], stdin="abc\n")
+    else:
+        code, _, err = run(["index", "build", "--kb", toy_kb_path, "--min-df", "1",
+                            "--output", out])
+    assert code == 2
+    assert out in err and "Traceback" not in err
+
+
 def test_version_flag(run):
     with pytest.raises(SystemExit) as exc:
         run(["--version"])

@@ -139,3 +139,10 @@ def test_synthetic_kb_shape(synth_kb):
     assert len(synth_kb.concepts) == 4_000
     assert len(synth_kb.alias_surfaces()) == 10_000
     assert any(len(ids) > 1 for ids in synth_kb.alias_table.values())
+
+
+def test_rejects_non_utf8_with_line_number(tmp_path):
+    path = tmp_path / "kb.jsonl"
+    path.write_bytes(b'{"concept_id": "C1", "canonical_name": "A"}\n\xff\xfe\n')
+    with pytest.raises(KBFormatError, match="line 2: not valid UTF-8"):
+        load_kb(str(path))

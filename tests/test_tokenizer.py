@@ -1,14 +1,109 @@
+import re
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bioling.doc import detokenize
+from bioling import tokenizer
+from bioling.doc import Document, Token, detokenize
 from bioling.tokenizer import (
     RulesFileError, TokenizerRules, default_biomedical_rules, parse_rules,
     tokenize,
 )
+
+
+# -- reference splitter ----------------------------------------------------
+# The loop splitter the compiled matchers replaced, kept as the oracle the
+# differential property compares `tokenize` against.
+
+def _match_prefix(rules, piece):
+    for p in rules.prefixes:
+        if piece.startswith(p):
+            return p
+    return None
+
+
+def _match_suffix(rules, piece):
+    for s in rules.suffixes:
+        if piece.endswith(s):
+            return s
+    return None
+
+
+def _split_infix(rules, piece, offset):
+    spans = []
+    seg_start = 0
+    i = 0
+    n = len(piece)
+    while i < n:
+        hit = None
+        # earliest rule in the ordered list wins at a given position
+        for inf in rules.infixes:
+            if piece.startswith(inf, i):
+                hit = inf
+                break
+        if hit is None:
+            i += 1
+            continue
+        if i > seg_start:
+            spans.append((offset + seg_start, offset + i))
+        spans.append((offset + i, offset + i + len(hit)))
+        seg_start = i + len(hit)
+        i = seg_start
+    if seg_start < n:
+        spans.append((offset + seg_start, offset + n))
+    return spans
+
+
+def _split_chunk(rules, chunk):
+    spans = []
+    end_spans = []
+    start, end = 0, len(chunk)
+    while start < end:
+        piece = chunk[start:end]
+        if piece in rules.protected or piece in rules.specials:
+            break
+        pre = _match_prefix(rules, piece)
+        if pre is not None:
+            spans.append((start, start + len(pre)))
+            start += len(pre)
+            continue
+        suf = _match_suffix(rules, piece)
+        if suf is not None and len(suf) < len(piece):
+            end_spans.append((end - len(suf), end))
+            end -= len(suf)
+            continue
+        break
+    piece = chunk[start:end]
+    if piece:
+        if piece in rules.specials:
+            pos = start
+            for part in rules.specials[piece]:
+                spans.append((pos, pos + len(part)))
+                pos += len(part)
+        elif piece in rules.protected:
+            spans.append((start, end))
+        else:
+            spans.extend(_split_infix(rules, piece, start))
+    spans.extend(reversed(end_spans))
+    return spans
+
+
+def oracle_tokenize(text, rules):
+    tokens = []
+    chunk_matches = list(re.finditer(r"\S+", text))
+    leading = text[:chunk_matches[0].start()] if chunk_matches else text
+    for ci, m in enumerate(chunk_matches):
+        chunk = m.group()
+        base = m.start()
+        gap_end = (chunk_matches[ci + 1].start()
+                   if ci + 1 < len(chunk_matches) else len(text))
+        rel_spans = _split_chunk(rules, chunk)
+        for si, (rs, re_) in enumerate(rel_spans):
+            trailing = text[m.end():gap_end] if si == len(rel_spans) - 1 else ""
+            tokens.append(Token(chunk[rs:re_], base + rs, base + re_, trailing))
+    return Document(text, tuple(tokens), (), leading)
 
 
 def surfaces(text, rules=None):
@@ -125,3 +220,79 @@ def test_linear_time_sanity():
 
     ratio = best_of(doubled) / best_of(base)
     assert ratio <= 2.5, f"doubling input scaled runtime by {ratio:.2f}x"
+
+
+@pytest.mark.parametrize("kind", ["prefixes", "suffixes", "infixes", "protected"])
+def test_empty_rule_string_rejected(kind):
+    # an empty affix would match everywhere without consuming anything
+    value = frozenset({""}) if kind == "protected" else ("-", "")
+    with pytest.raises(ValueError, match=f"empty string in {kind}"):
+        TokenizerRules(**{kind: value})
+
+
+# -- differential property: compiled matchers and memo against the oracle --
+
+_RULE_CHARS = ".,<=()-ab"
+_AFFIXES = st.text(alphabet=_RULE_CHARS, min_size=1, max_size=3)
+_TEXT_CHARS = ".,<=()-ab1 \n\t"
+
+
+@st.composite
+def rule_sets(draw):
+    # overlapping multi-character affixes, in either order
+    overlapping = st.sampled_from([("..", "."), (".", ".."), ("<=", "<"),
+                                   ("<", "<="), ("((", "("), ("a.", ".")])
+    def affixes():
+        return st.lists(st.one_of(_AFFIXES, overlapping.map(lambda t: t[0])),
+                        max_size=4).map(tuple)
+    prefixes = draw(affixes())
+    suffixes = draw(st.one_of(affixes(), overlapping))
+    infixes = draw(st.one_of(affixes(), overlapping))
+    protected = frozenset(draw(st.lists(
+        st.text(alphabet=_RULE_CHARS, min_size=1, max_size=5), max_size=3)))
+    specials = {}
+    for literal in draw(st.lists(st.text(_RULE_CHARS, min_size=2, max_size=4),
+                                 max_size=2)):
+        cut = draw(st.integers(1, len(literal) - 1))
+        specials[literal] = (literal[:cut], literal[cut:])
+    return TokenizerRules(prefixes, suffixes, infixes, protected, specials)
+
+
+@st.composite
+def rules_and_text(draw):
+    rules = draw(rule_sets())
+    literals = sorted(rules.protected | set(rules.specials)) or ["a"]
+    parts = draw(st.lists(st.one_of(st.text(_TEXT_CHARS, max_size=6),
+                                    st.sampled_from(literals)), max_size=12))
+    return rules, "".join(parts)
+
+
+@given(rules_and_text())
+@settings(max_examples=400, deadline=None)
+@example((TokenizerRules(suffixes=("..", ".")), "a.. .. ... ..a"))
+@example((TokenizerRules(suffixes=("..", "."), infixes=(".",)), ".. a.."))
+@example((TokenizerRules(suffixes=(")", ".)", ")")), "a.)"))
+@example((TokenizerRules(prefixes=("<", "<="), infixes=("<=", "<")), "<=a<=b<c <<="))
+@example((TokenizerRules(suffixes=(")", ".", ".)"), protected=frozenset({"b.)"})),
+          "b.) (b.).) .)"))
+def test_tokenize_equals_loop_oracle(case):
+    rules, text = case
+    # twice, so the second pass reads every chunk from the memo
+    assert tokenize(text, rules) == oracle_tokenize(text, rules)
+    assert tokenize(text, rules) == oracle_tokenize(text, rules)
+
+
+def test_memo_eviction_keeps_outputs():
+    d = default_biomedical_rules()
+
+    def fresh():
+        return TokenizerRules(d.prefixes, d.suffixes, d.infixes, d.protected, d.specials)
+
+    rules = fresh()
+    distinct = " ".join(f"(x{i}/y{i})." for i in range(tokenizer._MEMO_MAX + 500))
+    repeated = "(x1/y1). p<0.05 (x7/y7). Fig. e.g., " * 50
+    texts = (distinct, repeated, distinct, repeated)
+    docs = [tokenize(text, rules) for text in texts]
+    assert len(rules._splitter.memo) <= tokenizer._MEMO_MAX
+    assert docs == [tokenize(text, fresh()) for text in texts]
+    assert docs[1] == oracle_tokenize(repeated, rules)
