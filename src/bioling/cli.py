@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import json
 import os
+import re
 import sys
 
 from . import __version__
@@ -22,7 +24,7 @@ from .evals import (
     GoldMention, make_citation_corpus, recall_at_k, segmentation_accuracy,
 )
 from .index import IndexFormatError, build_index, load_index, save_index
-from .kb import KBFormatError, first_non_utf8_line, kb_stats, load_kb
+from .kb import KBFormatError, kb_stats, load_kb
 from .linker import generate_candidates
 from .segmenter import (
     SegmenterConfig, citation_split_rate, default_segmenter_config,
@@ -47,22 +49,40 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# Input is decoded with errors="surrogateescape", which turns each byte
+# that is not UTF-8 into one code point in this range. Strict decoding
+# would fail a whole read-ahead block and could not name the line.
+_UNDECODED_BYTE = re.compile(r"[\udc80-\udcff]")
+
+
+def _utf8_lines(fp, name: str):
+    for lineno, line in enumerate(fp, start=1):
+        if _UNDECODED_BYTE.search(line):
+            raise DataError(f"{name}:{lineno}: not valid UTF-8")
+        yield line
+
+
 @contextlib.contextmanager
 def _open_in(path: str):
-    if path != "-" and not os.path.exists(path):
-        raise DataError(f"input file not found: {path}")
-    # text is decoded as it is read, so a bad byte surfaces in the caller's loop
+    """The lines of the file at `path`, or of standard input for "-"; a
+    line that is not valid UTF-8 raises DataError naming it."""
+    if path == "-":
+        # detached afterwards, so closing the wrapper leaves stdin open
+        fp = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8",
+                              errors="surrogateescape")
+        try:
+            yield _utf8_lines(fp, "standard input")
+        finally:
+            fp.detach()
+        return
     try:
-        if path == "-":
-            yield sys.stdin
-        else:
-            with open(path, encoding="utf-8") as fp:
-                yield fp
-    except UnicodeDecodeError:
-        if path == "-":
-            raise DataError("standard input is not valid UTF-8") from None
-        raise DataError(
-            f"{path}:{first_non_utf8_line(path)}: not valid UTF-8") from None
+        fp = open(path, encoding="utf-8", errors="surrogateescape")
+    except FileNotFoundError:
+        raise DataError(f"input file not found: {path}") from None
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from None
+    with fp:
+        yield _utf8_lines(fp, path)
 
 
 @contextlib.contextmanager
@@ -78,38 +98,35 @@ def _open_out(path: str):
             yield fp
 
 
-def _load_directive_file(path: str, loader, what: str):
+def _load_file(path: str, loader, what: str):
+    """`loader(path)`, with a missing, unreadable or malformed file as a
+    DataError that names it."""
     try:
         return loader(path)
     except FileNotFoundError:
-        raise DataError(f"{what} not found: {path}")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read {what} {path}: {exc}")
-    except RulesFileError as exc:
-        raise DataError(f"{path}: {exc}")
+        raise DataError(f"{what} not found: {path}") from None
+    except OSError as exc:
+        raise DataError(f"cannot read {what} {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from None
+    except IndexFormatError as exc:  # its message names the file already
+        raise DataError(str(exc)) from None
+    except (KBFormatError, RulesFileError) as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def _get_rules(args):
     path = getattr(args, "rules", None) or os.environ.get("BIOLING_RULES")
     if path:
-        return _load_directive_file(path, load_rules, "rules file")
+        return _load_file(path, load_rules, "rules file")
     return default_biomedical_rules()
 
 
 def _get_seg_config(args):
     path = getattr(args, "seg_config", None) or os.environ.get("BIOLING_SEG_CONFIG")
     if path:
-        return _load_directive_file(path, load_segmenter_config, "segmenter config")
+        return _load_file(path, load_segmenter_config, "segmenter config")
     return default_segmenter_config()
-
-
-def _load_index(path: str):
-    if not os.path.exists(path):
-        raise DataError(f"index file not found: {path}")
-    try:
-        return load_index(path)
-    except IndexFormatError as exc:
-        raise DataError(str(exc))
 
 
 def _iter_doc_lines(fp):
@@ -186,12 +203,7 @@ def _cmd_abbrev(args) -> int:
 
 
 def _cmd_kb(args) -> int:
-    try:
-        kb = load_kb(args.input)
-    except FileNotFoundError:
-        raise DataError(f"KB file not found: {args.input}")
-    except KBFormatError as exc:
-        raise DataError(f"{args.input}: {exc}")
+    kb = _load_file(args.input, load_kb, "KB file")
     if args.kb_cmd == "validate":
         print(f"OK: {len(kb.concepts)} concepts, {len(kb.alias_table)} aliases")
         return 0
@@ -208,12 +220,7 @@ def _cmd_kb(args) -> int:
 def _cmd_index_build(args) -> int:
     if args.min_df < 1:
         raise UsageError(f"--min-df must be >= 1, got {args.min_df}")
-    try:
-        kb = load_kb(args.kb)
-    except FileNotFoundError:
-        raise DataError(f"KB file not found: {args.kb}")
-    except KBFormatError as exc:
-        raise DataError(f"{args.kb}: {exc}")
+    kb = _load_file(args.kb, load_kb, "KB file")
     aliases = kb.alias_surfaces()
     if not aliases:
         raise DataError("KB has no aliases to index")
@@ -252,7 +259,7 @@ def _mention_spans(lineno: int, doc: Document, obj: dict) -> list[tuple[int, int
 def _cmd_link(args) -> int:
     if args.k < 1:
         raise UsageError(f"--k must be >= 1, got {args.k}")
-    index = _load_index(args.index)
+    index = _load_file(args.index, load_index, "index file")
     rules = _get_rules(args)
     cfg = _get_seg_config(args)
     with _open_in(args.input) as fin, _open_out(args.output) as fout:
@@ -283,7 +290,7 @@ def _cmd_link(args) -> int:
 
 
 def _cmd_eval_recall(args) -> int:
-    index = _load_index(args.index)
+    index = _load_file(args.index, load_index, "index file")
     try:
         ks = [int(k) for k in args.k_list.split(",") if k]
     except ValueError:
@@ -358,7 +365,7 @@ def _cmd_eval_citations(args) -> int:
 
 def _cmd_bench(args) -> int:
     stages = [s for s in args.stages.split(",") if s]
-    index = _load_index(args.index) if args.index else None
+    index = _load_file(args.index, load_index, "index file") if args.index else None
     with _open_in(args.input) as fp:
         corpus = [line.strip() for line in fp if line.strip()]
     try:

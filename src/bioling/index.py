@@ -118,11 +118,7 @@ class AliasIndex:
 def build_index(kb: KnowledgeBase, vectorizer: NgramVectorizer) -> AliasIndex:
     """Index every distinct alias surface of the KB."""
     aliases = kb.alias_surfaces()
-    vectors = [vectorizer.encode(a) for a in aliases]
-    indptr = np.zeros(len(vectors) + 1, dtype=np.int64)
-    np.cumsum([v.nnz for v in vectors], dtype=np.int64, out=indptr[1:])
-    indices = np.concatenate([np.empty(0, np.int32)] + [v.indices for v in vectors])
-    weights = np.concatenate([np.empty(0)] + [v.weights for v in vectors])
+    indptr, indices, weights = vectorizer.encode_csr(aliases)
     return AliasIndex(aliases, indptr, indices, weights, vectorizer,
                       dict(kb.alias_table))
 

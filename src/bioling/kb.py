@@ -92,6 +92,24 @@ def _parse_concept(obj: dict, lineno: int) -> Concept:
     return Concept(concept_id, canonical, tuple(aliases), tuple(types), definition)
 
 
+def _check_utf8(concept: Concept, lineno: int) -> None:
+    """Reject a lone surrogate (from a JSON escape such as "\\ud800") in
+    any string of the concept: it cannot be written out as UTF-8."""
+    fields = [("concept_id", [concept.concept_id]),
+              ("canonical_name", [concept.canonical_name]),
+              ("aliases", concept.aliases), ("types", concept.types)]
+    if concept.definition is not None:
+        fields.append(("definition", [concept.definition]))
+    for name, values in fields:
+        for value in values:
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise KBFormatError(
+                    f"line {lineno}: {name} is not valid UTF-8 text "
+                    f"(lone surrogate U+{ord(value[exc.start]):04X})") from None
+
+
 def load_kb(path: str) -> KnowledgeBase:
     """Load and validate a KB file; raises KBFormatError with line context."""
     concepts: dict[str, Concept] = {}
@@ -110,6 +128,10 @@ def load_kb(path: str) -> KnowledgeBase:
                     raise KBFormatError(
                         f"line {lineno}: expected a JSON object, got {type(obj).__name__}")
                 concept = _parse_concept(obj, lineno)
+                # the file decoded as UTF-8, so only a \u escape can make a
+                # surrogate; lines without one skip the check
+                if "\\u" in line:
+                    _check_utf8(concept, lineno)
                 if concept.concept_id in concepts:
                     raise KBFormatError(
                         f"line {lineno}: duplicate concept_id {concept.concept_id!r}"

@@ -1,7 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import bioling
 from bioling.cli import main
 from bioling.index import build_index, save_index
 from bioling.vectorizer import NgramVectorizer
@@ -14,7 +19,8 @@ def run(capsys, monkeypatch):
     def _run(argv, stdin=""):
         import io
         import sys
-        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        # a byte stream under a text wrapper, as the real stdin is
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin.encode())))
         code = main(argv)
         captured = capsys.readouterr()
         return code, captured.out, captured.err
@@ -373,6 +379,42 @@ def test_output_in_missing_directory_exits_2(run, toy_kb_path, tmp_path, command
                             "--output", out])
     assert code == 2
     assert out in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["tokenize", "--input"], ["kb", "validate", "--input"], ["kb", "stats", "--input"],
+    ["link", "--index"], ["index", "build", "--output", "x.blix", "--kb"],
+])
+def test_directory_as_input_exits_2(run, tmp_path, argv):
+    code, _, err = run(argv + [str(tmp_path)])
+    assert code == 2
+    assert f"{tmp_path}: Is a directory" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["kb", "validate"], ["kb", "stats"],
+                                  ["index", "build", "--output", "x.blix"]])
+def test_lone_surrogate_in_kb_exits_2(run, tmp_path, argv):
+    kb = tmp_path / "kb.jsonl"
+    kb.write_text('{"concept_id": "C1", "canonical_name": "A"}\n'
+                  '{"concept_id": "C2", "canonical_name": "B", "aliases": ["\\ud800"]}\n')
+    flag = "--kb" if argv[0] == "index" else "--input"
+    code, _, err = run(argv + [flag, str(kb)])
+    assert code == 2
+    assert "line 2: aliases is not valid UTF-8" in err and "Traceback" not in err
+    assert not (tmp_path / "x.blix").exists()
+
+
+def test_non_utf8_stdin_exits_2_under_c_locale():
+    # a C locale decodes stdin with surrogateescape unless the CLI checks it
+    package_root = str(pathlib.Path(bioling.__file__).resolve().parents[1])
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONPATH": package_root}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from bioling.cli import main; sys.exit(main())",
+         "tokenize"],
+        input=b'{"text": "fine"}\n\xff\n', capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert b"standard input:2: not valid UTF-8" in proc.stderr
+    assert b"\xff" not in proc.stdout and b"Traceback" not in proc.stderr
 
 
 def test_version_flag(run):

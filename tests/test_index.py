@@ -222,6 +222,15 @@ def test_rows_equal_encoded_aliases(toy_kb, tmp_path):
             assert np.array_equal(idx.row(i).weights, want.weights)
 
 
+@pytest.mark.parametrize("fixture", ["toy_index", "synth_index"])
+def test_index_rows_are_encode_bits(request, fixture):
+    index = request.getfixturevalue(fixture)
+    for i, alias in enumerate(index.aliases):
+        want = index.vectorizer.encode(alias)
+        assert np.array_equal(index.row(i).indices, want.indices)
+        assert np.array_equal(index.row(i).weights, want.weights)
+
+
 def test_failed_save_keeps_existing_file(toy_index, tmp_path):
     path = tmp_path / "toy.blix"
     save_index(toy_index, str(path))

@@ -146,3 +146,21 @@ def test_rejects_non_utf8_with_line_number(tmp_path):
     path.write_bytes(b'{"concept_id": "C1", "canonical_name": "A"}\n\xff\xfe\n')
     with pytest.raises(KBFormatError, match="line 2: not valid UTF-8"):
         load_kb(str(path))
+
+
+@pytest.mark.parametrize("field, concept", [
+    ("concept_id", '{"concept_id": "X\\ud800", "canonical_name": "B"}'),
+    ("canonical_name", '{"concept_id": "X2", "canonical_name": "B\\udfff"}'),
+    ("aliases", '{"concept_id": "X2", "canonical_name": "B", "aliases": ["ok", "\\ud83d"]}'),
+    ("types", '{"concept_id": "X2", "canonical_name": "B", "types": ["T\\udc00"]}'),
+    ("definition", '{"concept_id": "X2", "canonical_name": "B", "definition": "\\ud800x"}'),
+])
+def test_rejects_lone_surrogate_with_line_and_field(tmp_path, field, concept):
+    path = write_kb(tmp_path, [{"concept_id": "X1", "canonical_name": "A"}, concept])
+    with pytest.raises(KBFormatError, match=f"line 2: {field} is not valid UTF-8"):
+        load_kb(path)
+
+
+def test_accepts_escaped_surrogate_pair(tmp_path):
+    path = write_kb(tmp_path, ['{"concept_id": "X1", "canonical_name": "\\ud83d\\ude00 A"}'])
+    assert load_kb(path).concepts["X1"].canonical_name == "\U0001F600 A"

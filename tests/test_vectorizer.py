@@ -1,14 +1,57 @@
 import math
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bioling import vectorizer
+from bioling.index import build_index
+from bioling.kb import Concept, KnowledgeBase
 from bioling.vectorizer import (
     NgramVectorizer, extract_3grams, zero_vector,
 )
+
+
+# -- reference build -------------------------------------------------------
+# The per-string `Counter` fit and the per-alias `encode` loop that the
+# array pass replaced, kept as the oracles the differential tests compare
+# `fit` and `build_index` against.
+
+def reference_fit(corpus, min_df):
+    df_counts = Counter()
+    for text in corpus:
+        df_counts.update(set(extract_3grams(text)))
+    kept = sorted(g for g, df in df_counts.items() if df >= min_df)
+    return kept, np.array([df_counts[g] for g in kept], dtype=np.int64)
+
+
+def reference_csr(vec, texts):
+    vectors = [vec.encode(t) for t in texts]
+    indptr = np.zeros(len(vectors) + 1, dtype=np.int64)
+    np.cumsum([v.nnz for v in vectors], dtype=np.int64, out=indptr[1:])
+    indices = np.concatenate([np.empty(0, np.int32)] + [v.indices for v in vectors])
+    weights = np.concatenate([np.empty(0)] + [v.weights for v in vectors])
+    return indptr, indices, weights
+
+
+def assert_matches_reference(aliases, min_df):
+    """`fit` and `build_index` on `aliases` give the oracles' bits."""
+    grams, df = reference_fit(aliases, min_df)
+    if not grams:
+        with pytest.raises(ValueError, match="min_df"):
+            NgramVectorizer.fit(aliases, min_df=min_df)
+        return
+    vec = NgramVectorizer.fit(aliases, min_df=min_df)
+    assert vec.grams == grams
+    assert np.array_equal(vec.df, df) and vec.n_docs == len(aliases)
+    kb = KnowledgeBase({"C1": Concept("C1", "c", tuple(aliases))})
+    index = build_index(kb, vec)
+    want = reference_csr(vec, index.aliases)
+    for got, expected in zip((index.indptr, index.indices, index.weights), want):
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
 
 def reference_tfidf_cosine(corpus, a, b, min_df=1):
@@ -141,6 +184,45 @@ def test_cosine_matches_reference(words_a, words_b):
     got = vec.encode(a).dot(vec.encode(b))
     want = reference_tfidf_cosine(corpus, a, b)
     assert got == pytest.approx(want, abs=1e-9)
+
+
+# Unicode whitespace that str.split() breaks on, "İ" (lowercases to two code
+# points), "Σ" (lowercases by context), non-BMP letters and lone surrogates
+_ALIAS_CHARS = ["a", "b", "A", " ", "\t", "\x85", "\xa0", "\u3000", "\x1c",
+                "İ", "Σ", "\U00010400", "\U0001F600", "\ud800", "\udc00"]
+ALIASES = st.lists(st.text(alphabet=st.sampled_from(_ALIAS_CHARS), max_size=10),
+                   min_size=1, max_size=30)
+
+
+@given(ALIASES, st.integers(1, 3), st.integers(1, 7))
+@example(["", "   ", "a", "a b", "\ud800\udc00 x\ud800", "İİ"], 1, 2)
+@settings(max_examples=300, deadline=None)
+def test_array_pass_matches_reference(aliases, min_df, chunk):
+    # small chunks, so most examples span several of them
+    with mock.patch.object(vectorizer, "_CHUNK", chunk):
+        assert_matches_reference(aliases, min_df)
+
+
+def test_array_pass_matches_reference_over_chunks(synth_kb):
+    aliases = synth_kb.alias_surfaces()
+    assert len(aliases) > 2 * vectorizer._CHUNK
+    assert_matches_reference(aliases, 10)
+
+
+def test_fit_accepts_a_generator():
+    corpus = ["lung cancer", "breast cancer", "tumor"]
+    from_generator = NgramVectorizer.fit((a for a in corpus), min_df=1)
+    assert from_generator == NgramVectorizer.fit(corpus, min_df=1)
+    assert from_generator.n_docs == 3
+
+
+def test_encode_csr_skips_grams_that_are_not_three_characters():
+    # a loaded vocabulary may hold such grams; no text can produce them
+    vec = NgramVectorizer(["ab", " ab", "ab ", "abcd"], np.ones(4), 5, 1)
+    indptr, indices, weights = vec.encode_csr(["ab abcd", "zz"])
+    want = vec.encode("ab abcd")
+    assert indptr.tolist() == [0, 2, 2]
+    assert np.array_equal(indices, want.indices) and np.array_equal(weights, want.weights)
 
 
 def test_scale_invariance_of_tf():
