@@ -95,8 +95,6 @@ def run_bench(
     reps: int = 3,
     warmup: int = 1,
     index: AliasIndex | None = None,
-    rules: TokenizerRules | None = None,
-    seg_config: SegmenterConfig | None = None,
 ) -> BenchReport:
     if not corpus:
         raise ValueError("empty corpus")
@@ -110,10 +108,8 @@ def run_bench(
         raise ValueError("link stage requested without an index")
 
     setup_start = time.perf_counter()
-    if rules is None:
-        rules = default_biomedical_rules()
-    if seg_config is None:
-        seg_config = default_segmenter_config()
+    rules = default_biomedical_rules()
+    seg_config = default_segmenter_config()
     # sentence counts come from one untimed segmenter pass
     n_sentences = sum(
         len(segment(tokenize(text, rules), seg_config).sentences) for text in corpus

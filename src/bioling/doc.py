@@ -8,9 +8,8 @@ code point indices, not bytes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -156,25 +155,3 @@ def from_json_obj(obj: dict) -> Document:
         raise ValueError(f"sentence {len(sentences) - 1}: ends before the last token")
     return Document(text, tuple(tokens), sentences, leading)
 
-
-def write_jsonl(docs: Iterable[Document], fp) -> None:
-    for doc in docs:
-        fp.write(json.dumps(to_json_obj(doc), ensure_ascii=False))
-        fp.write("\n")
-
-
-def read_jsonl(fp) -> Iterator[tuple[Document, dict]]:
-    """Yield (document, raw json object) per nonempty line.
-
-    The raw object is passed along so callers can read extra fields
-    (e.g. mention spans) that the document model does not carry.
-    """
-    for lineno, line in enumerate(fp, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"line {lineno}: invalid JSON: {exc}") from exc
-        yield from_json_obj(obj), obj

@@ -6,18 +6,21 @@ search. The inverted index over gram ids is the CSC transpose of that
 matrix, derived on every build and load and never stored. A query's
 score against every alias is accumulated from the posting lists of its
 grams. Since all weights are non-negative and vectors unit-normalized,
-scores are cosines in [0, 1]. Ties at the same cosine break
+scores are cosines in [0, 1]. Rows are stored in alias order, so the
+row number is the tie-break: ties at the same cosine come out
 lexicographically by alias string.
 
 Top-k selection never sorts the whole index: zero scores are dropped,
 `np.partition` finds the k-th best remaining score, and only the rows
-scoring at least that much (so every row tied with it) are sorted by
-(score desc, alias asc).
+scoring at least that much (so every row tied with it) are sorted, by
+score descending with a stable sort over ascending rows.
 
-Persistence: single little-endian binary file, magic "BLIX" (see
-docs/index-format.md). `save_index` replaces the target atomically;
-`load_index` checks that the grams are sorted and unique, and the CSR
-structure and values, and raises `IndexFormatError` on any corrupt file.
+Persistence: single little-endian binary file, magic "BLIX", format
+version 2 (see docs/index-format.md). `save_index` replaces the target
+atomically; `load_index` checks the grams, document frequencies, alias
+order, CSR structure and values, and raises `IndexFormatError` on any
+corrupt or older file. Constructors trust their inputs; the reader
+checks them.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .kb import KnowledgeBase
 from .vectorizer import NgramVectorizer, SparseVector
 
 MAGIC = b"BLIX"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class IndexFormatError(ValueError):
@@ -43,7 +46,8 @@ class AliasIndex:
     """Alias vectors as one CSR matrix plus the alias -> concept-id table.
 
     Row i of (`indptr`, `indices`, `weights`) is the vector of
-    `aliases[i]`; the arrays are used as given, without copies.
+    `aliases[i]`; the arrays are used as given, without copies. Aliases
+    must be strictly increasing: row order is the tie-break order.
     """
 
     def __init__(
@@ -61,10 +65,6 @@ class AliasIndex:
         self.weights = np.asarray(weights, dtype=np.float64)
         self.vectorizer = vectorizer
         self.alias_table = alias_table
-        # lexicographic rank of each alias, used as the tie-break key
-        order = sorted(range(len(self.aliases)), key=lambda i: self.aliases[i])
-        self._lex_rank = np.empty(len(self.aliases), dtype=np.int64)
-        self._lex_rank[order] = np.arange(len(self.aliases))
         # postings: the CSC transpose. The stable sort keeps each gram's
         # rows ascending, the order in which their scores accumulate.
         by_gram = np.argsort(self.indices, kind="stable")
@@ -106,18 +106,20 @@ class AliasIndex:
         rows = np.flatnonzero(scores > 0.0)
         vals = scores[rows]
         # sort only the rows scoring at least the k-th best, so every row
-        # tied with it survives to the lexicographic tie-break
+        # tied with it survives to the tie-break
         if len(rows) > k:
             kth = np.partition(vals, len(rows) - k)[len(rows) - k]
             keep = vals >= kth
             rows, vals = rows[keep], vals[keep]
-        rows = rows[np.lexsort((self._lex_rank[rows], -vals))[:k]]
+        # rows are still ascending, i.e. in alias order, and the sort is
+        # stable, so tied rows come out in alias order
+        rows = rows[np.argsort(-vals, kind="stable")[:k]]
         return [(self.aliases[r], float(scores[r])) for r in rows.tolist()]
 
 
 def build_index(kb: KnowledgeBase, vectorizer: NgramVectorizer) -> AliasIndex:
-    """Index every distinct alias surface of the KB."""
-    aliases = kb.alias_surfaces()
+    """Index every distinct alias surface of the KB, in alias order."""
+    aliases = sorted(kb.alias_surfaces())
     indptr, indices, weights = vectorizer.encode_csr(aliases)
     return AliasIndex(aliases, indptr, indices, weights, vectorizer,
                       dict(kb.alias_table))
@@ -162,8 +164,6 @@ def _write_index(fp: BinaryIO, index: AliasIndex) -> None:
         fp.write(struct.pack("<I", len(ids)))
         for cid in ids:
             _write_str(fp, cid)
-    # backend tag, always 0: exact search
-    fp.write(struct.pack("<B", 0))
 
 
 def save_index(index: AliasIndex, path: str) -> None:
@@ -236,6 +236,11 @@ def _check_csr(n_aliases: int, vocab_size: int, indptr: np.ndarray,
         raise IndexFormatError("weights must be finite and non-negative")
 
 
+def _check_increasing(items: list[str], what: str) -> None:
+    if any(a >= b for a, b in zip(items, items[1:])):
+        raise IndexFormatError(f"{what} must be strictly increasing (sorted, no repeats)")
+
+
 def _parse_index(r: _Reader) -> AliasIndex:
     if r.data[:4] != MAGIC:
         raise IndexFormatError("not an index file (bad magic)")
@@ -243,18 +248,28 @@ def _parse_index(r: _Reader) -> AliasIndex:
     (version,) = r.unpack("<H")
     if version != FORMAT_VERSION:
         raise IndexFormatError(
-            f"unsupported format version {version} (expected {FORMAT_VERSION})")
+            f"unsupported format version {version} (expected {FORMAT_VERSION}); "
+            "rebuild the index with `bioling index build`")
     n_docs, min_df, vocab_size = r.unpack("<III")
     grams = [r.string() for _ in range(vocab_size)]
     # a repeated gram would shadow an earlier id in the vocabulary
-    if any(a >= b for a, b in zip(grams, grams[1:])):
-        raise IndexFormatError("grams must be strictly increasing (sorted, no repeats)")
+    _check_increasing(grams, "grams")
+    if any(len(g) != 3 for g in grams):
+        raise IndexFormatError("every gram must be exactly 3 code points long")
     df = r.array("<i8")
     if len(df) != vocab_size:
         raise IndexFormatError(f"{len(df)} document frequencies for {vocab_size} grams")
+    # fit keeps only grams with min_df <= df <= n_docs; outside that the
+    # idf is NaN or below 1
+    if len(df) and (df.min() < max(1, min_df) or df.max() > n_docs):
+        raise IndexFormatError(
+            f"document frequencies must lie in [max(1, min_df), n_docs] = "
+            f"[{max(1, min_df)}, {n_docs}]")
     vectorizer = NgramVectorizer(grams, df, n_docs, min_df)
     (n_aliases,) = r.unpack("<I")
     aliases = [r.string() for _ in range(n_aliases)]
+    # row order is the tie-break order
+    _check_increasing(aliases, "aliases")
     indptr, indices, weights = r.array("<i8"), r.array("<i4"), r.array("<f8")
     _check_csr(n_aliases, vocab_size, indptr, indices, weights)
     (n_table,) = r.unpack("<I")
@@ -263,16 +278,9 @@ def _parse_index(r: _Reader) -> AliasIndex:
         key = r.string()
         (n_ids,) = r.unpack("<I")
         alias_table[key] = frozenset(r.string() for _ in range(n_ids))
-    (tag,) = r.unpack("<B")
-    if tag == 1:
-        raise IndexFormatError(
-            "LSH indexes are no longer supported; rebuild the index with "
-            "`bioling index build`")
-    if tag != 0:
-        raise IndexFormatError(f"unknown backend tag {tag}")
     if r.pos != len(r.data):
         raise IndexFormatError(
-            f"{len(r.data) - r.pos} trailing bytes after the backend section")
+            f"{len(r.data) - r.pos} trailing bytes after the alias table")
     return AliasIndex(aliases, indptr, indices, weights, vectorizer, alias_table)
 
 

@@ -67,7 +67,8 @@ def normalize_alias(s: str) -> str:
     return " ".join(s.split()).lower()
 
 
-def _parse_concept(obj: dict, lineno: int) -> Concept:
+def _parse_concept(obj: dict, lineno: int) -> tuple[Concept, list[str]]:
+    """The concept on a line, and the normalized key of each of its aliases."""
     try:
         concept_id = obj["concept_id"]
         canonical = obj["canonical_name"]
@@ -87,9 +88,12 @@ def _parse_concept(obj: dict, lineno: int) -> Concept:
     if definition is not None and not isinstance(definition, str):
         raise KBFormatError(f"line {lineno}: definition must be a string or null")
     # canonical name is always an alias of its own concept
-    if normalize_alias(canonical) not in {normalize_alias(a) for a in aliases}:
+    keys = [normalize_alias(a) for a in aliases]
+    canonical_key = normalize_alias(canonical)
+    if canonical_key not in keys:
         aliases = [canonical, *aliases]
-    return Concept(concept_id, canonical, tuple(aliases), tuple(types), definition)
+        keys = [canonical_key, *keys]
+    return Concept(concept_id, canonical, tuple(aliases), tuple(types), definition), keys
 
 
 def _check_utf8(concept: Concept, lineno: int) -> None:
@@ -127,7 +131,7 @@ def load_kb(path: str) -> KnowledgeBase:
                 if not isinstance(obj, dict):
                     raise KBFormatError(
                         f"line {lineno}: expected a JSON object, got {type(obj).__name__}")
-                concept = _parse_concept(obj, lineno)
+                concept, keys = _parse_concept(obj, lineno)
                 # the file decoded as UTF-8, so only a \u escape can make a
                 # surrogate; lines without one skip the check
                 if "\\u" in line:
@@ -137,8 +141,8 @@ def load_kb(path: str) -> KnowledgeBase:
                         f"line {lineno}: duplicate concept_id {concept.concept_id!r}"
                     )
                 concepts[concept.concept_id] = concept
-                for alias in concept.aliases:
-                    table.setdefault(normalize_alias(alias), set()).add(concept.concept_id)
+                for key in keys:
+                    table.setdefault(key, set()).add(concept.concept_id)
     except UnicodeDecodeError:
         raise KBFormatError(
             f"line {first_non_utf8_line(path)}: not valid UTF-8") from None

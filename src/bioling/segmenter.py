@@ -31,7 +31,6 @@ class SegmenterConfig:
     stoplist: frozenset[str] = frozenset()       # lowercased, period attached
     cite_bracket: bool = False
     cite_author_year: bool = False
-    require_confirmation: bool = True
 
     def __post_init__(self):
         for entry in self.stoplist:
@@ -158,10 +157,7 @@ def segment(doc: Document, cfg: SegmenterConfig | None = None) -> Document:
                             j = nxt
                             matched = True
                             break
-            confirmed = True
-            if cfg.require_confirmation and j < n:
-                confirmed = bool(_CONFIRM_RE.match(surfaces[j]))
-            if confirmed:
+            if j >= n or _CONFIRM_RE.match(surfaces[j]):
                 boundaries.append(end)
             i = end + 1
             continue

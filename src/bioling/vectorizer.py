@@ -12,14 +12,15 @@ many strings at once over arrays: each string becomes
 " " + " ".join(words) + " ", all of them are concatenated and read as
 one UTF-32 code-point array, and every window of 3 code points is packed
 into one int64, cp0 << 42 | cp1 << 21 | cp2 (21 bits hold any code
-point). For grams of equal length this order is the `str` order, so the
-sorted vocabulary is sorted codes too. Windows whose middle code point
-is a space are dropped; that also drops every window that crosses from
-one string into the next, since each padded string starts and ends with
-a space. Strings go through in chunks of `_CHUNK`, since a chunk's
-temporary arrays take tens of bytes per character: on a 100k-alias KB,
-chunks of 65,536 strings raised the peak resident memory of `fit` plus
-`build_index` from 280 to 305 MB and were no faster.
+point). For 3-gram strings this order is the `str` order, so the sorted
+vocabulary is sorted codes too, and a gram's id is the position of its
+code. Windows whose middle code point is a space are dropped; that also
+drops every window that crosses from one string into the next, since
+each padded string starts and ends with a space. Strings go through in
+chunks of `_CHUNK`, since a chunk's temporary arrays take tens of bytes
+per character: on a 100k-alias KB, chunks of 65,536 strings raised the
+peak resident memory of `fit` plus `build_index` from 280 to 305 MB and
+were no faster.
 
 `encode_csr` gives every row the bits `encode` gives. Its squared norms
 come from the same `np.dot`, one call per row (~0.12 s per 100k rows);
@@ -135,7 +136,11 @@ def zero_vector() -> SparseVector:
 
 
 class NgramVectorizer:
-    """Fitted 3-gram vocabulary with document frequencies and idf weights."""
+    """Fitted 3-gram vocabulary with document frequencies and idf weights.
+
+    The grams must be sorted, unique and 3 code points long, as `fit`
+    makes them; the constructor trusts this and `load_index` checks it.
+    """
 
     def __init__(self, grams: Sequence[str], df: np.ndarray, n_docs: int, min_df: int):
         self.grams = list(grams)
@@ -144,14 +149,12 @@ class NgramVectorizer:
         self.n_docs = n_docs
         self.min_df = min_df
         self.idf = np.log((1.0 + n_docs) / (1.0 + self.df)) + 1.0
-        # codes of the 3-character grams, sorted, and their gram ids; a
-        # sentinel above every code keeps `searchsorted` positions in bounds
-        ids = [i for i, g in enumerate(self.grams) if len(g) == 3]
-        cp = _code_points("".join(self.grams[i] for i in ids)).reshape(-1, 3)
-        codes = _pack(cp[:, 0], cp[:, 1], cp[:, 2])
-        order = np.argsort(codes, kind="stable")
-        self._codes = np.append(codes[order], np.iinfo(np.int64).max)
-        self._code_ids = np.append(np.asarray(ids, dtype=np.int32)[order], -1)
+        # the gram codes in id order, which is sorted order, so a code's
+        # `searchsorted` position is its gram id; a sentinel above every
+        # code keeps those positions in bounds
+        cp = _code_points("".join(self.grams)).reshape(-1, 3)
+        self._codes = np.append(_pack(cp[:, 0], cp[:, 1], cp[:, 2]),
+                                np.iinfo(np.int64).max)
 
     @property
     def vocab_size(self) -> int:
@@ -194,7 +197,7 @@ class NgramVectorizer:
             chunk = texts[lo:lo + _CHUNK]
             grams, gram_of, rows = _chunk_grams(chunk)
             pos = np.searchsorted(self._codes, grams)
-            ids = np.where(self._codes[pos] == grams, self._code_ids[pos], -1)[gram_of]
+            ids = np.where(self._codes[pos] == grams, pos, -1)[gram_of]
             known = ids >= 0
             # sorted (text, gram id) keys are CSR order; a key's run is its tf
             keys = np.sort(rows[known] * vocab_size + ids[known])

@@ -181,10 +181,18 @@ def _set(arr, i, value):
     return out
 
 
-def _with_first_grams(vec, i, j):
-    """`vec` with its first two grams replaced by grams i and j."""
-    grams = [vec.grams[i], vec.grams[j], *vec.grams[2:]]
-    return NgramVectorizer(grams, vec.df, vec.n_docs, vec.min_df)
+def _with_vec(ix, **changes):
+    """A stand-in for `ix` whose vectorizer has some fields replaced; unlike
+    `NgramVectorizer`, it takes any grams and df."""
+    v = ix.vectorizer
+    fields = {"grams": v.grams, "df": v.df, "n_docs": v.n_docs, "min_df": v.min_df,
+              **changes}
+    return stand_in(ix, vectorizer=SimpleNamespace(vocab_size=len(fields["grams"]), **fields))
+
+
+def _first_two(items, i, j):
+    """`items` with its first two entries replaced by entries i and j."""
+    return [items[i], items[j], *items[2:]]
 
 
 # Ways to corrupt a valid .blix file of the toy KB, each with the message
@@ -224,16 +232,36 @@ BLIX_CORRUPTIONS = {
         lambda ix, raw: stand_in(ix, weights=_set(ix.weights, 0, np.inf)),
         "finite and non-negative"),
     "gram repeated": (
-        lambda ix, raw: stand_in(ix, vectorizer=_with_first_grams(ix.vectorizer, 0, 0)),
+        lambda ix, raw: _with_vec(ix, grams=_first_two(ix.vectorizer.grams, 0, 0)),
         "grams must be strictly increasing"),
     "grams unsorted": (
-        lambda ix, raw: stand_in(ix, vectorizer=_with_first_grams(ix.vectorizer, 1, 0)),
+        lambda ix, raw: _with_vec(ix, grams=_first_two(ix.vectorizer.grams, 1, 0)),
         "grams must be strictly increasing"),
-    "df length": (
-        lambda ix, raw: stand_in(ix, vectorizer=NgramVectorizer(
-            ix.vectorizer.grams, ix.vectorizer.df[:-1],
-            ix.vectorizer.n_docs, ix.vectorizer.min_df)),
-        "document frequencies"),
+    # a proper prefix sorts first, so the grams stay in order
+    "gram not 3 characters": (
+        lambda ix, raw: _with_vec(ix, grams=[ix.vectorizer.grams[0][:2],
+                                             *ix.vectorizer.grams[1:]]),
+        "3 code points"),
+    "df length": (lambda ix, raw: _with_vec(ix, df=ix.vectorizer.df[:-1]),
+                  "document frequencies for"),
+    "df negative": (
+        lambda ix, raw: _with_vec(ix, df=np.full_like(ix.vectorizer.df, -5)),
+        "document frequencies must lie"),
+    "df above n_docs": (
+        lambda ix, raw: _with_vec(ix, df=_set(ix.vectorizer.df, 0, ix.vectorizer.n_docs + 1)),
+        "document frequencies must lie"),
+    "df below min_df": (
+        lambda ix, raw: _with_vec(ix, min_df=int(ix.vectorizer.df.min()) + 1),
+        "document frequencies must lie"),
+    "aliases unsorted": (
+        lambda ix, raw: stand_in(ix, aliases=_first_two(ix.aliases, 1, 0)),
+        "aliases must be strictly increasing"),
+    "alias repeated": (
+        lambda ix, raw: stand_in(ix, aliases=_first_two(ix.aliases, 0, 0)),
+        "aliases must be strictly increasing"),
+    "format version 1": (
+        lambda ix, raw: raw[:4] + struct.pack("<H", 1) + raw[6:],
+        r"unsupported format version 1 \(expected 2\); rebuild the index"),
     "trailing bytes": (lambda ix, raw: raw + b"\x00", "trailing"),
     # the first gram's bytes start after magic, version, three u32 and its length
     "invalid UTF-8 in gram": (lambda ix, raw: raw[:22] + b"\xff" + raw[23:], "UTF-8"),
@@ -241,11 +269,6 @@ BLIX_CORRUPTIONS = {
         lambda ix, raw: raw.replace(b"Lung", b"Lun\xff", 1), "UTF-8"),
     "invalid UTF-8 in concept id": (
         lambda ix, raw: raw.replace(b"C01", b"C0\xff", 1), "UTF-8"),
-    "backend tag": (lambda ix, raw: raw[:-1] + b"\x07", "backend tag"),
-    # a former LSH index: tag 1, then u64 seed, u32 n_bits, u32 rescore
-    "LSH backend tag": (
-        lambda ix, raw: raw[:-1] + b"\x01" + struct.pack("<QII", 0x5EED, 256, 1000),
-        "LSH indexes are no longer supported"),
 }
 
 

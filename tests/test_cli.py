@@ -161,6 +161,14 @@ def test_link_corrupt_index_exits_2(run, toy_index, tmp_path, case):
     assert path in err
 
 
+def test_link_version_1_index_exits_2(run):
+    path = str(pathlib.Path(__file__).parent / "data" / "toy-v1.blix")
+    code, _, err = run(["link", "--index", path], stdin="")
+    assert code == 2
+    assert path in err
+    assert "rebuild the index with `bioling index build`" in err
+
+
 def test_link_bad_mention_span_exits_2(run, index_path):
     doc_line = json.dumps({"text": "short", "mentions": [{"start": 0, "end": 99}]})
     code, _, err = run(["link", "--index", index_path], stdin=doc_line + "\n")

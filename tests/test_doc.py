@@ -1,12 +1,10 @@
-import io
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bioling.doc import (
-    Document, SentenceSpan, Token, detokenize, from_json_obj, read_jsonl,
-    to_json_obj, validate_document, write_jsonl,
+    Document, SentenceSpan, Token, detokenize, from_json_obj,
+    to_json_obj, validate_document,
 )
 from bioling.tokenizer import tokenize
 
@@ -64,23 +62,8 @@ def test_span_extraction_is_stable(s):
 def test_json_round_trip():
     doc = tokenize("  Heat shock protein (HSP) is induced. See Fig. 2.")
     doc = doc.with_sentences([SentenceSpan(0, len(doc.tokens) - 1)])
-    restored = from_json_obj(to_json_obj(doc))
-    assert restored == doc
-
-
-def test_jsonl_io_round_trip():
-    docs = [tokenize("First doc."), tokenize("Second (doc)."), tokenize("")]
-    buf = io.StringIO()
-    write_jsonl(docs, buf)
-    buf.seek(0)
-    restored = [d for d, _ in read_jsonl(buf)]
-    assert restored == docs
-
-
-def test_read_jsonl_reports_line_numbers():
-    buf = io.StringIO('{"text": "ok", "tokens": []}\nnot json\n')
-    with pytest.raises(ValueError, match="line 2"):
-        list(read_jsonl(buf))
+    for d in (doc, tokenize("")):
+        assert from_json_obj(to_json_obj(d)) == d
 
 
 @pytest.mark.parametrize("text, spans, match", [

@@ -2,9 +2,13 @@ import os
 import pathlib
 import random
 import struct
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bioling.index import (
     FORMAT_VERSION, IndexFormatError, MAGIC, build_index, load_index, save_index,
@@ -17,9 +21,11 @@ from conftest import (
     write_corrupt_blix,
 )
 
-# written from the `toy_kb` fixture (exact backend, min_df=1) by an earlier
-# implementation of the writer; pins the format across implementations
+# written from the `toy_kb` fixture (min_df=1); pins the format across
+# implementations of the writer
 GOLDEN_BLIX = pathlib.Path(__file__).parent / "data" / "toy.blix"
+# the same index in format version 1: rows in KB order, then a backend byte
+GOLDEN_BLIX_V1 = pathlib.Path(__file__).parent / "data" / "toy-v1.blix"
 
 
 def query_pool(n, seed):
@@ -28,7 +34,7 @@ def query_pool(n, seed):
 
 
 def test_build_indexes_every_distinct_alias(toy_kb, toy_index):
-    assert toy_index.aliases == toy_kb.alias_surfaces()
+    assert toy_index.aliases == sorted(toy_kb.alias_surfaces())
     assert len(toy_index) == len(toy_kb.alias_surfaces())
 
 
@@ -195,6 +201,13 @@ def test_load_rejects_corrupt_file(case, toy_index, tmp_path):
         load_index(path)
 
 
+def test_version_1_file_asks_for_rebuild():
+    with pytest.raises(IndexFormatError, match=(
+            r"unsupported format version 1 \(expected 2\); "
+            r"rebuild the index with `bioling index build`")):
+        load_index(str(GOLDEN_BLIX_V1))
+
+
 def test_golden_fixture_round_trips(toy_index, tmp_path):
     golden = GOLDEN_BLIX.read_bytes()
     loaded = load_index(str(GOLDEN_BLIX))
@@ -206,6 +219,94 @@ def test_golden_fixture_round_trips(toy_index, tmp_path):
     for text in ["cancer", "lung carcinoma", "interleukin", "HSP", "neoplasm"]:
         q = toy_index.vectorizer.encode(text)
         assert loaded.nearest_aliases(q, 5) == toy_index.nearest_aliases(q, 5)
+
+
+@pytest.fixture(scope="module")
+def blix_files(toy_index, tmp_path_factory):
+    """(directory, {name: bytes of a valid .blix file}) for the toy KB and a
+    small synthetic one."""
+    kb = make_synthetic_kb(60, 25, seed=3)
+    vec = NgramVectorizer.fit(kb.alias_surfaces(), min_df=2)
+    directory = tmp_path_factory.mktemp("fuzz")
+    files = {}
+    for name, index in [("toy", toy_index), ("synthetic", build_index(kb, vec))]:
+        path = directory / f"{name}.blix"
+        save_index(index, str(path))
+        files[name] = path.read_bytes()
+    return directory, files
+
+
+def _first_df_byte(raw: bytes) -> int:
+    """Offset of the first document frequency in a .blix file."""
+    (vocab_size,) = struct.unpack_from("<I", raw, 14)
+    pos = 18
+    for _ in range(vocab_size):
+        pos += 4 + struct.unpack_from("<I", raw, pos)[0]
+    return pos + 8
+
+
+# flipping this bit makes the first df negative; a reader that let it
+# through would give a NaN idf, with only a RuntimeWarning from `np.log`
+TOY_DF_SIGN_BIT = 8 * (_first_df_byte(GOLDEN_BLIX.read_bytes()) + 7) + 7
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(["toy", "synthetic"]), truncate=st.booleans(),
+       position=st.integers(0, 2**24))
+@example(name="toy", truncate=False, position=TOY_DF_SIGN_BIT)
+def test_damaged_file_is_rejected_or_searchable(blix_files, name, truncate, position):
+    """A valid file cut to `position` bytes, or with bit `position` flipped
+    (both modulo its size), is rejected or loads and searches without any
+    other exception or warning. Without a checksum a flipped weight bit
+    loads a different valid index, so that is all a loaded file owes."""
+    directory, files = blix_files
+    raw = files[name]
+    if truncate:
+        damaged = raw[:position % len(raw)]
+    else:
+        bit = position % (8 * len(raw))
+        damaged = bytearray(raw)
+        damaged[bit // 8] ^= 1 << (bit % 8)
+    path = directory / "damaged.blix"
+    path.write_bytes(bytes(damaged))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            index = load_index(str(path))
+        except IndexFormatError:
+            return
+        for text in [*index.aliases, "lung cancer", "zzz"]:
+            q = index.vectorizer.encode(text)
+            for k in (1, 5, len(index) + 1):
+                index.nearest_aliases(q, k)
+
+
+ALIAS_TEXT = st.text(
+    st.characters(codec="utf-8", categories=("L", "N", "P", "Zs")), min_size=1, max_size=12,
+).filter(str.strip)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.lists(ALIAS_TEXT, min_size=1, max_size=4), min_size=1, max_size=8),
+       st.integers(1, 3))
+def test_save_of_load_is_byte_identical(concept_aliases, min_df):
+    concepts = {f"C{i}": Concept(f"C{i}", aliases[0], tuple(aliases))
+                for i, aliases in enumerate(concept_aliases)}
+    table: dict[str, set[str]] = {}
+    for concept in concepts.values():
+        for alias in concept.aliases:
+            table.setdefault(normalize_alias(alias), set()).add(concept.concept_id)
+    kb = KnowledgeBase(concepts, {k: frozenset(v) for k, v in table.items()})
+    try:
+        vec = NgramVectorizer.fit(kb.alias_surfaces(), min_df=min_df)
+    except ValueError:  # no gram reaches min_df
+        return
+    with tempfile.TemporaryDirectory() as directory:
+        first, second = os.path.join(directory, "a.blix"), os.path.join(directory, "b.blix")
+        save_index(build_index(kb, vec), first)
+        save_index(load_index(first), second)
+        with open(first, "rb") as f1, open(second, "rb") as f2:
+            assert f1.read() == f2.read()
 
 
 def test_rows_equal_encoded_aliases(toy_kb, tmp_path):
@@ -243,4 +344,4 @@ def test_failed_save_keeps_existing_file(toy_index, tmp_path):
 
 
 def test_magic_constant():
-    assert MAGIC == b"BLIX" and FORMAT_VERSION == 1
+    assert MAGIC == b"BLIX" and FORMAT_VERSION == 2

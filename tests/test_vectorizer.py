@@ -216,15 +216,6 @@ def test_fit_accepts_a_generator():
     assert from_generator.n_docs == 3
 
 
-def test_encode_csr_skips_grams_that_are_not_three_characters():
-    # a loaded vocabulary may hold such grams; no text can produce them
-    vec = NgramVectorizer(["ab", " ab", "ab ", "abcd"], np.ones(4), 5, 1)
-    indptr, indices, weights = vec.encode_csr(["ab abcd", "zz"])
-    want = vec.encode("ab abcd")
-    assert indptr.tolist() == [0, 2, 2]
-    assert np.array_equal(indices, want.indices) and np.array_equal(weights, want.weights)
-
-
 def test_scale_invariance_of_tf():
     # multiplying every term count by a constant leaves the cosine unchanged
     vec = NgramVectorizer.fit(["lung cancer", "breast cancer"], min_df=1)
