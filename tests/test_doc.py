@@ -1,7 +1,11 @@
+import io
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bioling.cli import _iter_doc_lines
 from bioling.doc import (
     Document, SentenceSpan, Token, detokenize, from_json_obj,
     to_json_obj, validate_document,
@@ -64,6 +68,16 @@ def test_json_round_trip():
     doc = doc.with_sentences([SentenceSpan(0, len(doc.tokens) - 1)])
     for d in (doc, tokenize("")):
         assert from_json_obj(to_json_obj(d)) == d
+
+
+def test_jsonl_io_round_trip():
+    # Documents written one JSON object per line come back unchanged from
+    # the reader every CLI command uses.
+    docs = [tokenize("First doc."), tokenize("Second (doc)."), tokenize("")]
+    buf = io.StringIO("".join(
+        json.dumps(to_json_obj(d), ensure_ascii=False) + "\n" for d in docs))
+    restored = [d for _, d, _ in _iter_doc_lines(buf)]
+    assert restored == docs
 
 
 @pytest.mark.parametrize("text, spans, match", [
