@@ -142,7 +142,7 @@ def _iter_doc_lines(fp):
         if line.lstrip().startswith("{"):
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise DataError(f"line {lineno}: invalid JSON: {exc}")
             if not isinstance(obj, dict) or "text" not in obj:
                 raise DataError(f"line {lineno}: document object needs a 'text' field")
@@ -233,7 +233,7 @@ def _cmd_index_build(args) -> int:
         save_index(index, args.output)
     except OSError as exc:
         raise DataError(f"cannot write index {args.output}: {exc.strerror}") from None
-    print(f"indexed {len(index)} aliases -> {args.output}", file=sys.stderr)
+    print(f"indexed {len(index)} alias keys -> {args.output}", file=sys.stderr)
     return 0
 
 
@@ -304,7 +304,7 @@ def _cmd_eval_recall(args) -> int:
             where = f"{args.gold}:{lineno}"
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise DataError(f"{where}: invalid JSON: {exc}")
             if not isinstance(obj, dict):
                 raise DataError(f"{where}: gold line must be a JSON object")
@@ -315,7 +315,7 @@ def _cmd_eval_recall(args) -> int:
     if not gold:
         raise DataError("empty gold mention set")
     try:
-        curve = recall_at_k(index, index.alias_table, gold, ks)
+        curve = recall_at_k(index, gold, ks)
     except ValueError as exc:
         raise UsageError(str(exc))
     with _open_out(args.output) as fout:

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from .kb import lone_surrogate
+
 
 @dataclass(frozen=True)
 class Token:
@@ -112,7 +114,8 @@ def from_json_obj(obj: dict) -> Document:
     """Rebuild a Document from its JSON form.
 
     Surfaces and whitespace are recovered from the text and the spans.
-    Raises ValueError, naming the token, on a span that is out of range,
+    Raises ValueError on a text with a lone surrogate (not writable as
+    UTF-8); naming the token, on a span that is not integers, out of range,
     empty or not after the previous one, or on non-whitespace text before,
     between or after the tokens; and, naming the sentence, on sentences
     that do not cover the tokens in order without gaps or overlaps.
@@ -120,10 +123,13 @@ def from_json_obj(obj: dict) -> Document:
     text = obj["text"]
     if not isinstance(text, str):
         raise ValueError("text must be a string")
+    if bad := lone_surrogate(text):
+        raise ValueError(f"text is not valid UTF-8 text (lone surrogate {bad})")
     spans = [(t["start"], t["end"]) for t in obj.get("tokens", [])]
     prev_end = 0
     for i, (start, end) in enumerate(spans):
-        if not (isinstance(start, int) and isinstance(end, int)):
+        # only JSON integers are offsets; bool is an int subclass in Python
+        if type(start) is not int or type(end) is not int:
             raise ValueError(f"token {i}: start and end must be integers")
         if not prev_end <= start < end <= len(text):
             raise ValueError(
@@ -145,7 +151,7 @@ def from_json_obj(obj: dict) -> Document:
     )
     next_first = 0
     for i, s in enumerate(sentences):
-        if not (isinstance(s.first_token, int) and isinstance(s.last_token, int)
+        if not (type(s.first_token) is int and type(s.last_token) is int
                 and next_first == s.first_token <= s.last_token < len(tokens)):
             raise ValueError(
                 f"sentence {i}: tokens [{s.first_token}, {s.last_token}] do not "

@@ -64,7 +64,6 @@ class SegmentationAccuracy:
 
 def recall_at_k(
     index,
-    alias_table: Mapping[str, frozenset[str]],
     gold: Sequence[GoldMention],
     ks: Sequence[int],
     expansion: Mapping[str, str] | None = None,
@@ -79,7 +78,7 @@ def recall_at_k(
         hits = 0
         counts = []
         for gm in gold:
-            cs = generate_candidates(index, alias_table, gm.mention, k, expansion)
+            cs = generate_candidates(index, index.alias_table, gm.mention, k, expansion)
             counts.append(len(cs.candidates))
             if gm.gold_concept_id in cs.concept_ids():
                 hits += 1

@@ -15,27 +15,31 @@ Top-k selection never sorts the whole index: zero scores are dropped,
 scoring at least that much (so every row tied with it) are sorted, by
 score descending with a stable sort over ascending rows.
 
+Surfaces with the same `normalize_alias` key have identical vectors, so
+each key has one row: its smallest surface, carrying the key's concept
+ids. A top-k slot is thus one alias key.
+
 Persistence: single little-endian binary file, magic "BLIX", format
-version 2 (see docs/index-format.md). `save_index` replaces the target
+version 3 (see docs/index-format.md). `save_index` replaces the target
 atomically; `load_index` checks the grams, document frequencies, alias
-order, CSR structure and values, and raises `IndexFormatError` on any
-corrupt or older file. Constructors trust their inputs; the reader
-checks them.
+order, concept ids, CSR structure and values, and raises
+`IndexFormatError` on any corrupt or older file. Constructors trust
+their inputs; the reader checks them.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-from typing import BinaryIO, Sequence
+from typing import BinaryIO
 
 import numpy as np
 
-from .kb import KnowledgeBase
+from .kb import KnowledgeBase, normalize_alias
 from .vectorizer import NgramVectorizer, SparseVector
 
 MAGIC = b"BLIX"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class IndexFormatError(ValueError):
@@ -43,28 +47,30 @@ class IndexFormatError(ValueError):
 
 
 class AliasIndex:
-    """Alias vectors as one CSR matrix plus the alias -> concept-id table.
+    """Alias rows, each a surface with its sorted concept ids, and their
+    vectors as one CSR matrix.
 
-    Row i of (`indptr`, `indices`, `weights`) is the vector of
-    `aliases[i]`; the arrays are used as given, without copies. Aliases
-    must be strictly increasing: row order is the tie-break order.
+    `alias_table` maps each row's surface to its concept ids, in row order,
+    and `aliases` lists its keys: row i of (`indptr`, `indices`, `weights`)
+    is the vector of `aliases[i]`; the arrays are used as given, without
+    copies. Aliases must be strictly increasing: row order is the tie-break
+    order.
     """
 
     def __init__(
         self,
-        aliases: Sequence[str],
+        alias_table: dict[str, tuple[str, ...]],
         indptr: np.ndarray,
         indices: np.ndarray,
         weights: np.ndarray,
         vectorizer: NgramVectorizer,
-        alias_table: dict[str, frozenset[str]],
     ):
-        self.aliases = list(aliases)
+        self.alias_table = alias_table
+        self.aliases = list(alias_table)
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.indices = np.asarray(indices, dtype=np.int32)
         self.weights = np.asarray(weights, dtype=np.float64)
         self.vectorizer = vectorizer
-        self.alias_table = alias_table
         # postings: the CSC transpose. The stable sort keeps each gram's
         # rows ascending, the order in which their scores accumulate.
         by_gram = np.argsort(self.indices, kind="stable")
@@ -118,11 +124,15 @@ class AliasIndex:
 
 
 def build_index(kb: KnowledgeBase, vectorizer: NgramVectorizer) -> AliasIndex:
-    """Index every distinct alias surface of the KB, in alias order."""
-    aliases = sorted(kb.alias_surfaces())
-    indptr, indices, weights = vectorizer.encode_csr(aliases)
-    return AliasIndex(aliases, indptr, indices, weights, vectorizer,
-                      dict(kb.alias_table))
+    """Index one row per alias key of the KB, in alias order: the smallest
+    surface of the key, with the key's concept ids, sorted."""
+    # a key enters at its first surface in sorted order, its smallest
+    smallest: dict[str, str] = {}
+    for alias in sorted(kb.alias_surfaces()):
+        smallest.setdefault(normalize_alias(alias), alias)
+    alias_table = {alias: tuple(sorted(kb.alias_table[key])) for key, alias in smallest.items()}
+    indptr, indices, weights = vectorizer.encode_csr(list(alias_table))
+    return AliasIndex(alias_table, indptr, indices, weights, vectorizer)
 
 
 # -- persistence --------------------------------------------------------
@@ -148,22 +158,18 @@ def _write_index(fp: BinaryIO, index: AliasIndex) -> None:
     for gram in v.grams:
         _write_str(fp, gram)
     _write_array(fp, v.df, "<i8")
-    # aliases
+    # alias rows, each with its concept ids
     fp.write(struct.pack("<I", len(index.aliases)))
     for alias in index.aliases:
         _write_str(fp, alias)
+        ids = index.alias_table[alias]
+        fp.write(struct.pack("<I", len(ids)))
+        for cid in ids:
+            _write_str(fp, cid)
     # vectors, CSR
     _write_array(fp, index.indptr, "<i8")
     _write_array(fp, index.indices, "<i4")
     _write_array(fp, index.weights, "<f8")
-    # alias -> concept ids
-    fp.write(struct.pack("<I", len(index.alias_table)))
-    for key in sorted(index.alias_table):
-        _write_str(fp, key)
-        ids = sorted(index.alias_table[key])
-        fp.write(struct.pack("<I", len(ids)))
-        for cid in ids:
-            _write_str(fp, cid)
 
 
 def save_index(index: AliasIndex, path: str) -> None:
@@ -267,21 +273,23 @@ def _parse_index(r: _Reader) -> AliasIndex:
             f"[{max(1, min_df)}, {n_docs}]")
     vectorizer = NgramVectorizer(grams, df, n_docs, min_df)
     (n_aliases,) = r.unpack("<I")
-    aliases = [r.string() for _ in range(n_aliases)]
+    rows = []
+    for _ in range(n_aliases):
+        alias, (n_ids,) = r.string(), r.unpack("<I")
+        ids = tuple(r.string() for _ in range(n_ids))
+        # written sorted and unique, so an empty id would come first
+        if not ids or not ids[0] or any(a >= b for a, b in zip(ids, ids[1:])):
+            raise IndexFormatError(f"alias {alias!r} needs one or more concept ids, "
+                                   "nonempty, sorted and unique")
+        rows.append((alias, ids))
     # row order is the tie-break order
-    _check_increasing(aliases, "aliases")
+    _check_increasing([alias for alias, _ in rows], "aliases")
     indptr, indices, weights = r.array("<i8"), r.array("<i4"), r.array("<f8")
     _check_csr(n_aliases, vocab_size, indptr, indices, weights)
-    (n_table,) = r.unpack("<I")
-    alias_table: dict[str, frozenset[str]] = {}
-    for _ in range(n_table):
-        key = r.string()
-        (n_ids,) = r.unpack("<I")
-        alias_table[key] = frozenset(r.string() for _ in range(n_ids))
     if r.pos != len(r.data):
         raise IndexFormatError(
-            f"{len(r.data) - r.pos} trailing bytes after the alias table")
-    return AliasIndex(aliases, indptr, indices, weights, vectorizer, alias_table)
+            f"{len(r.data) - r.pos} trailing bytes after the vectors")
+    return AliasIndex(dict(rows), indptr, indices, weights, vectorizer)
 
 
 def load_index(path: str) -> AliasIndex:

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 __all__ = [
     "Concept", "KnowledgeBase", "KBFormatError", "KBStats",
     "load_kb", "save_kb", "normalize_alias", "kb_stats", "first_non_utf8_line",
+    "lone_surrogate",
 ]
 
 
@@ -96,9 +97,18 @@ def _parse_concept(obj: dict, lineno: int) -> tuple[Concept, list[str]]:
     return Concept(concept_id, canonical, tuple(aliases), tuple(types), definition), keys
 
 
+def lone_surrogate(text: str) -> str | None:
+    """"U+XXXX" for the first lone surrogate in `text` (from a JSON escape
+    such as "\\ud800"), which cannot be written out as UTF-8, else None."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        return f"U+{ord(text[exc.start]):04X}"
+    return None
+
+
 def _check_utf8(concept: Concept, lineno: int) -> None:
-    """Reject a lone surrogate (from a JSON escape such as "\\ud800") in
-    any string of the concept: it cannot be written out as UTF-8."""
+    """Reject a lone surrogate in any string of the concept."""
     fields = [("concept_id", [concept.concept_id]),
               ("canonical_name", [concept.canonical_name]),
               ("aliases", concept.aliases), ("types", concept.types)]
@@ -106,12 +116,9 @@ def _check_utf8(concept: Concept, lineno: int) -> None:
         fields.append(("definition", [concept.definition]))
     for name, values in fields:
         for value in values:
-            try:
-                value.encode("utf-8")
-            except UnicodeEncodeError as exc:
+            if bad := lone_surrogate(value):
                 raise KBFormatError(
-                    f"line {lineno}: {name} is not valid UTF-8 text "
-                    f"(lone surrogate U+{ord(value[exc.start]):04X})") from None
+                    f"line {lineno}: {name} is not valid UTF-8 text (lone surrogate {bad})")
 
 
 def load_kb(path: str) -> KnowledgeBase:
@@ -126,7 +133,7 @@ def load_kb(path: str) -> KnowledgeBase:
                     continue
                 try:
                     obj = json.loads(line)
-                except json.JSONDecodeError as exc:
+                except (json.JSONDecodeError, RecursionError) as exc:  # too deep
                     raise KBFormatError(f"line {lineno}: invalid JSON: {exc}") from exc
                 if not isinstance(obj, dict):
                     raise KBFormatError(

@@ -1,18 +1,17 @@
 """Candidate generation: mention -> plausible KB concepts.
 
 The mention (after optional abbreviation expansion) is TF-IDF encoded
-and its k nearest alias strings retrieved; each alias fans out to every
-concept it names, so the candidate set may be smaller or larger than k.
-Per concept, the best-scoring alias and its cosine are kept.
+and its k nearest alias rows (one per alias key) retrieved; each fans out
+to every concept it names, so the candidate set may be smaller or larger
+than k. Per concept, the best-scoring alias and its cosine are kept.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from .index import AliasIndex
-from .kb import normalize_alias
 
 REASON_OUT_OF_VOCABULARY = "out_of_vocabulary"
 
@@ -39,14 +38,16 @@ class CandidateSet:
 
 def generate_candidates(
     index: AliasIndex,
-    alias_table: Mapping[str, frozenset[str]],
+    alias_table: object,
     mention: str,
     k: int,
     expansion: Mapping[str, str] | None = None,
     start: int | None = None,
     end: int | None = None,
 ) -> CandidateSet:
-    """Deduplicated concept candidates for one mention string."""
+    """Deduplicated concept candidates for one mention string. Each alias
+    row fans out to its concept ids in `index.alias_table`; the ignored
+    `alias_table` argument is kept for callers that pass that table."""
     if not mention:
         raise ValueError("mention must be nonempty")
     if k < 1:
@@ -58,7 +59,7 @@ def generate_candidates(
                             reason=REASON_OUT_OF_VOCABULARY)
     best: dict[str, tuple[float, str]] = {}
     for alias, sim in index.nearest_aliases(query, k):
-        for cid in alias_table.get(normalize_alias(alias), ()):
+        for cid in index.alias_table[alias]:
             prev = best.get(cid)
             if prev is None or sim > prev[0]:
                 best[cid] = (sim, alias)

@@ -190,6 +190,11 @@ def _with_vec(ix, **changes):
     return stand_in(ix, vectorizer=SimpleNamespace(vocab_size=len(fields["grams"]), **fields))
 
 
+def _with_ids(ix, ids):
+    """A stand-in for `ix` whose first row has the concept ids `ids`."""
+    return stand_in(ix, alias_table={**ix.alias_table, ix.aliases[0]: ids})
+
+
 def _first_two(items, i, j):
     """`items` with its first two entries replaced by entries i and j."""
     return [items[i], items[j], *items[2:]]
@@ -259,9 +264,20 @@ BLIX_CORRUPTIONS = {
     "alias repeated": (
         lambda ix, raw: stand_in(ix, aliases=_first_two(ix.aliases, 0, 0)),
         "aliases must be strictly increasing"),
+    "alias without concept id": (
+        lambda ix, raw: _with_ids(ix, ()), "alias 'Breast Cancer' needs one or more concept ids"),
+    "concept id repeated": (
+        lambda ix, raw: _with_ids(ix, ("C01", "C01")), "concept ids, nonempty, sorted and unique"),
+    "concept ids unsorted": (
+        lambda ix, raw: _with_ids(ix, ("C02", "C01")), "concept ids, nonempty, sorted and unique"),
+    "concept id empty": (
+        lambda ix, raw: _with_ids(ix, ("", "C02")), "concept ids, nonempty, sorted and unique"),
     "format version 1": (
         lambda ix, raw: raw[:4] + struct.pack("<H", 1) + raw[6:],
-        r"unsupported format version 1 \(expected 2\); rebuild the index"),
+        r"unsupported format version 1 \(expected 3\); rebuild the index"),
+    "format version 2": (
+        lambda ix, raw: raw[:4] + struct.pack("<H", 2) + raw[6:],
+        r"unsupported format version 2 \(expected 3\); rebuild the index"),
     "trailing bytes": (lambda ix, raw: raw + b"\x00", "trailing"),
     # the first gram's bytes start after magic, version, three u32 and its length
     "invalid UTF-8 in gram": (lambda ix, raw: raw[:22] + b"\xff" + raw[23:], "UTF-8"),

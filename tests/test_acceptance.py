@@ -184,7 +184,7 @@ def test_shared_alias_semantics(capsys, toy_index):
 
 def test_recall_monotonic(capsys, synth_index, synth_gold):
     ks = [1, 5, 25, 100]
-    exact = recall_at_k(synth_index, synth_index.alias_table, synth_gold, ks)
+    exact = recall_at_k(synth_index, synth_gold, ks)
     exact_recalls = [p.recall for p in exact.points]
     monotone = exact_recalls == sorted(exact_recalls)
     report(capsys, "recall@K monotonicity", monotone, f"exact {exact_recalls}")

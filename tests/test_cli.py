@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import bioling
 from bioling.cli import main
@@ -305,6 +310,32 @@ def test_invalid_json_line_exits_2(run):
     assert "line 1" in err
 
 
+# nested past the recursion limit, so `json.loads` raises RecursionError
+DEEP_JSON_LINE = '{"text": ' + "[" * 100_000 + "]" * 100_000 + "}"
+
+
+def test_deeply_nested_document_exits_2(run):
+    code, _, err = run(["tokenize"], stdin=DEEP_JSON_LINE + "\n")
+    assert code == 2
+    assert "line 1: invalid JSON" in err and "Traceback" not in err
+
+
+def test_deeply_nested_gold_line_exits_2(run, index_path, tmp_path):
+    gold = tmp_path / "gold.jsonl"
+    gold.write_text(DEEP_JSON_LINE + "\n")
+    code, _, err = run(["eval", "recall", "--index", index_path, "--gold", str(gold)])
+    assert code == 2
+    assert f"{gold}:1: invalid JSON" in err and "Traceback" not in err
+
+
+def test_boolean_offsets_exit_2(run):
+    line = ('{"text":"a","tokens":[{"start":false,"end":true}],'
+            '"sentences":[{"first_token":false,"last_token":false}]}')
+    code, out, err = run(["segment"], stdin=line + "\n")
+    assert code == 2 and out == ""
+    assert "line 1" in err and "token 0" in err
+
+
 def test_bad_token_span_exits_2(run):
     line = '{"text":"cancer","tokens":[{"start":0,"end":99}],"leading_ws":""}'
     code, _, err = run(["abbrev"], stdin=line + "\n")
@@ -429,3 +460,49 @@ def test_version_flag(run):
     with pytest.raises(SystemExit) as exc:
         run(["--version"])
     assert exc.value.code == 0
+
+
+# -- fuzz: any input line exits 0 or 2 ------------------------------------
+
+# field names of documents, mentions, KB and gold lines, so generated
+# objects often hold the right fields with the wrong types
+_FIELDS = ["text", "tokens", "sentences", "mentions", "start", "end", "first_token",
+           "last_token", "concept_id", "canonical_name", "aliases", "types",
+           "definition", "mention"]
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 40) | st.floats() | st.text(max_size=12),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.sampled_from(_FIELDS) | st.text(max_size=4),
+                                     inner, max_size=5)),
+    max_leaves=16)
+_LINES = st.text() | _JSON.map(json.dumps)
+_TOY_BLIX = str(pathlib.Path(__file__).parent / "data" / "toy.blix")
+
+
+def _fuzz_commands(path):
+    return [["tokenize", "--input", path], ["segment", "--input", path],
+            ["abbrev", "--input", path], ["link", "--index", _TOY_BLIX, "--input", path],
+            ["eval", "recall", "--index", _TOY_BLIX, "--gold", path],
+            ["eval", "segmentation", "--pred", path, "--gold", path],
+            ["kb", "validate", "--input", path]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(line=_LINES)
+@example(line=DEEP_JSON_LINE)
+@example(line='{"text": "\\ud800 x", "mentions": [{"start": 0, "end": 1}]}')
+@example(line='{"text":"a","tokens":[{"start":false,"end":true}]}')
+def test_any_input_line_exits_0_or_2(line):
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "input.jsonl")
+        # surrogatepass: a lone surrogate in `line` becomes bytes that are
+        # not UTF-8
+        with open(path, "wb") as fp:
+            fp.write(line.encode("utf-8", "surrogatepass") + b"\n")
+        for argv in _fuzz_commands(path):
+            # strict UTF-8, as a real stdout, so unwritable output raises
+            out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+                out.flush()
+            assert code in (0, 2), argv

@@ -90,6 +90,9 @@ def test_jsonl_io_round_trip():
     ("cancer cell", [(7, 11)], "token 0: non-whitespace"),
     ("cancer cell", [(0, 6)], "token 0: non-whitespace text after"),
     ("cancer", [(0, "6")], "token 0: start and end must be integers"),
+    # JSON booleans decode to bool, an int subclass
+    ("cancer", [(False, 6)], "token 0: start and end must be integers"),
+    ("a", [(False, True)], "token 0: start and end must be integers"),
 ])
 def test_from_json_obj_rejects_bad_spans(text, spans, match):
     obj = {"text": text, "tokens": [{"start": a, "end": b} for a, b in spans]}
@@ -104,6 +107,8 @@ def test_from_json_obj_rejects_bad_spans(text, spans, match):
     ([(0, 1), (1, 2)], "sentence 1: tokens"),
     ([(0, 2), (3, 2)], "sentence 1: tokens"),
     ([(0, 1)], "sentence 0: ends before the last token"),
+    ([(False, 2)], "sentence 0: tokens"),
+    ([(0, True), (2, 2)], "sentence 0: tokens"),
 ])
 def test_from_json_obj_rejects_bad_sentences(sentences, match):
     obj = to_json_obj(tokenize("Heat shock rose"))

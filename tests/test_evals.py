@@ -38,7 +38,7 @@ def test_recall_at_k_toy(toy_index):
         GoldMention("tumor", "C03"),
         GoldMention("completely unrelated xyzzy", "C01"),
     ]
-    curve = recall_at_k(toy_index, toy_index.alias_table, gold, ks=[1, 5])
+    curve = recall_at_k(toy_index, gold, ks=[1, 5])
     assert curve.recall_at(1) >= 0.75
     assert curve.recall_at(5) >= curve.recall_at(1)
     p5 = curve.points[1]
@@ -52,7 +52,7 @@ def test_recall_monotone_in_k(toy_index):
         GoldMention("heat shock proteins", "C04"),
         GoldMention("interleukin 2", "C05"),
     ]
-    curve = recall_at_k(toy_index, toy_index.alias_table, gold, ks=[1, 2, 4, 8])
+    curve = recall_at_k(toy_index, gold, ks=[1, 2, 4, 8])
     recalls = [p.recall for p in curve.points]
     assert recalls == sorted(recalls)
 
@@ -60,17 +60,16 @@ def test_recall_monotone_in_k(toy_index):
 def test_recall_with_expansion(toy_index):
     gold = [GoldMention("HSP", "C04")]
     expansion = {"HSP": "heat shock protein"}
-    with_exp = recall_at_k(toy_index, toy_index.alias_table, gold, [1],
+    with_exp = recall_at_k(toy_index, gold, [1],
                            expansion=expansion)
     assert with_exp.recall_at(1) == 1.0
 
 
 def test_recall_input_validation(toy_index):
     with pytest.raises(ValueError, match="gold"):
-        recall_at_k(toy_index, toy_index.alias_table, [], [1])
+        recall_at_k(toy_index, [], [1])
     with pytest.raises(ValueError, match="increasing"):
-        recall_at_k(toy_index, toy_index.alias_table,
-                    [GoldMention("tumor", "C03")], [5, 1])
+        recall_at_k(toy_index, [GoldMention("tumor", "C03")], [5, 1])
 
 
 def test_segmentation_accuracy_perfect():

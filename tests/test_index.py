@@ -24,8 +24,10 @@ from conftest import (
 # written from the `toy_kb` fixture (min_df=1); pins the format across
 # implementations of the writer
 GOLDEN_BLIX = pathlib.Path(__file__).parent / "data" / "toy.blix"
-# the same index in format version 1: rows in KB order, then a backend byte
+# the same KB in format version 1 (rows in KB order, then a backend byte)
+# and version 2 (a row per surface, then a keyed alias table)
 GOLDEN_BLIX_V1 = pathlib.Path(__file__).parent / "data" / "toy-v1.blix"
+GOLDEN_BLIX_V2 = pathlib.Path(__file__).parent / "data" / "toy-v2.blix"
 
 
 def query_pool(n, seed):
@@ -34,14 +36,20 @@ def query_pool(n, seed):
 
 
 def test_build_indexes_every_distinct_alias(toy_kb, toy_index):
-    assert toy_index.aliases == sorted(toy_kb.alias_surfaces())
-    assert len(toy_index) == len(toy_kb.alias_surfaces())
+    # one row per alias key: its smallest surface, with the key's concepts
+    assert len(toy_index) == len(toy_kb.alias_table)
+    assert toy_index.aliases == sorted(toy_index.alias_table) == list(toy_index.alias_table)
+    for alias, ids in toy_index.alias_table.items():
+        key = normalize_alias(alias)
+        assert alias == min(a for a in toy_kb.alias_surfaces() if normalize_alias(a) == key)
+        assert ids == tuple(sorted(toy_kb.alias_table[key]))
+    assert "Cancer" in toy_index.alias_table and "cancer" not in toy_index.alias_table
 
 
 def test_exact_match_scores_one(toy_index):
     top = toy_index.nearest_aliases(toy_index.vectorizer.encode("cancer"), 1)
-    # "Cancer" and "cancer" tie at 1.0; uppercase sorts first
-    assert top[0][0].lower() == "cancer"
+    # "Cancer" and "cancer" share a key; its row is the smaller surface
+    assert top[0][0] == "Cancer"
     assert top[0][1] == pytest.approx(1.0)
 
 
@@ -88,16 +96,17 @@ def test_exact_backend_matches_brute_force_small():
                 assert s1 == pytest.approx(s2, abs=1e-9)
 
 
-# six surfaces of one alias that differ only in case or whitespace, so
-# they have identical vectors and tie at every query's score
-TIED_VARIANTS = ["tumor growth", "Tumor growth", "TUMOR GROWTH", "tumor  growth",
-                 "Tumor Growth", "tumor\tgrowth"]
+# the six word orders of one phrase: distinct alias keys whose 3-gram
+# multisets are identical (grams never span words), so they tie at every
+# query's score
+TIED_VARIANTS = ["tumor growth factor", "tumor factor growth", "growth tumor factor",
+                 "growth factor tumor", "factor tumor growth", "factor growth tumor"]
 
 
 @pytest.fixture(scope="module")
 def tie_index():
     """(vectorizer, index) over the tied variants and a few other aliases."""
-    aliases = ["tumor growths", *TIED_VARIANTS, "heart failure", "renal failure",
+    aliases = ["tumor growth factors", *TIED_VARIANTS, "heart failure", "renal failure",
                "growth factor", "kidney stone", "lung tumor"]
     concepts = {f"T{i}": Concept(f"T{i}", a, (a,)) for i, a in enumerate(aliases)}
     table = {normalize_alias(a): frozenset({f"T{i}"}) for i, a in enumerate(aliases)}
@@ -115,9 +124,9 @@ def assert_equals_oracle(got, want):
 def test_top_k_inside_tied_block(tie_index):
     vec, idx = tie_index
     oracle = BruteForceOracle(idx)
-    q = vec.encode("tumor growths")
+    q = vec.encode("tumor growth factors")
     ranked = oracle.top_k(q, len(idx))
-    # "tumor growths" first, then the six tied variants, then the rest
+    # "tumor growth factors" first, then the six tied variants, then the rest
     assert {a for a, _ in ranked[1:7]} == set(TIED_VARIANTS)
     assert ranked[0][1] > ranked[1][1] == ranked[6][1] > ranked[7][1]
     for k in (2, 3, 4, 6):
@@ -203,9 +212,16 @@ def test_load_rejects_corrupt_file(case, toy_index, tmp_path):
 
 def test_version_1_file_asks_for_rebuild():
     with pytest.raises(IndexFormatError, match=(
-            r"unsupported format version 1 \(expected 2\); "
+            r"unsupported format version 1 \(expected 3\); "
             r"rebuild the index with `bioling index build`")):
         load_index(str(GOLDEN_BLIX_V1))
+
+
+def test_version_2_file_asks_for_rebuild():
+    with pytest.raises(IndexFormatError, match=(
+            r"unsupported format version 2 \(expected 3\); "
+            r"rebuild the index with `bioling index build`")):
+        load_index(str(GOLDEN_BLIX_V2))
 
 
 def test_golden_fixture_round_trips(toy_index, tmp_path):
@@ -256,9 +272,10 @@ TOY_DF_SIGN_BIT = 8 * (_first_df_byte(GOLDEN_BLIX.read_bytes()) + 7) + 7
 @example(name="toy", truncate=False, position=TOY_DF_SIGN_BIT)
 def test_damaged_file_is_rejected_or_searchable(blix_files, name, truncate, position):
     """A valid file cut to `position` bytes, or with bit `position` flipped
-    (both modulo its size), is rejected or loads and searches without any
-    other exception or warning. Without a checksum a flipped weight bit
-    loads a different valid index, so that is all a loaded file owes."""
+    (both modulo its size), is rejected, or loads, searches without any
+    other exception or warning and saves back to the same bytes. Without a
+    checksum a flipped weight bit loads a different valid index, so that is
+    all a loaded file owes."""
     directory, files = blix_files
     raw = files[name]
     if truncate:
@@ -279,6 +296,9 @@ def test_damaged_file_is_rejected_or_searchable(blix_files, name, truncate, posi
             q = index.vectorizer.encode(text)
             for k in (1, 5, len(index) + 1):
                 index.nearest_aliases(q, k)
+    resaved = directory / "resaved.blix"
+    save_index(index, str(resaved))
+    assert resaved.read_bytes() == bytes(damaged)
 
 
 ALIAS_TEXT = st.text(
@@ -301,9 +321,17 @@ def test_save_of_load_is_byte_identical(concept_aliases, min_df):
         vec = NgramVectorizer.fit(kb.alias_surfaces(), min_df=min_df)
     except ValueError:  # no gram reaches min_df
         return
+    index = build_index(kb, vec)
+    # one row per alias key, its smallest surface
+    smallest: dict[str, str] = {}
+    for alias in kb.alias_surfaces():
+        key = normalize_alias(alias)
+        smallest[key] = min(smallest.get(key, alias), alias)
+    assert index.aliases == sorted(smallest.values())
+    assert len(index) == len(kb.alias_table)
     with tempfile.TemporaryDirectory() as directory:
         first, second = os.path.join(directory, "a.blix"), os.path.join(directory, "b.blix")
-        save_index(build_index(kb, vec), first)
+        save_index(index, first)
         save_index(load_index(first), second)
         with open(first, "rb") as f1, open(second, "rb") as f2:
             assert f1.read() == f2.read()
@@ -336,7 +364,7 @@ def test_failed_save_keeps_existing_file(toy_index, tmp_path):
     path = tmp_path / "toy.blix"
     save_index(toy_index, str(path))
     before = path.read_bytes()
-    # the alias table is written after the vectors, so this fails part-way
+    # concept ids are written after the vectorizer, so this fails part-way
     with pytest.raises(TypeError):
         save_index(stand_in(toy_index, alias_table=None), str(path))
     assert path.read_bytes() == before
@@ -344,4 +372,4 @@ def test_failed_save_keeps_existing_file(toy_index, tmp_path):
 
 
 def test_magic_constant():
-    assert MAGIC == b"BLIX" and FORMAT_VERSION == 2
+    assert MAGIC == b"BLIX" and FORMAT_VERSION == 3

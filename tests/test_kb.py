@@ -66,6 +66,14 @@ def test_rejects_invalid_json_with_line_number(tmp_path):
         load_kb(path)
 
 
+def test_rejects_deeply_nested_json_with_line_number(tmp_path):
+    path = tmp_path / "deep.jsonl"
+    path.write_text('{"concept_id": "X1", "canonical_name": "A"}\n'
+                    + "[" * 100_000 + "]" * 100_000 + "\n")
+    with pytest.raises(KBFormatError, match="line 2: invalid JSON"):
+        load_kb(str(path))
+
+
 def test_rejects_missing_fields(tmp_path):
     path = write_kb(tmp_path, [{"concept_id": "X1"}])
     with pytest.raises(KBFormatError, match="canonical_name"):

@@ -1,8 +1,13 @@
+import json
+
 import pytest
 
+from bioling.index import build_index
+from bioling.kb import load_kb
 from bioling.linker import (
     REASON_OUT_OF_VOCABULARY, generate_candidates,
 )
+from bioling.vectorizer import NgramVectorizer
 
 
 def candidates(index, mention, k, expansion=None):
@@ -79,3 +84,29 @@ def test_input_validation(toy_index):
         candidates(toy_index, "", 5)
     with pytest.raises(ValueError, match="k"):
         candidates(toy_index, "tumor", 0)
+
+
+def test_case_variants_are_one_alias_key(tmp_path):
+    # "HSP", "Hsp" and "hsp" are one key naming C1 and C2
+    lines = [
+        {"concept_id": "C1", "canonical_name": "heat shock protein",
+         "aliases": ["HSP", "hsp"]},
+        {"concept_id": "C2", "canonical_name": "Hsp"},
+        {"concept_id": "C3", "canonical_name": "HSPs"},
+    ]
+    path = tmp_path / "kb.jsonl"
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    kb = load_kb(str(path))
+    index = build_index(kb, NgramVectorizer.fit(kb.alias_surfaces(), min_df=1))
+    assert index.alias_table == {"HSP": ("C1", "C2"), "HSPs": ("C3",),
+                                 "heat shock protein": ("C1",)}
+    cs = candidates(index, "hsp", 1)
+    assert [(c.concept_id, c.alias) for c in cs.candidates] == [("C1", "HSP"), ("C2", "HSP")]
+    assert all(c.similarity == pytest.approx(1.0) for c in cs.candidates)
+    # k counts alias keys, so the second slot goes to the next key
+    cs = candidates(index, "hsp", 2)
+    assert [(c.concept_id, c.alias) for c in cs.candidates] == [
+        ("C1", "HSP"), ("C2", "HSP"), ("C3", "HSPs")]
+    # the table argument is ignored: the KB's table, keyed by normalized
+    # alias, fans "HSP" out to the same concepts
+    assert generate_candidates(index, kb.alias_table, "hsp", 2) == cs

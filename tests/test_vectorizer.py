@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from bioling import vectorizer
 from bioling.index import build_index
-from bioling.kb import Concept, KnowledgeBase
+from bioling.kb import Concept, KnowledgeBase, normalize_alias
 from bioling.vectorizer import (
     NgramVectorizer, extract_3grams, zero_vector,
 )
@@ -38,7 +38,8 @@ def reference_csr(vec, texts):
 
 
 def assert_matches_reference(aliases, min_df):
-    """`fit` and `build_index` on `aliases` give the oracles' bits."""
+    """`fit`, `encode_csr` and `build_index` on `aliases` give the oracles'
+    bits."""
     grams, df = reference_fit(aliases, min_df)
     if not grams:
         with pytest.raises(ValueError, match="min_df"):
@@ -47,7 +48,12 @@ def assert_matches_reference(aliases, min_df):
     vec = NgramVectorizer.fit(aliases, min_df=min_df)
     assert vec.grams == grams
     assert np.array_equal(vec.df, df) and vec.n_docs == len(aliases)
-    kb = KnowledgeBase({"C1": Concept("C1", "c", tuple(aliases))})
+    # every surface, also those that share a normalized key with a smaller
+    # one and so get no index row
+    for got, expected in zip(vec.encode_csr(aliases), reference_csr(vec, aliases)):
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+    kb = KnowledgeBase({"C1": Concept("C1", "c", tuple(aliases))},
+                       {normalize_alias(a): frozenset({"C1"}) for a in aliases})
     index = build_index(kb, vec)
     want = reference_csr(vec, index.aliases)
     for got, expected in zip((index.indptr, index.indices, index.weights), want):
