@@ -4,16 +4,17 @@ All subcommands stream JSON Lines documents in input order, so they
 compose via pipes. Exit codes: 0 success, 1 usage error, 2 data error.
 Environment: BIOLING_RULES and BIOLING_SEG_CONFIG supply default paths
 for --rules / --seg-config.
+
+Input is checked where it enters: each line of each input file as
+`lines.open_lines` reads it, a bad one exiting 2 ("<file>: line <n>: ...").
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import io
 import json
 import os
-import re
 import sys
 
 from . import __version__
@@ -24,15 +25,14 @@ from .evals import (
     GoldMention, make_citation_corpus, recall_at_k, segmentation_accuracy,
 )
 from .index import IndexFormatError, build_index, load_index, save_index
-from .kb import KBFormatError, kb_stats, load_kb
+from .kb import kb_stats, load_kb
+from .lines import InputError, Lines, open_lines
 from .linker import generate_candidates
 from .segmenter import (
     SegmenterConfig, citation_split_rate, default_segmenter_config,
     load_segmenter_config, segment,
 )
-from .tokenizer import (
-    RulesFileError, default_biomedical_rules, load_rules, tokenize,
-)
+from .tokenizer import default_biomedical_rules, load_rules, tokenize
 from .vectorizer import NgramVectorizer
 
 
@@ -49,40 +49,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# Input is decoded with errors="surrogateescape", which turns each byte
-# that is not UTF-8 into one code point in this range. Strict decoding
-# would fail a whole read-ahead block and could not name the line.
-_UNDECODED_BYTE = re.compile(r"[\udc80-\udcff]")
-
-
-def _utf8_lines(fp, name: str):
-    for lineno, line in enumerate(fp, start=1):
-        if _UNDECODED_BYTE.search(line):
-            raise DataError(f"{name}:{lineno}: not valid UTF-8")
-        yield line
-
-
 @contextlib.contextmanager
 def _open_in(path: str):
-    """The lines of the file at `path`, or of standard input for "-"; a
-    line that is not valid UTF-8 raises DataError naming it."""
-    if path == "-":
-        # detached afterwards, so closing the wrapper leaves stdin open
-        fp = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8",
-                              errors="surrogateescape")
-        try:
-            yield _utf8_lines(fp, "standard input")
-        finally:
-            fp.detach()
-        return
-    try:
-        fp = open(path, encoding="utf-8", errors="surrogateescape")
-    except FileNotFoundError:
-        raise DataError(f"input file not found: {path}") from None
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc.strerror}") from None
-    with fp:
-        yield _utf8_lines(fp, path)
+    """The `Lines` of the file at `path`, or of standard input for "-"."""
+    with contextlib.ExitStack() as stack:
+        yield _load_file(path, lambda p: stack.enter_context(open_lines(p)),
+                         "input file")
 
 
 @contextlib.contextmanager
@@ -99,20 +71,13 @@ def _open_out(path: str):
 
 
 def _load_file(path: str, loader, what: str):
-    """`loader(path)`, with a missing, unreadable or malformed file as a
-    DataError that names it."""
+    """`loader(path)`, with a missing or unreadable file as a DataError."""
     try:
         return loader(path)
     except FileNotFoundError:
         raise DataError(f"{what} not found: {path}") from None
     except OSError as exc:
         raise DataError(f"cannot read {what} {path}: {exc.strerror}") from None
-    except UnicodeDecodeError as exc:
-        raise DataError(f"cannot read {what} {path}: {exc}") from None
-    except IndexFormatError as exc:  # its message names the file already
-        raise DataError(str(exc)) from None
-    except (KBFormatError, RulesFileError) as exc:
-        raise DataError(f"{path}: {exc}") from None
 
 
 def _get_rules(args):
@@ -129,27 +94,24 @@ def _get_seg_config(args):
     return default_segmenter_config()
 
 
-def _iter_doc_lines(fp):
+def _iter_doc_lines(lines: Lines):
     """Yield (lineno, doc_or_none, raw_obj_or_text) per nonempty input line.
 
     Lines holding a JSON object with a "text" field are core_text
     documents; any other line is raw text for tokenization.
     """
-    for lineno, line in enumerate(fp, start=1):
+    for lineno, line in lines:
         line = line.rstrip("\n")
         if not line.strip():
             continue
         if line.lstrip().startswith("{"):
-            try:
-                obj = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:
-                raise DataError(f"line {lineno}: invalid JSON: {exc}")
-            if not isinstance(obj, dict) or "text" not in obj:
-                raise DataError(f"line {lineno}: document object needs a 'text' field")
+            obj = lines.json_object(lineno, line)
+            if "text" not in obj:
+                raise lines.error(lineno, "document object needs a 'text' field")
             try:
                 yield lineno, from_json_obj(obj), obj
             except (KeyError, TypeError, ValueError) as exc:
-                raise DataError(f"line {lineno}: malformed document: {exc}")
+                raise lines.error(lineno, f"malformed document: {exc}") from None
         else:
             yield lineno, None, line
 
@@ -158,8 +120,8 @@ def _ensure_doc(doc, obj, rules) -> tuple[Document, dict]:
     if doc is None:
         return tokenize(obj, rules), {}
     if not doc.tokens and doc.text.strip():
-        return tokenize(doc.text, rules), obj if isinstance(obj, dict) else {}
-    return doc, obj if isinstance(obj, dict) else {}
+        doc = tokenize(doc.text, rules)
+    return doc, obj
 
 
 # -- subcommands --------------------------------------------------------
@@ -237,21 +199,22 @@ def _cmd_index_build(args) -> int:
     return 0
 
 
-def _mention_spans(lineno: int, doc: Document, obj: dict) -> list[tuple[int, int]]:
+def _mention_spans(lines: Lines, lineno: int, doc: Document,
+                   obj: dict) -> list[tuple[int, int]]:
     mentions = obj.get("mentions", [])
     if not isinstance(mentions, list):
-        raise DataError(f"line {lineno}: 'mentions' must be a list")
+        raise lines.error(lineno, "'mentions' must be a list")
     spans = []
     for i, m in enumerate(mentions):
         if not isinstance(m, dict):
-            raise DataError(f"line {lineno}: mention {i} must be an object")
+            raise lines.error(lineno, f"mention {i} must be an object")
         start, end = m.get("start"), m.get("end")
         # only JSON integers are offsets; bool is an int subclass in Python
         if type(start) is not int or type(end) is not int:
-            raise DataError(
-                f"line {lineno}: mention {i} needs integer 'start' and 'end': {m!r}")
+            raise lines.error(
+                lineno, f"mention {i} needs integer 'start' and 'end': {m!r}")
         if not (0 <= start < end <= len(doc.text)):
-            raise DataError(f"line {lineno}: mention span out of range {m!r}")
+            raise lines.error(lineno, f"mention span out of range {m!r}")
         spans.append((start, end))
     return spans
 
@@ -265,7 +228,7 @@ def _cmd_link(args) -> int:
     with _open_in(args.input) as fin, _open_out(args.output) as fout:
         for lineno, doc, obj in _iter_doc_lines(fin):
             doc, obj = _ensure_doc(doc, obj, rules)
-            spans = _mention_spans(lineno, doc, obj)
+            spans = _mention_spans(fin, lineno, doc, obj)
             expansion = None
             if not args.no_abbrev:
                 if not doc.sentences:
@@ -290,27 +253,21 @@ def _cmd_link(args) -> int:
 
 
 def _cmd_eval_recall(args) -> int:
-    index = _load_file(args.index, load_index, "index file")
     try:
         ks = [int(k) for k in args.k_list.split(",") if k]
     except ValueError:
         raise UsageError(f"bad --k-list: {args.k_list!r}")
+    index = _load_file(args.index, load_index, "index file")
     gold = []
-    with _open_in(args.gold) as fp:
-        for lineno, line in enumerate(fp, start=1):
+    with _open_in(args.gold) as lines:
+        for lineno, line in lines:
             line = line.strip()
             if not line:
                 continue
-            where = f"{args.gold}:{lineno}"
-            try:
-                obj = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:
-                raise DataError(f"{where}: invalid JSON: {exc}")
-            if not isinstance(obj, dict):
-                raise DataError(f"{where}: gold line must be a JSON object")
+            obj = lines.json_object(lineno, line)
             for field in ("mention", "concept_id"):
                 if not isinstance(obj.get(field), str) or not obj[field]:
-                    raise DataError(f"{where}: '{field}' must be a nonempty string")
+                    raise lines.error(lineno, f"'{field}' must be a nonempty string")
             gold.append(GoldMention(obj["mention"], obj["concept_id"]))
     if not gold:
         raise DataError("empty gold mention set")
@@ -328,10 +285,10 @@ def _cmd_eval_recall(args) -> int:
 
 def _read_docs_jsonl(path: str):
     docs = []
-    with _open_in(path) as fp:
-        for lineno, doc, _ in _iter_doc_lines(fp):
+    with _open_in(path) as lines:
+        for lineno, doc, _ in _iter_doc_lines(lines):
             if doc is None:
-                raise DataError(f"{path}:{lineno}: expected core_text JSONL documents")
+                raise lines.error(lineno, "expected core_text JSONL documents")
             docs.append(doc)
     return docs
 
@@ -348,11 +305,19 @@ def _cmd_eval_segmentation(args) -> int:
     return 0
 
 
+def _nonempty_lines(path: str) -> list[str]:
+    """The stripped nonempty lines of a file; a file with none is a DataError."""
+    with _open_in(path) as lines:
+        found = [line.strip() for _, line in lines if line.strip()]
+        if not found:
+            raise DataError(f"{lines.name}: no nonempty lines")
+    return found
+
+
 def _cmd_eval_citations(args) -> int:
-    with _open_in(args.base) as fp:
-        base = [line.strip() for line in fp if line.strip()]
-    if not base:
-        raise DataError("empty base sentence file")
+    if args.n < 1:
+        raise UsageError(f"--n must be >= 1, got {args.n}")
+    base = _nonempty_lines(args.base)
     cfg = _get_seg_config(args)
     try:
         corpus = make_citation_corpus(base, args.seed, args.n)
@@ -365,9 +330,10 @@ def _cmd_eval_citations(args) -> int:
 
 def _cmd_bench(args) -> int:
     stages = [s for s in args.stages.split(",") if s]
+    if not stages:
+        raise UsageError(f"--stages names no stage: {args.stages!r}")
     index = _load_file(args.index, load_index, "index file") if args.index else None
-    with _open_in(args.input) as fp:
-        corpus = [line.strip() for line in fp if line.strip()]
+    corpus = _nonempty_lines(args.input)
     try:
         report = run_bench(corpus, stages, reps=args.reps, warmup=args.warmup,
                            index=index)
@@ -482,7 +448,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         print(parser.format_usage().rstrip(), file=sys.stderr)
         return 1
-    except DataError as exc:
+    except (DataError, InputError, IndexFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .kb import lone_surrogate
-
 
 @dataclass(frozen=True)
 class Token:
@@ -72,33 +70,6 @@ def detokenize(doc: Document) -> str:
     return "".join(parts)
 
 
-def validate_document(doc: Document) -> None:
-    """Check all structural invariants; raises AssertionError on violation.
-
-    Intended for tests and debug paths, not hot loops.
-    """
-    prev_end = len(doc.leading_ws)
-    assert doc.text.startswith(doc.leading_ws)
-    for tok in doc.tokens:
-        assert 0 <= tok.start < tok.end <= len(doc.text), tok
-        assert tok.start == prev_end, (tok, prev_end)
-        assert tok.surface == doc.text[tok.start:tok.end], tok
-        assert tok.trailing_ws == "" or tok.trailing_ws.isspace(), tok
-        assert doc.text[tok.end:tok.end + len(tok.trailing_ws)] == tok.trailing_ws
-        prev_end = tok.end + len(tok.trailing_ws)
-    assert prev_end == len(doc.text)
-    assert detokenize(doc) == doc.text
-
-    if doc.sentences:
-        assert doc.sentences[0].first_token == 0
-        assert doc.sentences[-1].last_token == len(doc.tokens) - 1
-        prev_last = -1
-        for sent in doc.sentences:
-            assert sent.first_token == prev_last + 1
-            assert sent.first_token <= sent.last_token
-            prev_last = sent.last_token
-
-
 def to_json_obj(doc: Document) -> dict:
     return {
         "text": doc.text,
@@ -113,18 +84,16 @@ def to_json_obj(doc: Document) -> dict:
 def from_json_obj(obj: dict) -> Document:
     """Rebuild a Document from its JSON form.
 
-    Surfaces and whitespace are recovered from the text and the spans.
-    Raises ValueError on a text with a lone surrogate (not writable as
-    UTF-8); naming the token, on a span that is not integers, out of range,
-    empty or not after the previous one, or on non-whitespace text before,
-    between or after the tokens; and, naming the sentence, on sentences
-    that do not cover the tokens in order without gaps or overlaps.
+    Surfaces and whitespace are recovered from the text and the spans, so a
+    valid document survives the round trip through `to_json_obj`. Raises
+    ValueError, naming the token, on a span that is not integers, out of
+    range, empty or not after the previous one, or on non-whitespace text
+    before, between or after the tokens; and, naming the sentence, on
+    sentences that do not cover the tokens in order without gaps or overlaps.
     """
     text = obj["text"]
     if not isinstance(text, str):
         raise ValueError("text must be a string")
-    if bad := lone_surrogate(text):
-        raise ValueError(f"text is not valid UTF-8 text (lone surrogate {bad})")
     spans = [(t["start"], t["end"]) for t in obj.get("tokens", [])]
     prev_end = 0
     for i, (start, end) in enumerate(spans):

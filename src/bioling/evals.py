@@ -138,6 +138,7 @@ def _inject_citation(sentence: str, family: str, rng: random.Random) -> str:
         words.insert(pos, f"{author} et al. {year}")
     elif family == "superscript":
         num = rng.randint(1, 99)
+        pos = min(pos, len(words) - 1)  # a one-word sentence has no word 1
         words[pos] = words[pos].rstrip(".,;") + f".{num}"
     else:
         raise ValueError(f"unknown citation family {family!r}")
@@ -152,12 +153,15 @@ def make_citation_corpus(
 ) -> list:
     """Deterministically inject one citation into each of n sentences.
 
-    Input sentences must be citation-free single sentences. With
-    `with_labels`, (sentence, family) pairs are returned so callers can
-    slice out the adversarial subset.
+    Input sentences must be citation-free single sentences of one or more
+    words. With `with_labels`, (sentence, family) pairs are returned so
+    callers can slice out the adversarial subset.
     """
     if not base_sentences:
         raise ValueError("empty base sentence set")
+    for i, base in enumerate(base_sentences):
+        if not base.split():
+            raise ValueError(f"base sentence {i} has no words")
     capacity = len(base_sentences) * _VARIANTS_PER_SENTENCE
     if n > capacity:
         raise ValueError(f"requested {n} sentences but capacity is {capacity}")

@@ -8,6 +8,9 @@ The KB format is JSONL, one concept per line:
 Aliases are many-to-many: one normalized alias string may map to several
 concepts. Normalization is applied to lookup keys only; original alias
 surfaces are kept for display and vectorizer input.
+
+Input is checked where it enters: `load_kb` validates each line as
+`lines.open_lines` reads it, and a bad one raises KBFormatError.
 """
 
 from __future__ import annotations
@@ -16,15 +19,16 @@ import json
 import os
 from dataclasses import dataclass, field
 
+from .lines import InputError, Lines, open_lines
+
 __all__ = [
     "Concept", "KnowledgeBase", "KBFormatError", "KBStats",
-    "load_kb", "save_kb", "normalize_alias", "kb_stats", "first_non_utf8_line",
-    "lone_surrogate",
+    "load_kb", "save_kb", "normalize_alias", "kb_stats",
 ]
 
 
-class KBFormatError(ValueError):
-    """Raised when a KB file violates the format or its invariants."""
+class KBFormatError(InputError):
+    """Raised when a line of a KB file violates the format or its invariants."""
 
 
 @dataclass(frozen=True)
@@ -68,26 +72,26 @@ def normalize_alias(s: str) -> str:
     return " ".join(s.split()).lower()
 
 
-def _parse_concept(obj: dict, lineno: int) -> tuple[Concept, list[str]]:
+def _parse_concept(obj: dict, lines: Lines, lineno: int) -> tuple[Concept, list[str]]:
     """The concept on a line, and the normalized key of each of its aliases."""
     try:
         concept_id = obj["concept_id"]
         canonical = obj["canonical_name"]
     except KeyError as exc:
-        raise KBFormatError(f"line {lineno}: missing field {exc}") from exc
+        raise lines.error(lineno, f"missing field {exc}") from exc
     if not isinstance(concept_id, str) or not concept_id:
-        raise KBFormatError(f"line {lineno}: concept_id must be a nonempty string")
+        raise lines.error(lineno, "concept_id must be a nonempty string")
     if not isinstance(canonical, str) or not canonical:
-        raise KBFormatError(f"line {lineno}: canonical_name must be a nonempty string")
+        raise lines.error(lineno, "canonical_name must be a nonempty string")
     aliases = obj.get("aliases", [])
     types = obj.get("types", [])
     definition = obj.get("definition")
     if not isinstance(aliases, list) or not all(isinstance(a, str) for a in aliases):
-        raise KBFormatError(f"line {lineno}: aliases must be a list of strings")
+        raise lines.error(lineno, "aliases must be a list of strings")
     if not isinstance(types, list) or not all(isinstance(t, str) for t in types):
-        raise KBFormatError(f"line {lineno}: types must be a list of strings")
+        raise lines.error(lineno, "types must be a list of strings")
     if definition is not None and not isinstance(definition, str):
-        raise KBFormatError(f"line {lineno}: definition must be a string or null")
+        raise lines.error(lineno, "definition must be a string or null")
     # canonical name is always an alias of its own concept
     keys = [normalize_alias(a) for a in aliases]
     canonical_key = normalize_alias(canonical)
@@ -97,76 +101,25 @@ def _parse_concept(obj: dict, lineno: int) -> tuple[Concept, list[str]]:
     return Concept(concept_id, canonical, tuple(aliases), tuple(types), definition), keys
 
 
-def lone_surrogate(text: str) -> str | None:
-    """"U+XXXX" for the first lone surrogate in `text` (from a JSON escape
-    such as "\\ud800"), which cannot be written out as UTF-8, else None."""
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        return f"U+{ord(text[exc.start]):04X}"
-    return None
-
-
-def _check_utf8(concept: Concept, lineno: int) -> None:
-    """Reject a lone surrogate in any string of the concept."""
-    fields = [("concept_id", [concept.concept_id]),
-              ("canonical_name", [concept.canonical_name]),
-              ("aliases", concept.aliases), ("types", concept.types)]
-    if concept.definition is not None:
-        fields.append(("definition", [concept.definition]))
-    for name, values in fields:
-        for value in values:
-            if bad := lone_surrogate(value):
-                raise KBFormatError(
-                    f"line {lineno}: {name} is not valid UTF-8 text (lone surrogate {bad})")
-
-
 def load_kb(path: str) -> KnowledgeBase:
-    """Load and validate a KB file; raises KBFormatError with line context."""
+    """Load and validate a KB file, or standard input for "-"; a bad line
+    raises KBFormatError naming the file and the line."""
     concepts: dict[str, Concept] = {}
     table: dict[str, set[str]] = {}
-    try:
-        with open(path, encoding="utf-8") as fp:
-            for lineno, line in enumerate(fp, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                except (json.JSONDecodeError, RecursionError) as exc:  # too deep
-                    raise KBFormatError(f"line {lineno}: invalid JSON: {exc}") from exc
-                if not isinstance(obj, dict):
-                    raise KBFormatError(
-                        f"line {lineno}: expected a JSON object, got {type(obj).__name__}")
-                concept, keys = _parse_concept(obj, lineno)
-                # the file decoded as UTF-8, so only a \u escape can make a
-                # surrogate; lines without one skip the check
-                if "\\u" in line:
-                    _check_utf8(concept, lineno)
-                if concept.concept_id in concepts:
-                    raise KBFormatError(
-                        f"line {lineno}: duplicate concept_id {concept.concept_id!r}"
-                    )
-                concepts[concept.concept_id] = concept
-                for key in keys:
-                    table.setdefault(key, set()).add(concept.concept_id)
-    except UnicodeDecodeError:
-        raise KBFormatError(
-            f"line {first_non_utf8_line(path)}: not valid UTF-8") from None
+    with open_lines(path, KBFormatError) as lines:
+        for lineno, line in lines:
+            line = line.strip()
+            if not line:
+                continue
+            obj = lines.json_object(lineno, line)
+            concept, keys = _parse_concept(obj, lines, lineno)
+            if concept.concept_id in concepts:
+                raise lines.error(lineno, f"duplicate concept_id {concept.concept_id!r}")
+            concepts[concept.concept_id] = concept
+            for key in keys:
+                table.setdefault(key, set()).add(concept.concept_id)
     alias_table = {k: frozenset(v) for k, v in table.items()}
     return KnowledgeBase(concepts, alias_table, source_path=path)
-
-
-def first_non_utf8_line(path: str) -> int | None:
-    """The 1-based number of the first line of the file at `path` that is
-    not valid UTF-8, or None if every line decodes."""
-    with open(path, "rb") as fp:
-        for lineno, raw in enumerate(fp, start=1):
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError:
-                return lineno
-    return None
 
 
 def save_kb(kb: KnowledgeBase, path: str) -> None:

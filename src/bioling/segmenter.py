@@ -16,7 +16,8 @@ from importlib import resources
 from typing import Sequence
 
 from .doc import Document, SentenceSpan
-from .tokenizer import _directives, default_biomedical_rules, tokenize
+from .lines import Lines, open_lines
+from .tokenizer import RulesFileError, _directives, default_biomedical_rules, tokenize
 
 _TERMINALS = frozenset(".!?")
 _OPENERS = frozenset("([{")
@@ -44,11 +45,12 @@ _SEGMENTER_DIRECTIVES = {
 }
 
 
-def parse_segmenter_config(text: str) -> SegmenterConfig:
+def parse_segmenter_config(source: str | Lines) -> SegmenterConfig:
     """Parse the directive format: NOSPLIT / CITE_BRACKET / CITE_AUTHOR_YEAR."""
     stoplist: set[str] = set()
     flags: set[str] = set()
-    for _, directive, arg in _directives(text, _SEGMENTER_DIRECTIVES):
+    lines = source if isinstance(source, Lines) else Lines(source, error=RulesFileError)
+    for _, directive, arg in _directives(lines, _SEGMENTER_DIRECTIVES):
         if directive == "NOSPLIT":
             stoplist.add(arg.lower())
         else:
@@ -58,8 +60,8 @@ def parse_segmenter_config(text: str) -> SegmenterConfig:
 
 
 def load_segmenter_config(path: str) -> SegmenterConfig:
-    with open(path, encoding="utf-8") as fp:
-        return parse_segmenter_config(fp.read())
+    with open_lines(path, RulesFileError) as lines:
+        return parse_segmenter_config(lines)
 
 
 @lru_cache(maxsize=1)

@@ -34,6 +34,7 @@ from importlib import resources
 from typing import Iterator
 
 from .doc import Document, Token
+from .lines import InputError, Lines, open_lines
 
 _SPACE_RE = re.compile(r"\s*")
 # a whitespace-free chunk and the whitespace after it
@@ -68,18 +69,18 @@ class TokenizerRules:
         return _Splitter(self)
 
 
-class RulesFileError(ValueError):
+class RulesFileError(InputError):
     """Raised on a malformed tokenizer/segmenter rules file."""
 
 
-def _directives(text: str, table: dict[str, bool]) -> Iterator[tuple[int, str, str]]:
+def _directives(lines: Lines, table: dict[str, bool]) -> Iterator[tuple[int, str, str]]:
     """Yield (lineno, DIRECTIVE, arg) per directive line of a rules file.
 
     Blank lines and '#' comments are skipped; directive names are
     case-insensitive. `table` maps each known directive to whether it
     takes an argument (arg is "" for one that does not).
     """
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in lines:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -87,11 +88,11 @@ def _directives(text: str, table: dict[str, bool]) -> Iterator[tuple[int, str, s
         directive = parts[0].upper()
         arg = parts[1] if len(parts) > 1 else ""
         if directive not in table:
-            raise RulesFileError(f"line {lineno}: unknown directive {directive}")
+            raise lines.error(lineno, f"unknown directive {directive}")
         if table[directive] and not arg:
-            raise RulesFileError(f"line {lineno}: {directive} needs an argument")
+            raise lines.error(lineno, f"{directive} needs an argument")
         if arg and not table[directive]:
-            raise RulesFileError(f"line {lineno}: {directive} takes no argument")
+            raise lines.error(lineno, f"{directive} takes no argument")
         yield lineno, directive, arg
 
 
@@ -99,21 +100,21 @@ _RULE_DIRECTIVES = dict.fromkeys(
     ("PREFIX", "SUFFIX", "INFIX", "PROTECT", "SPECIAL"), True)
 
 
-def parse_rules(text: str) -> TokenizerRules:
+def parse_rules(source: str | Lines) -> TokenizerRules:
     """Parse the directive format: PREFIX/SUFFIX/INFIX/PROTECT/SPECIAL."""
     found: dict[str, list[str]] = {d: [] for d in _RULE_DIRECTIVES}
     specials: dict[str, tuple[str, ...]] = {}
-    for lineno, directive, arg in _directives(text, _RULE_DIRECTIVES):
+    lines = source if isinstance(source, Lines) else Lines(source, error=RulesFileError)
+    for lineno, directive, arg in _directives(lines, _RULE_DIRECTIVES):
         if directive != "SPECIAL":
             found[directive].append(arg)
             continue
         if "=>" not in arg:
-            raise RulesFileError(f"line {lineno}: SPECIAL needs '=>'")
+            raise lines.error(lineno, "SPECIAL needs '=>'")
         literal, rhs = (s.strip() for s in arg.split("=>", 1))
         pieces = tuple(p for p in rhs.split("|") if p)
         if "".join(pieces) != literal:
-            raise RulesFileError(
-                f"line {lineno}: SPECIAL pieces must concatenate to {literal!r}")
+            raise lines.error(lineno, f"SPECIAL pieces must concatenate to {literal!r}")
         specials[literal] = pieces
     return TokenizerRules(
         tuple(found["PREFIX"]), tuple(found["SUFFIX"]), tuple(found["INFIX"]),
@@ -122,8 +123,8 @@ def parse_rules(text: str) -> TokenizerRules:
 
 
 def load_rules(path: str) -> TokenizerRules:
-    with open(path, encoding="utf-8") as fp:
-        return parse_rules(fp.read())
+    with open_lines(path, RulesFileError) as lines:
+        return parse_rules(lines)
 
 
 @lru_cache(maxsize=1)

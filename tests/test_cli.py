@@ -25,7 +25,8 @@ def run(capsys, monkeypatch):
         import io
         import sys
         # a byte stream under a text wrapper, as the real stdin is
-        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin.encode())))
+        raw = stdin if isinstance(stdin, bytes) else stdin.encode()
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw)))
         code = main(argv)
         captured = capsys.readouterr()
         return code, captured.out, captured.err
@@ -244,7 +245,40 @@ def test_eval_recall_malformed_gold_exits_2(run, index_path, tmp_path, line, fie
                     + line + "\n")
     code, _, err = run(["eval", "recall", "--index", index_path, "--gold", str(gold)])
     assert code == 2
-    assert f"{gold}:2" in err and field in err and "Traceback" not in err
+    assert f"{gold}: line 2:" in err and field in err and "Traceback" not in err
+
+
+def test_eval_citations_one_word_base_sentence(run):
+    code, out, err = run(["eval", "citations", "--base", "-", "--n", "8"],
+                         stdin="Mice\n")
+    assert code == 0, err
+    assert json.loads(out) == {"n": 8, "seed": 13, "intact_rate": 1.0}
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["eval", "citations", "--base", "{missing}", "--n", "0"], "--n"),
+    (["eval", "citations", "--base", "{missing}", "--n", "-5"], "--n"),
+    (["bench", "--input", "{missing}", "--stages", ","], "--stages"),
+    (["eval", "recall", "--index", "{missing}", "--gold", "{missing}", "--k-list", "5,x"],
+     "--k-list"),
+], ids=["n 0", "n -5", "no stages", "k-list"])
+def test_bad_flag_value_exits_1(run, tmp_path, argv, flag):
+    # checked before any file is read, so the missing file is not reported
+    missing = str(tmp_path / "missing.txt")
+    code, out, err = run([a.format(missing=missing) for a in argv])
+    assert code == 1 and out == ""
+    assert flag in err and "missing.txt" not in err
+
+
+@pytest.mark.parametrize("argv", [["eval", "citations", "--base"],
+                                  ["bench", "--stages", "tokenize", "--input"]],
+                         ids=["base sentences", "bench corpus"])
+def test_file_of_blank_lines_exits_2(run, tmp_path, argv):
+    path = tmp_path / "blank.txt"
+    path.write_text("\n  \n")
+    code, _, err = run(argv + [str(path)])
+    assert code == 2
+    assert f"{path}: no nonempty lines" in err and "Traceback" not in err
 
 
 def test_eval_segmentation(run, tmp_path):
@@ -325,7 +359,7 @@ def test_deeply_nested_gold_line_exits_2(run, index_path, tmp_path):
     gold.write_text(DEEP_JSON_LINE + "\n")
     code, _, err = run(["eval", "recall", "--index", index_path, "--gold", str(gold)])
     assert code == 2
-    assert f"{gold}:1: invalid JSON" in err and "Traceback" not in err
+    assert f"{gold}: line 1: invalid JSON" in err and "Traceback" not in err
 
 
 def test_boolean_offsets_exit_2(run):
@@ -385,18 +419,67 @@ def test_unreadable_rules_file_exits_2(run, tmp_path, command, flag, kind):
     assert str(path) in err and "Traceback" not in err
 
 
-NOT_UTF8 = b'{"text": "fine"}\n\xff\xfe\n'
-
-
 @pytest.mark.parametrize("argv", [["tokenize"], ["segment"], ["abbrev"],
                                   ["kb", "validate"]])
 def test_non_utf8_input_exits_2(run, tmp_path, argv):
+    # line 1 is valid for the command, so the undecodable line 2 is the
+    # first bad line
+    first = (b'{"concept_id": "C1", "canonical_name": "fine"}' if argv[0] == "kb"
+             else b'{"text": "fine"}')
     path = tmp_path / "input.jsonl"
-    path.write_bytes(NOT_UTF8)
+    path.write_bytes(first + b"\n\xff\xfe\n")
     code, _, err = run(argv + ["--input", str(path)])
     assert code == 2
-    assert f"{path}:2:" in err or f"{path}: line 2:" in err
-    assert "UTF-8" in err and "Traceback" not in err
+    assert f"{path}: line 2: not valid UTF-8" in err and "Traceback" not in err
+
+
+_GOOD_GOLD = b'{"mention": "tumor", "concept_id": "C03"}'
+_GOOD_CONCEPT = b'{"concept_id": "C1", "canonical_name": "A"}'
+# input -> (argv, with {path} for the file or "-", a good line 1, a bad line 2)
+_LINE_INPUTS = {
+    "document file": (["tokenize", "--input", "{path}"], b'{"text": "A"}',
+                      b'{"text": "A", "tokens": [{"start": 0, "end": 9}]}'),
+    "document stdin": (["abbrev", "--input", "{path}"], b"A line.", b'{"tokens": []}'),
+    "pred documents": (["eval", "segmentation", "--pred", "{path}", "--gold", "{path}"],
+                       b'{"text": ""}', b"raw text"),
+    "mentions": (["link", "--index", "{index}", "--input", "{path}"], b'{"text": "A"}',
+                 b'{"text": "A", "mentions": [{"start": 0, "end": 5}]}'),
+    # the same concept twice: a duplicate concept_id
+    "KB": (["kb", "validate", "--input", "{path}"], _GOOD_CONCEPT, _GOOD_CONCEPT),
+    "gold": (["eval", "recall", "--index", "{index}", "--gold", "{path}"], _GOOD_GOLD,
+             b'{"mention": "tumor"}'),
+    "rules": (["tokenize", "--rules", "{path}", "--input", "{text}"], b"PREFIX (",
+              b"FROBNICATE x"),
+    "segmenter config": (["segment", "--seg-config", "{path}", "--input", "{text}"],
+                         b"NOSPLIT al.", b"CITE_BRACKET yes"),
+    "base sentences": (["eval", "citations", "--base", "{path}", "--n", "8"],
+                       b"Mice were treated.", None),
+    "bench corpus": (["bench", "--input", "{path}", "--stages", "tokenize", "--reps", "1",
+                      "--warmup", "0"], b"Mice were treated.", None),
+}  # any line that decodes is a valid base sentence or bench abstract
+
+
+@pytest.mark.parametrize("kind, bad", [
+    *((kind, "malformed") for kind, case in sorted(_LINE_INPUTS.items()) if case[2]),
+    *((kind, "not UTF-8") for kind in sorted(_LINE_INPUTS)),
+])
+def test_bad_line_names_file_and_line(run, index_path, tmp_path, kind, bad):
+    argv, good, malformed = _LINE_INPUTS[kind]
+    content = good + b"\n" + (b"\xff" if bad == "not UTF-8" else malformed) + b"\n"
+    text = tmp_path / "text.txt"
+    text.write_text("A line.\n")
+    if kind == "document stdin":
+        path, name, stdin = "-", "standard input", content
+    else:
+        path = name = str(tmp_path / "input")
+        pathlib.Path(path).write_bytes(content)
+        stdin = ""
+    code, _, err = run([a.format(path=path, index=index_path, text=text) for a in argv],
+                       stdin=stdin)
+    assert code == 2
+    assert err.startswith(f"error: {name}: line 2: ") and "Traceback" not in err
+    if bad == "not UTF-8":
+        assert err == f"error: {name}: line 2: not valid UTF-8\n"
 
 
 @pytest.mark.parametrize("min_df", ["0", "-3"])
@@ -452,7 +535,7 @@ def test_non_utf8_stdin_exits_2_under_c_locale():
          "tokenize"],
         input=b'{"text": "fine"}\n\xff\n', capture_output=True, env=env, timeout=60)
     assert proc.returncode == 2
-    assert b"standard input:2: not valid UTF-8" in proc.stderr
+    assert b"standard input: line 2: not valid UTF-8" in proc.stderr
     assert b"\xff" not in proc.stdout and b"Traceback" not in proc.stderr
 
 
@@ -475,16 +558,27 @@ _JSON = st.recursive(
                    | st.dictionaries(st.sampled_from(_FIELDS) | st.text(max_size=4),
                                      inner, max_size=5)),
     max_leaves=16)
-_LINES = st.text() | _JSON.map(json.dumps)
+# rule file and segmenter config directives, so rule lines often parse
+_DIRECTIVES = ["PREFIX", "SUFFIX", "INFIX", "PROTECT", "SPECIAL", "NOSPLIT",
+               "CITE_BRACKET", "CITE_AUTHOR_YEAR"]
+_LINES = (st.text() | _JSON.map(json.dumps)
+          | st.tuples(st.sampled_from(_DIRECTIVES), st.text(max_size=8)).map(" ".join))
 _TOY_BLIX = str(pathlib.Path(__file__).parent / "data" / "toy.blix")
 
 
-def _fuzz_commands(path):
+def _fuzz_commands(path, text):
+    """Each command reads `path` as one kind of input; `text` is a fixed
+    document file for the commands that read `path` as rules."""
     return [["tokenize", "--input", path], ["segment", "--input", path],
             ["abbrev", "--input", path], ["link", "--index", _TOY_BLIX, "--input", path],
             ["eval", "recall", "--index", _TOY_BLIX, "--gold", path],
             ["eval", "segmentation", "--pred", path, "--gold", path],
-            ["kb", "validate", "--input", path]]
+            ["kb", "validate", "--input", path],
+            ["tokenize", "--rules", path, "--input", text],
+            ["segment", "--seg-config", path, "--input", text],
+            ["bench", "--input", path, "--stages", "tokenize,segment,abbrev",
+             "--reps", "1", "--warmup", "0"],
+            ["eval", "citations", "--base", path, "--n", "8"]]
 
 
 @settings(max_examples=150, deadline=None)
@@ -492,6 +586,8 @@ def _fuzz_commands(path):
 @example(line=DEEP_JSON_LINE)
 @example(line='{"text": "\\ud800 x", "mentions": [{"start": 0, "end": 1}]}')
 @example(line='{"text":"a","tokens":[{"start":false,"end":true}]}')
+@example(line="Mice")  # a one-word base sentence
+@example(line="SPECIAL (a) => (|a|)")
 def test_any_input_line_exits_0_or_2(line):
     with tempfile.TemporaryDirectory() as directory:
         path = os.path.join(directory, "input.jsonl")
@@ -499,7 +595,10 @@ def test_any_input_line_exits_0_or_2(line):
         # not UTF-8
         with open(path, "wb") as fp:
             fp.write(line.encode("utf-8", "surrogatepass") + b"\n")
-        for argv in _fuzz_commands(path):
+        text = os.path.join(directory, "text.txt")
+        with open(text, "w", encoding="utf-8") as fp:
+            fp.write("Heat shock protein (HSP) rose, e.g. 5-fold [1]. IL-2 fell.\n")
+        for argv in _fuzz_commands(path, text):
             # strict UTF-8, as a real stdout, so unwritable output raises
             out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):

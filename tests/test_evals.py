@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from bioling.doc import SentenceSpan
@@ -124,6 +126,30 @@ def test_citation_corpus_capacity_bound():
         make_citation_corpus(BASE_SENTENCES, seed=0, n=capacity + 1)
     with pytest.raises(ValueError, match="empty"):
         make_citation_corpus([], seed=0, n=1)
+
+
+def test_one_word_sentence_gets_every_family():
+    labeled = make_citation_corpus(["Mice"], seed=13, n=200, with_labels=True)
+    assert {fam for _, fam in labeled} == set(CITATION_FAMILIES)
+    for sent, fam in labeled:
+        assert sent.startswith("Mice") and sent != "Mice"
+        if fam == "superscript":
+            assert sent.startswith("Mice.")
+
+
+@pytest.mark.parametrize("blank", ["", "   ", "\t\n"])
+def test_sentence_without_words_is_rejected(blank):
+    with pytest.raises(ValueError, match="base sentence 1 has no words"):
+        make_citation_corpus(["Mice were treated.", blank], seed=13, n=1)
+
+
+def test_corpus_of_multiword_sentences_is_pinned():
+    # sha256 of the corpus as first generated; the one-word fix must not
+    # change corpora whose sentences all have two or more words
+    corpus = make_citation_corpus(["Mice were treated daily.", "Levels rose."],
+                                  seed=13, n=500)
+    digest = hashlib.sha256("\n".join(corpus).encode()).hexdigest()
+    assert digest.startswith("8f6f2691d5b81b2c")
 
 
 def test_citation_corpus_sentences_differ_from_base():
