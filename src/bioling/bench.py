@@ -12,7 +12,7 @@ from __future__ import annotations
 import platform
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from . import abbrev as abbrev_mod
@@ -45,21 +45,8 @@ class BenchReport:
     per_rep_total_s: tuple[float, ...] = ()
 
     def as_dict(self) -> dict:
-        return {
-            "stages": list(self.stages),
-            "n_docs": self.n_docs,
-            "n_sentences": self.n_sentences,
-            "reps": self.reps,
-            "warmup": self.warmup,
-            "total_wall_s": self.total_wall_s,
-            "ms_per_abstract_median": self.ms_per_abstract_median,
-            "ms_per_abstract_mean": self.ms_per_abstract_mean,
-            "ms_per_sentence_median": self.ms_per_sentence_median,
-            "setup_s": self.setup_s,
-            "hardware_note": self.hardware_note,
-            "cpu_total_s": self.cpu_total_s,
-            "per_rep_total_s": list(self.per_rep_total_s),
-        }
+        return {**asdict(self), "stages": list(self.stages),
+                "per_rep_total_s": list(self.per_rep_total_s)}
 
 
 def _bench_mentions(doc) -> list[str]:

@@ -256,7 +256,10 @@ def _cmd_eval_recall(args) -> int:
     try:
         ks = [int(k) for k in args.k_list.split(",") if k]
     except ValueError:
-        raise UsageError(f"bad --k-list: {args.k_list!r}")
+        ks = []
+    if not ks or ks[0] < 1 or any(b <= a for a, b in zip(ks, ks[1:])):
+        raise UsageError(f"--k-list must be integers, increasing from 1 or more: "
+                         f"{args.k_list!r}")
     index = _load_file(args.index, load_index, "index file")
     gold = []
     with _open_in(args.gold) as lines:
@@ -271,10 +274,7 @@ def _cmd_eval_recall(args) -> int:
             gold.append(GoldMention(obj["mention"], obj["concept_id"]))
     if not gold:
         raise DataError("empty gold mention set")
-    try:
-        curve = recall_at_k(index, gold, ks)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    curve = recall_at_k(index, gold, ks)
     with _open_out(args.output) as fout:
         fout.write("k,recall,mean_candidates,max_candidates\n")
         for p in curve.points:
@@ -332,13 +332,17 @@ def _cmd_bench(args) -> int:
     stages = [s for s in args.stages.split(",") if s]
     if not stages:
         raise UsageError(f"--stages names no stage: {args.stages!r}")
+    unknown = sorted(set(stages) - set(STAGES))
+    if unknown:
+        raise UsageError(f"--stages names unknown stages {unknown}; known: {', '.join(STAGES)}")
+    if args.reps < 1 or args.warmup < 0:
+        raise UsageError(f"--reps must be >= 1 and --warmup >= 0, "
+                         f"got {args.reps} and {args.warmup}")
+    if "link" in stages and not args.index:
+        raise UsageError("--stages link needs --index")
     index = _load_file(args.index, load_index, "index file") if args.index else None
     corpus = _nonempty_lines(args.input)
-    try:
-        report = run_bench(corpus, stages, reps=args.reps, warmup=args.warmup,
-                           index=index)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    report = run_bench(corpus, stages, reps=args.reps, warmup=args.warmup, index=index)
     if args.json:
         print(json.dumps(report.as_dict()))
     else:

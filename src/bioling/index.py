@@ -1,14 +1,13 @@
 """Searchable alias index: exact cosine top-k.
 
-Alias vectors are one CSR matrix (`indptr`, `indices`, `weights`), the
-same three arrays a `.blix` file stores, from build through disk to
-search. The inverted index over gram ids is the CSC transpose of that
-matrix, derived on every build and load and never stored. A query's
-score against every alias is accumulated from the posting lists of its
-grams. Since all weights are non-negative and vectors unit-normalized,
-scores are cosines in [0, 1]. Rows are stored in alias order, so the
-row number is the tie-break: ties at the same cosine come out
-lexicographically by alias string.
+Alias vectors are kept as one posting list per gram id (`AliasIndex`),
+the CSC form of the alias-by-gram matrix and the arrays a `.blix` file
+stores: `build_index` transposes `encode_csr`'s rows into it once, and
+loading reads it as stored. A query's score against every alias is
+accumulated from the posting lists of its grams. Since all weights are
+non-negative and vectors unit-normalized, scores are cosines in [0, 1].
+Rows are stored in alias order, so the row number is the tie-break: ties
+at the same cosine come out lexicographically by alias string.
 
 Top-k selection never sorts the whole index: zero scores are dropped,
 `np.partition` finds the k-th best remaining score, and only the rows
@@ -20,26 +19,34 @@ each key has one row: its smallest surface, carrying the key's concept
 ids. A top-k slot is thus one alias key.
 
 Persistence: single little-endian binary file, magic "BLIX", format
-version 3 (see docs/index-format.md). `save_index` replaces the target
-atomically; `load_index` checks the grams, document frequencies, alias
-order, concept ids, CSR structure and values, and raises
-`IndexFormatError` on any corrupt or older file. Constructors trust
-their inputs; the reader checks them.
+version 4 (see docs/index-format.md): a header, flat typed arrays and a
+CRC-32 trailer. `save_index` replaces the target atomically;
+`load_index` raises `IndexFormatError` on any damaged, malformed or
+older file. Constructors trust their inputs; the reader checks them.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 import os
 import struct
+import zlib
 from typing import BinaryIO
 
 import numpy as np
 
 from .kb import KnowledgeBase, normalize_alias
-from .vectorizer import NgramVectorizer, SparseVector
+from .vectorizer import NgramVectorizer, SparseVector, gram_code_points
 
 MAGIC = b"BLIX"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
+# magic, version, n_docs, min_df
+_HEADER = struct.Struct("<4sHII")
+# the arrays after the header, in file order, with their stored types: gram
+# codes, document frequencies, aliases (code-point offsets, UTF-8 bytes),
+# per-row concept id offsets, concept ids (likewise) and the postings
+_ARRAYS = ("<i8", "<i8", "<i8", "u1", "<i8", "<i8", "u1", "<i8", "<i4", "<f8")
 
 
 class IndexFormatError(ValueError):
@@ -47,55 +54,50 @@ class IndexFormatError(ValueError):
 
 
 class AliasIndex:
-    """Alias rows, each a surface with its sorted concept ids, and their
-    vectors as one CSR matrix.
+    """Alias rows, each a surface with its sorted concept ids, and the
+    posting list of each gram id over those rows.
 
     `alias_table` maps each row's surface to its concept ids, in row order,
-    and `aliases` lists its keys: row i of (`indptr`, `indices`, `weights`)
-    is the vector of `aliases[i]`; the arrays are used as given, without
-    copies. Aliases must be strictly increasing: row order is the tie-break
-    order.
+    and `aliases` lists its keys. Gram g occurs in the rows
+    `post_rows[post_ptr[g]:post_ptr[g + 1]]`, strictly increasing, with the
+    weights of `post_weights` at the same positions; the arrays are used as
+    given, without copies. Aliases must be strictly increasing: row order
+    is the tie-break order.
     """
 
     def __init__(
         self,
         alias_table: dict[str, tuple[str, ...]],
-        indptr: np.ndarray,
-        indices: np.ndarray,
-        weights: np.ndarray,
+        post_ptr: np.ndarray,
+        post_rows: np.ndarray,
+        post_weights: np.ndarray,
         vectorizer: NgramVectorizer,
     ):
         self.alias_table = alias_table
         self.aliases = list(alias_table)
-        self.indptr = np.asarray(indptr, dtype=np.int64)
-        self.indices = np.asarray(indices, dtype=np.int32)
-        self.weights = np.asarray(weights, dtype=np.float64)
+        self.post_ptr = post_ptr
+        self.post_rows = post_rows
+        self.post_weights = post_weights
         self.vectorizer = vectorizer
-        # postings: the CSC transpose. The stable sort keeps each gram's
-        # rows ascending, the order in which their scores accumulate.
-        by_gram = np.argsort(self.indices, kind="stable")
-        row_of_entry = np.repeat(np.arange(len(self.aliases)), np.diff(self.indptr))
-        self._post_rows = row_of_entry[by_gram]
-        self._post_weights = self.weights[by_gram]
-        self._post_ptr = np.zeros(vectorizer.vocab_size + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.indices, minlength=vectorizer.vocab_size),
-                  out=self._post_ptr[1:])
 
     def __len__(self) -> int:
         return len(self.aliases)
 
     def row(self, i: int) -> SparseVector:
-        """The vector of alias i, as views into the CSR arrays."""
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        return SparseVector(self.indices[lo:hi], self.weights[lo:hi])
+        """The vector of alias i, gathered from every posting list that holds
+        the row. This scans all postings: it serves checks, not search."""
+        at = np.flatnonzero(self.post_rows == i)
+        # entries are in gram order, so the gram ids come out increasing
+        grams = np.searchsorted(self.post_ptr, at, side="right") - 1
+        return SparseVector(grams.astype(np.int32), self.post_weights[at])
 
     # -- scoring --------------------------------------------------------
 
     def _exact_scores(self, query: SparseVector) -> np.ndarray:
         scores = np.zeros(len(self.aliases), dtype=np.float64)
         for gi, w in zip(query.indices, query.weights):
-            lo, hi = self._post_ptr[gi], self._post_ptr[gi + 1]
-            scores[self._post_rows[lo:hi]] += float(w) * self._post_weights[lo:hi]
+            lo, hi = self.post_ptr[gi], self.post_ptr[gi + 1]
+            scores[self.post_rows[lo:hi]] += float(w) * self.post_weights[lo:hi]
         return scores
 
     def nearest_aliases(self, query: SparseVector, k: int) -> list[tuple[str, float]]:
@@ -132,44 +134,44 @@ def build_index(kb: KnowledgeBase, vectorizer: NgramVectorizer) -> AliasIndex:
         smallest.setdefault(normalize_alias(alias), alias)
     alias_table = {alias: tuple(sorted(kb.alias_table[key])) for key, alias in smallest.items()}
     indptr, indices, weights = vectorizer.encode_csr(list(alias_table))
-    return AliasIndex(alias_table, indptr, indices, weights, vectorizer)
+    # the postings are the CSC transpose of these rows; the stable sort keeps
+    # each gram's rows ascending, the order in which their scores accumulate
+    by_gram = np.argsort(indices, kind="stable")
+    post_rows = np.repeat(np.arange(len(alias_table)), np.diff(indptr))[by_gram]
+    post_ptr = np.zeros(vectorizer.vocab_size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(indices, minlength=vectorizer.vocab_size), out=post_ptr[1:])
+    return AliasIndex(alias_table, post_ptr, post_rows, weights[by_gram], vectorizer)
 
 
 # -- persistence --------------------------------------------------------
 
-def _write_str(fp: BinaryIO, s: str) -> None:
-    data = s.encode("utf-8")
-    fp.write(struct.pack("<I", len(data)))
-    fp.write(data)
+def _offsets(items) -> np.ndarray:
+    """0, then the running total of the lengths of the items."""
+    return np.cumsum([0, *map(len, items)], dtype=np.int64)
 
 
-def _write_array(fp: BinaryIO, arr: np.ndarray, dtype: str) -> None:
-    arr = np.asarray(arr, dtype=dtype)
-    fp.write(struct.pack("<Q", len(arr)))
-    fp.write(arr.tobytes())
+def _string_list(items: list[str]) -> list[np.ndarray]:
+    """The code-point offsets of the items, then the UTF-8 bytes of all."""
+    return [_offsets(items), np.frombuffer("".join(items).encode("utf-8"), dtype=np.uint8)]
 
 
 def _write_index(fp: BinaryIO, index: AliasIndex) -> None:
-    fp.write(MAGIC)
-    fp.write(struct.pack("<H", FORMAT_VERSION))
-    # vectorizer
     v = index.vectorizer
-    fp.write(struct.pack("<III", v.n_docs, v.min_df, v.vocab_size))
-    for gram in v.grams:
-        _write_str(fp, gram)
-    _write_array(fp, v.df, "<i8")
-    # alias rows, each with its concept ids
-    fp.write(struct.pack("<I", len(index.aliases)))
-    for alias in index.aliases:
-        _write_str(fp, alias)
-        ids = index.alias_table[alias]
-        fp.write(struct.pack("<I", len(ids)))
-        for cid in ids:
-            _write_str(fp, cid)
-    # vectors, CSR
-    _write_array(fp, index.indptr, "<i8")
-    _write_array(fp, index.indices, "<i4")
-    _write_array(fp, index.weights, "<f8")
+    ids = [index.alias_table[alias] for alias in index.aliases]
+    arrays = [v.codes, v.df, *_string_list(index.aliases), _offsets(ids),
+              *_string_list(list(itertools.chain.from_iterable(ids))),
+              index.post_ptr, index.post_rows, index.post_weights]
+    header = _HEADER.pack(MAGIC, FORMAT_VERSION, v.n_docs, v.min_df)
+    fp.write(header)
+    crc = zlib.crc32(header)
+    for arr, dtype in zip(arrays, _ARRAYS):
+        # an array[T]: u64 element count, then the raw elements
+        arr = np.ascontiguousarray(arr, dtype=dtype)
+        count = struct.pack("<Q", len(arr))
+        fp.write(count)
+        fp.write(arr)
+        crc = zlib.crc32(arr, zlib.crc32(count, crc))
+    fp.write(struct.pack("<I", crc))
 
 
 def save_index(index: AliasIndex, path: str) -> None:
@@ -188,114 +190,121 @@ def save_index(index: AliasIndex, path: str) -> None:
         raise
 
 
-class _Reader:
-    """Bounds-checked cursor over the bytes of a `.blix` file."""
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def skip(self, n: int) -> int:
-        """Advance past n bytes and return the offset they start at."""
-        start = self.pos
-        if n > len(self.data) - start:
+def _read_arrays(body: memoryview) -> list[np.ndarray]:
+    """The arrays after the header, each copied, integers into int64: a view
+    at an odd file offset is unaligned and searches slower, and no view of
+    the file's bytes outlives the load."""
+    arrays, pos = [], _HEADER.size
+    for dtype in _ARRAYS:
+        count, start = body[pos:pos + 8], pos + 8
+        n = int.from_bytes(count, "little")
+        if len(count) < 8 or start + n * np.dtype(dtype).itemsize > len(body):
             raise IndexFormatError("unexpected end of file")
-        self.pos = start + n
-        return start
-
-    def unpack(self, fmt: str) -> tuple:
-        return struct.unpack_from(fmt, self.data, self.skip(struct.calcsize(fmt)))
-
-    def string(self) -> str:
-        (n,) = self.unpack("<I")
-        start = self.skip(n)
-        try:
-            return self.data[start:start + n].decode("utf-8")
-        except UnicodeDecodeError:
-            raise IndexFormatError(f"invalid UTF-8 in string at byte {start}") from None
-
-    def array(self, dtype: str) -> np.ndarray:
-        (n,) = self.unpack("<Q")
-        start = self.skip(n * np.dtype(dtype).itemsize)
-        return np.frombuffer(self.data, dtype=dtype, count=n, offset=start)
+        view = np.frombuffer(body, dtype=dtype, count=n, offset=start)
+        arrays.append(view.astype(np.int64 if view.dtype.kind == "i" else view.dtype))
+        pos = start + view.nbytes
+    if pos != len(body):
+        raise IndexFormatError(f"{len(body) - pos} trailing bytes after the postings")
+    return arrays
 
 
-def _check_csr(n_aliases: int, vocab_size: int, indptr: np.ndarray,
-               indices: np.ndarray, weights: np.ndarray) -> None:
-    if len(indptr) != n_aliases + 1:
-        raise IndexFormatError(f"indptr has {len(indptr)} entries for {n_aliases} aliases")
-    if indptr[0] != 0 or np.any(indptr[1:] < indptr[:-1]):
-        raise IndexFormatError("indptr must start at 0 and never decrease")
-    if indptr[-1] != len(indices) or indptr[-1] != len(weights):
+def _check_offsets(offsets: np.ndarray, count: int, end: int, what: str) -> None:
+    """Offsets that cut `end` items into `count` runs, in order."""
+    if len(offsets) != count + 1:
+        raise IndexFormatError(f"{what} offsets have {len(offsets)} entries, not {count + 1}")
+    if offsets[0] != 0 or offsets[-1] != end or np.any(offsets[1:] < offsets[:-1]):
         raise IndexFormatError(
-            f"indptr ends at {indptr[-1]} but there are {len(indices)} gram ids "
-            f"and {len(weights)} weights")
-    if len(indices) and (indices.min() < 0 or indices.max() >= vocab_size):
-        raise IndexFormatError(f"gram id outside [0, {vocab_size})")
-    # a repeated gram id in a row would be scored twice
-    unordered = np.diff(indices) <= 0
-    row_starts = indptr[1:-1]
-    unordered[row_starts[(row_starts > 0) & (row_starts < len(indices))] - 1] = False
+            f"{what} offsets must start at 0, never decrease and end at {end}")
+
+
+def _strings(offsets: np.ndarray, data: np.ndarray, what: str) -> list[str]:
+    """A string list, its UTF-8 bytes decoded at once and cut at its offsets."""
+    try:
+        text = str(data, "utf-8")
+    except UnicodeDecodeError:
+        raise IndexFormatError(f"invalid UTF-8 in the {what}s") from None
+    _check_offsets(offsets, max(len(offsets) - 1, 0), len(text), what)
+    bounds = offsets.tolist()
+    return [text[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _check_concept_ids(aliases: list[str], id_ptr: np.ndarray, ids: tuple[str, ...]) -> None:
+    # each id above the one before it in its row, the first of a row above ""
+    before = np.array(["", *ids[:-1]], dtype=object)
+    counts = np.diff(id_ptr)
+    before[id_ptr[:-1][counts > 0]] = ""
+    bad = np.flatnonzero(~np.fromiter(map(operator.lt, before, ids), dtype=bool, count=len(ids)))
+    bad_rows = np.append(np.flatnonzero(counts == 0), np.searchsorted(id_ptr, bad, "right") - 1)
+    if len(bad_rows):
+        raise IndexFormatError(f"alias {aliases[bad_rows.min()]!r} needs one or more "
+                               "concept ids, nonempty, sorted and unique")
+
+
+def _check_postings(n_aliases: int, vocab_size: int, ptr: np.ndarray,
+                    rows: np.ndarray, weights: np.ndarray) -> None:
+    _check_offsets(ptr, vocab_size, len(rows), "posting")
+    if len(weights) != len(rows):
+        raise IndexFormatError(f"{len(rows)} posting rows but {len(weights)} weights")
+    if len(rows) and (rows.min() < 0 or rows.max() >= n_aliases):
+        raise IndexFormatError(f"posting row outside [0, {n_aliases})")
+    # a repeated row in a posting list would be scored twice
+    unordered = np.diff(rows) <= 0
+    list_starts = ptr[1:-1]
+    unordered[list_starts[(list_starts > 0) & (list_starts < len(rows))] - 1] = False
     if unordered.any():
-        raise IndexFormatError("gram ids must be strictly increasing within a row")
+        raise IndexFormatError("rows must be strictly increasing within a posting list")
     if not np.all(np.isfinite(weights) & (weights >= 0.0)):
         raise IndexFormatError("weights must be finite and non-negative")
 
 
-def _check_increasing(items: list[str], what: str) -> None:
-    if any(a >= b for a, b in zip(items, items[1:])):
-        raise IndexFormatError(f"{what} must be strictly increasing (sorted, no repeats)")
-
-
-def _parse_index(r: _Reader) -> AliasIndex:
-    if r.data[:4] != MAGIC:
+def _parse_index(data: bytes) -> AliasIndex:
+    if data[:4] != MAGIC:
         raise IndexFormatError("not an index file (bad magic)")
-    r.skip(4)
-    (version,) = r.unpack("<H")
+    if len(data) < _HEADER.size + 4:
+        raise IndexFormatError("unexpected end of file")
+    _, version, n_docs, min_df = _HEADER.unpack_from(data)
     if version != FORMAT_VERSION:
         raise IndexFormatError(
             f"unsupported format version {version} (expected {FORMAT_VERSION}); "
             "rebuild the index with `bioling index build`")
-    n_docs, min_df, vocab_size = r.unpack("<III")
-    grams = [r.string() for _ in range(vocab_size)]
-    # a repeated gram would shadow an earlier id in the vocabulary
-    _check_increasing(grams, "grams")
-    if any(len(g) != 3 for g in grams):
-        raise IndexFormatError("every gram must be exactly 3 code points long")
-    df = r.array("<i8")
-    if len(df) != vocab_size:
-        raise IndexFormatError(f"{len(df)} document frequencies for {vocab_size} grams")
+    # the CRC-32 trailer covers every byte before it
+    body = memoryview(data)[:-4]
+    if zlib.crc32(body) != int.from_bytes(data[-4:], "little"):
+        raise IndexFormatError("CRC-32 mismatch: the file is damaged")
+    (codes, df, alias_offsets, alias_bytes, id_ptr, id_offsets, id_bytes,
+     post_ptr, post_rows, post_weights) = _read_arrays(body)
+    # a repeated code would shadow an earlier gram id in the vocabulary
+    if np.any(codes[1:] <= codes[:-1]):
+        raise IndexFormatError("gram codes must be strictly increasing")
+    cp = gram_code_points(codes)
+    if np.any((cp < 0) | (cp > 0x10FFFF) | ((cp >= 0xD800) & (cp <= 0xDFFF))):
+        raise IndexFormatError("every gram code must pack 3 Unicode scalar values")
+    if len(df) != len(codes):
+        raise IndexFormatError(f"{len(df)} document frequencies for {len(codes)} grams")
     # fit keeps only grams with min_df <= df <= n_docs; outside that the
     # idf is NaN or below 1
     if len(df) and (df.min() < max(1, min_df) or df.max() > n_docs):
         raise IndexFormatError(
             f"document frequencies must lie in [max(1, min_df), n_docs] = "
             f"[{max(1, min_df)}, {n_docs}]")
-    vectorizer = NgramVectorizer(grams, df, n_docs, min_df)
-    (n_aliases,) = r.unpack("<I")
-    rows = []
-    for _ in range(n_aliases):
-        alias, (n_ids,) = r.string(), r.unpack("<I")
-        ids = tuple(r.string() for _ in range(n_ids))
-        # written sorted and unique, so an empty id would come first
-        if not ids or not ids[0] or any(a >= b for a, b in zip(ids, ids[1:])):
-            raise IndexFormatError(f"alias {alias!r} needs one or more concept ids, "
-                                   "nonempty, sorted and unique")
-        rows.append((alias, ids))
+    aliases = _strings(alias_offsets, alias_bytes, "alias")
     # row order is the tie-break order
-    _check_increasing([alias for alias, _ in rows], "aliases")
-    indptr, indices, weights = r.array("<i8"), r.array("<i4"), r.array("<f8")
-    _check_csr(n_aliases, vocab_size, indptr, indices, weights)
-    if r.pos != len(r.data):
-        raise IndexFormatError(
-            f"{len(r.data) - r.pos} trailing bytes after the vectors")
-    return AliasIndex(dict(rows), indptr, indices, weights, vectorizer)
+    if not all(map(operator.lt, aliases, aliases[1:])):
+        raise IndexFormatError("aliases must be strictly increasing (sorted, no repeats)")
+    ids = tuple(_strings(id_offsets, id_bytes, "concept id"))
+    _check_offsets(id_ptr, len(aliases), len(ids), "per-row concept id")
+    _check_concept_ids(aliases, id_ptr, ids)
+    _check_postings(len(aliases), len(codes), post_ptr, post_rows, post_weights)
+    bounds = id_ptr.tolist()
+    alias_table = dict(zip(aliases, [ids[a:b] for a, b in zip(bounds, bounds[1:])]))
+    return AliasIndex(alias_table, post_ptr, post_rows, post_weights,
+                      NgramVectorizer(codes, df, n_docs, min_df))
 
 
 def load_index(path: str) -> AliasIndex:
     with open(path, "rb") as fp:
         data = fp.read()
     try:
-        return _parse_index(_Reader(data))
+        return _parse_index(data)
     except IndexFormatError as exc:
         raise IndexFormatError(f"{path}: {exc}") from None

@@ -119,7 +119,8 @@ def load_kb(path: str) -> KnowledgeBase:
             for key in keys:
                 table.setdefault(key, set()).add(concept.concept_id)
     alias_table = {k: frozenset(v) for k, v in table.items()}
-    return KnowledgeBase(concepts, alias_table, source_path=path)
+    # standard input has no file to size, whatever file is named "-"
+    return KnowledgeBase(concepts, alias_table, source_path=None if path == "-" else path)
 
 
 def save_kb(kb: KnowledgeBase, path: str) -> None:

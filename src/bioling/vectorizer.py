@@ -12,15 +12,16 @@ many strings at once over arrays: each string becomes
 " " + " ".join(words) + " ", all of them are concatenated and read as
 one UTF-32 code-point array, and every window of 3 code points is packed
 into one int64, cp0 << 42 | cp1 << 21 | cp2 (21 bits hold any code
-point). For 3-gram strings this order is the `str` order, so the sorted
-vocabulary is sorted codes too, and a gram's id is the position of its
-code. Windows whose middle code point is a space are dropped; that also
-drops every window that crosses from one string into the next, since
-each padded string starts and ends with a space. Strings go through in
-chunks of `_CHUNK`, since a chunk's temporary arrays take tens of bytes
-per character: on a 100k-alias KB, chunks of 65,536 strings raised the
-peak resident memory of `fit` plus `build_index` from 280 to 305 MB and
-were no faster.
+point). For 3-gram strings this order is the `str` order. The vocabulary
+is kept, and stored in `.blix`, as these codes in increasing order, and
+a gram's id is the position of its code; the gram strings that `encode`
+looks up are decoded from the codes. Windows whose middle code point is
+a space are dropped; that also drops every window that crosses from one
+string into the next, since each padded string starts and ends with a
+space. Strings go through in chunks of `_CHUNK`, since a chunk's
+temporary arrays take tens of bytes per character: on a 100k-alias KB,
+chunks of 65,536 strings raised the peak resident memory of `fit` plus
+`build_index` from 280 to 305 MB and were no faster.
 
 `encode_csr` gives every row the bits `encode` gives. Its squared norms
 come from the same `np.dot`, one call per row (~0.12 s per 100k rows);
@@ -59,14 +60,10 @@ def extract_3grams(s: str) -> Counter:
     return grams
 
 
-def _pack(c0: np.ndarray, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-    """int64 codes of the 3-grams with these code points, in `str` order."""
-    return (c0 << (2 * _CP_BITS)) | (c1 << _CP_BITS) | c2
-
-
-def _code_points(s: str) -> np.ndarray:
-    # surrogatepass: a lone surrogate is one code point, never an error
-    return np.frombuffer(s.encode("utf-32-le", "surrogatepass"), dtype="<u4").astype(np.int64)
+def gram_code_points(codes: np.ndarray) -> np.ndarray:
+    """The code points of packed gram codes, one row of 3 per code."""
+    return np.stack([codes >> (2 * _CP_BITS), (codes >> _CP_BITS) & _CP_MASK,
+                     codes & _CP_MASK], axis=1)
 
 
 def _chunk_grams(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -74,11 +71,13 @@ def _chunk_grams(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarr
     holds the distinct codes, sorted, and occurrence j is gram
     `grams[gram_of[j]]` of text `rows[j]`."""
     padded = [" " + " ".join(t.lower().split()) + " " for t in texts]
-    cp = _code_points("".join(padded))
+    # surrogatepass: a lone surrogate is one code point, never an error
+    cp = np.frombuffer("".join(padded).encode("utf-32-le", "surrogatepass"),
+                       dtype="<u4").astype(np.int64)
     lengths = np.fromiter(map(len, padded), dtype=np.int64, count=len(padded))
     rows = np.repeat(np.arange(len(padded)), lengths)
     keep = cp[1:-1] != _SPACE
-    codes = _pack(cp[:-2], cp[1:-1], cp[2:])[keep]
+    codes = ((cp[:-2] << (2 * _CP_BITS)) | (cp[1:-1] << _CP_BITS) | cp[2:])[keep]
     grams, gram_of = np.unique(codes, return_inverse=True)
     return grams, gram_of, rows[1:-1][keep]
 
@@ -138,27 +137,27 @@ def zero_vector() -> SparseVector:
 class NgramVectorizer:
     """Fitted 3-gram vocabulary with document frequencies and idf weights.
 
-    The grams must be sorted, unique and 3 code points long, as `fit`
-    makes them; the constructor trusts this and `load_index` checks it.
+    The vocabulary is `codes`, the packed gram codes in increasing order,
+    as `fit` makes them: a gram's id is the position of its code. The
+    constructor trusts this and `load_index` checks it.
     """
 
-    def __init__(self, grams: Sequence[str], df: np.ndarray, n_docs: int, min_df: int):
-        self.grams = list(grams)
-        self.vocabulary = {g: i for i, g in enumerate(self.grams)}
+    def __init__(self, codes: np.ndarray, df: np.ndarray, n_docs: int, min_df: int):
+        self.codes = np.asarray(codes, dtype=np.int64)
         self.df = np.asarray(df, dtype=np.int64)
         self.n_docs = n_docs
         self.min_df = min_df
         self.idf = np.log((1.0 + n_docs) / (1.0 + self.df)) + 1.0
-        # the gram codes in id order, which is sorted order, so a code's
-        # `searchsorted` position is its gram id; a sentinel above every
-        # code keeps those positions in bounds
-        cp = _code_points("".join(self.grams)).reshape(-1, 3)
-        self._codes = np.append(_pack(cp[:, 0], cp[:, 1], cp[:, 2]),
-                                np.iinfo(np.int64).max)
+        # the gram strings, for `encode`'s dict: the code points of all
+        # codes in order, decoded at once and cut every 3 code points
+        cp = gram_code_points(self.codes).astype("<u4")
+        text = cp.tobytes().decode("utf-32-le", "surrogatepass")
+        self.grams = [text[i:i + 3] for i in range(0, len(text), 3)]
+        self.vocabulary = dict(zip(self.grams, range(len(self.grams))))
 
     @property
     def vocab_size(self) -> int:
-        return len(self.grams)
+        return len(self.codes)
 
     @classmethod
     def fit(cls, corpus: Iterable[str], min_df: int = DEFAULT_MIN_DF) -> "NgramVectorizer":
@@ -182,22 +181,20 @@ class NgramVectorizer:
         kept = df >= min_df
         if not kept.any():
             raise ValueError("no grams survive min_df")
-        kept_grams = [
-            chr(c >> (2 * _CP_BITS)) + chr((c >> _CP_BITS) & _CP_MASK) + chr(c & _CP_MASK)
-            for c in codes[starts][kept].tolist()
-        ]
-        return cls(kept_grams, df[kept], len(texts), min_df)
+        return cls(codes[starts][kept], df[kept], len(texts), min_df)
 
     def encode_csr(self, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """`encode` of every text as one CSR matrix (`indptr`, `indices`,
         `weights`): row i holds the bits of `encode(texts[i])`."""
         vocab_size = self.vocab_size
+        # a sentinel above every code keeps `searchsorted` positions in bounds
+        codes = np.append(self.codes, np.iinfo(np.int64).max)
         nnz, indices, weights = [], [], []
         for lo in range(0, len(texts), _CHUNK):
             chunk = texts[lo:lo + _CHUNK]
             grams, gram_of, rows = _chunk_grams(chunk)
-            pos = np.searchsorted(self._codes, grams)
-            ids = np.where(self._codes[pos] == grams, pos, -1)[gram_of]
+            pos = np.searchsorted(codes, grams)
+            ids = np.where(codes[pos] == grams, pos, -1)[gram_of]
             known = ids >= 0
             # sorted (text, gram id) keys are CSR order; a key's run is its tf
             keys = np.sort(rows[known] * vocab_size + ids[known])
@@ -236,7 +233,7 @@ class NgramVectorizer:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, NgramVectorizer)
-            and self.grams == other.grams
+            and np.array_equal(self.codes, other.codes)
             and self.n_docs == other.n_docs
             and self.min_df == other.min_df
             and np.array_equal(self.df, other.df)

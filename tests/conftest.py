@@ -2,6 +2,7 @@ import json
 import pathlib
 import random
 import struct
+import zlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -183,11 +184,11 @@ def _set(arr, i, value):
 
 def _with_vec(ix, **changes):
     """A stand-in for `ix` whose vectorizer has some fields replaced; unlike
-    `NgramVectorizer`, it takes any grams and df."""
+    `NgramVectorizer`, it takes any codes and df."""
     v = ix.vectorizer
-    fields = {"grams": v.grams, "df": v.df, "n_docs": v.n_docs, "min_df": v.min_df,
+    fields = {"codes": v.codes, "df": v.df, "n_docs": v.n_docs, "min_df": v.min_df,
               **changes}
-    return stand_in(ix, vectorizer=SimpleNamespace(vocab_size=len(fields["grams"]), **fields))
+    return stand_in(ix, vectorizer=SimpleNamespace(**fields))
 
 
 def _with_ids(ix, ids):
@@ -200,53 +201,99 @@ def _first_two(items, i, j):
     return [items[i], items[j], *items[2:]]
 
 
+def _with_rows(ix, i, j):
+    """A stand-in for `ix` whose first posting list of two or more rows has
+    its first two rows replaced by its rows i and j."""
+    lo = int(ix.post_ptr[np.argmax(np.diff(ix.post_ptr) >= 2)])
+    return stand_in(ix, post_rows=_set(ix.post_rows, [lo, lo + 1], ix.post_rows[[lo + i, lo + j]]))
+
+
+# the arrays of a version 4 file, in order, after its 14-byte header
+BLIX_ARRAYS = [("codes", "<i8"), ("df", "<i8"), ("alias offsets", "<i8"), ("alias bytes", "u1"),
+               ("id ranges", "<i8"), ("id offsets", "<i8"), ("id bytes", "u1"),
+               ("post_ptr", "<i8"), ("post_rows", "<i4"), ("post_weights", "<f8")]
+
+
+def blix_array_starts(raw: bytes) -> dict[str, int]:
+    """Where the first element of each array of a .blix file starts."""
+    pos, starts = 14, {}
+    for name, dtype in BLIX_ARRAYS:
+        (n,) = struct.unpack_from("<Q", raw, pos)
+        starts[name] = pos + 8
+        pos += 8 + n * np.dtype(dtype).itemsize
+    return starts
+
+
+def sealed(body: bytes) -> bytes:
+    """`body` with the CRC-32 trailer that a writer gives it."""
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def _poke(raw: bytes, array: str, i: int, value: int) -> bytes:
+    """`raw`, resealed, with element i of an int64 array set to `value`."""
+    body = bytearray(raw[:-4])
+    struct.pack_into("<q", body, blix_array_starts(raw)[array] + 8 * i, value)
+    return sealed(bytes(body))
+
+
 # Ways to corrupt a valid .blix file of the toy KB, each with the message
 # the reader must reject it with. A case maps (index, file bytes) either to
-# new bytes or to a stand-in index that `save_index` writes instead.
+# new bytes or to a stand-in index that `save_index` writes instead. Both
+# carry a valid CRC-32, except where the case is about the CRC or the
+# version (read before it), so that each field's own check is reached.
+# The postings are a CSC matrix: "indptr" is `post_ptr` and its "indices"
+# are `post_rows`.
 BLIX_CORRUPTIONS = {
-    "indptr length": (lambda ix, raw: stand_in(ix, indptr=ix.indptr[:-1]),
-                      "indptr has"),
-    "indptr start": (lambda ix, raw: stand_in(ix, indptr=ix.indptr + 1),
-                     "start at 0"),
+    "indptr length": (lambda ix, raw: stand_in(ix, post_ptr=ix.post_ptr[:-1]),
+                      "posting offsets have"),
+    "indptr start": (lambda ix, raw: stand_in(ix, post_ptr=ix.post_ptr + 1),
+                     "posting offsets must start at 0"),
     "indptr decreases": (
-        lambda ix, raw: stand_in(ix, indptr=_set(ix.indptr, 1, ix.indptr[2] + 1)),
+        lambda ix, raw: stand_in(ix, post_ptr=_set(ix.post_ptr, 1, ix.post_ptr[2] + 1)),
         "never decrease"),
     "indptr end vs indices": (
-        lambda ix, raw: stand_in(ix, indices=ix.indices[:-1]), "indptr ends"),
+        lambda ix, raw: stand_in(ix, post_rows=ix.post_rows[:-1]),
+        "posting offsets must start at 0, never decrease and end at"),
     "indptr end vs weights": (
-        lambda ix, raw: stand_in(ix, weights=ix.weights[:-1]), "indptr ends"),
-    "gram id too large": (
-        lambda ix, raw: stand_in(
-            ix, indices=_set(ix.indices, 0, ix.vectorizer.vocab_size + 5)),
-        "gram id"),
-    "gram id negative": (
-        lambda ix, raw: stand_in(ix, indices=_set(ix.indices, 0, -1)), "gram id"),
-    "gram id repeated in a row": (
-        lambda ix, raw: stand_in(ix, indices=_set(ix.indices, 1, ix.indices[0])),
-        "strictly increasing"),
-    "gram ids descending in a row": (
-        lambda ix, raw: stand_in(ix, indices=_set(ix.indices, [0, 1], ix.indices[[1, 0]])),
-        "strictly increasing"),
+        lambda ix, raw: stand_in(ix, post_weights=ix.post_weights[:-1]),
+        "posting rows but"),
+    "alias row too large": (
+        lambda ix, raw: stand_in(ix, post_rows=_set(ix.post_rows, 0, len(ix) + 5)),
+        "posting row outside"),
+    "alias row negative": (
+        lambda ix, raw: stand_in(ix, post_rows=_set(ix.post_rows, 0, -1)),
+        "posting row outside"),
+    "alias row repeated in a posting list": (
+        lambda ix, raw: _with_rows(ix, 0, 0), "strictly increasing within a posting list"),
+    "alias rows descending in a posting list": (
+        lambda ix, raw: _with_rows(ix, 1, 0), "strictly increasing within a posting list"),
     "weight negative": (
-        lambda ix, raw: stand_in(ix, weights=_set(ix.weights, 0, -0.5)),
+        lambda ix, raw: stand_in(ix, post_weights=_set(ix.post_weights, 0, -0.5)),
         "finite and non-negative"),
     "weight NaN": (
-        lambda ix, raw: stand_in(ix, weights=_set(ix.weights, 0, np.nan)),
+        lambda ix, raw: stand_in(ix, post_weights=_set(ix.post_weights, 0, np.nan)),
         "finite and non-negative"),
     "weight infinite": (
-        lambda ix, raw: stand_in(ix, weights=_set(ix.weights, 0, np.inf)),
+        lambda ix, raw: stand_in(ix, post_weights=_set(ix.post_weights, 0, np.inf)),
         "finite and non-negative"),
     "gram repeated": (
-        lambda ix, raw: _with_vec(ix, grams=_first_two(ix.vectorizer.grams, 0, 0)),
-        "grams must be strictly increasing"),
+        lambda ix, raw: _with_vec(ix, codes=_first_two(ix.vectorizer.codes, 0, 0)),
+        "gram codes must be strictly increasing"),
     "grams unsorted": (
-        lambda ix, raw: _with_vec(ix, grams=_first_two(ix.vectorizer.grams, 1, 0)),
-        "grams must be strictly increasing"),
-    # a proper prefix sorts first, so the grams stay in order
-    "gram not 3 characters": (
-        lambda ix, raw: _with_vec(ix, grams=[ix.vectorizer.grams[0][:2],
-                                             *ix.vectorizer.grams[1:]]),
-        "3 code points"),
+        lambda ix, raw: _with_vec(ix, codes=_first_two(ix.vectorizer.codes, 1, 0)),
+        "gram codes must be strictly increasing"),
+    # the first code, so the codes stay increasing
+    "gram code negative": (
+        lambda ix, raw: _with_vec(ix, codes=_set(ix.vectorizer.codes, 0, -1)),
+        "3 Unicode scalar values"),
+    # the last code, above every other
+    "gram field above U+10FFFF": (
+        lambda ix, raw: _with_vec(ix, codes=_set(ix.vectorizer.codes, -1, 0x110000 << 42)),
+        "3 Unicode scalar values"),
+    "gram field a surrogate": (
+        lambda ix, raw: _with_vec(
+            ix, codes=_set(ix.vectorizer.codes, -1, 0x10FFFF << 42 | 0xD800)),
+        "3 Unicode scalar values"),
     "df length": (lambda ix, raw: _with_vec(ix, df=ix.vectorizer.df[:-1]),
                   "document frequencies for"),
     "df negative": (
@@ -264,6 +311,18 @@ BLIX_CORRUPTIONS = {
     "alias repeated": (
         lambda ix, raw: stand_in(ix, aliases=_first_two(ix.aliases, 0, 0)),
         "aliases must be strictly increasing"),
+    "alias offsets decrease": (
+        lambda ix, raw: _poke(raw, "alias offsets", 1, -1),
+        "alias offsets must start at 0, never decrease"),
+    "alias offsets end past the text": (
+        lambda ix, raw: _poke(raw, "alias offsets", len(ix), 10**6),
+        "alias offsets must start at 0, never decrease"),
+    "concept id offsets decrease": (
+        lambda ix, raw: _poke(raw, "id offsets", 1, -1),
+        "concept id offsets must start at 0, never decrease"),
+    "concept id ranges end past the ids": (
+        lambda ix, raw: _poke(raw, "id ranges", len(ix), 10**6),
+        "per-row concept id offsets must start at 0, never decrease"),
     "alias without concept id": (
         lambda ix, raw: _with_ids(ix, ()), "alias 'Breast Cancer' needs one or more concept ids"),
     "concept id repeated": (
@@ -274,17 +333,16 @@ BLIX_CORRUPTIONS = {
         lambda ix, raw: _with_ids(ix, ("", "C02")), "concept ids, nonempty, sorted and unique"),
     "format version 1": (
         lambda ix, raw: raw[:4] + struct.pack("<H", 1) + raw[6:],
-        r"unsupported format version 1 \(expected 3\); rebuild the index"),
+        r"unsupported format version 1 \(expected 4\); rebuild the index"),
     "format version 2": (
         lambda ix, raw: raw[:4] + struct.pack("<H", 2) + raw[6:],
-        r"unsupported format version 2 \(expected 3\); rebuild the index"),
-    "trailing bytes": (lambda ix, raw: raw + b"\x00", "trailing"),
-    # the first gram's bytes start after magic, version, three u32 and its length
-    "invalid UTF-8 in gram": (lambda ix, raw: raw[:22] + b"\xff" + raw[23:], "UTF-8"),
+        r"unsupported format version 2 \(expected 4\); rebuild the index"),
+    "CRC mismatch": (lambda ix, raw: raw[:-1] + bytes([raw[-1] ^ 1]), "CRC-32 mismatch"),
+    "trailing bytes": (lambda ix, raw: sealed(raw[:-4] + b"\x00"), "trailing"),
     "invalid UTF-8 in alias": (
-        lambda ix, raw: raw.replace(b"Lung", b"Lun\xff", 1), "UTF-8"),
+        lambda ix, raw: sealed(raw[:-4].replace(b"Lung", b"Lun\xff", 1)), "UTF-8"),
     "invalid UTF-8 in concept id": (
-        lambda ix, raw: raw.replace(b"C01", b"C0\xff", 1), "UTF-8"),
+        lambda ix, raw: sealed(raw[:-4].replace(b"C01", b"C0\xff", 1)), "UTF-8"),
 }
 
 

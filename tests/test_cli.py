@@ -90,6 +90,17 @@ def test_kb_validate_and_stats(run, toy_kb_path):
     assert stats["n_concepts"] == 5 and stats["n_shared_aliases"] == 1
 
 
+def test_kb_stats_of_stdin_sizes_no_file(run, toy_kb_path, tmp_path, monkeypatch):
+    # a file named "-" in the working directory is not standard input
+    (tmp_path / "-").write_text("sixteen bytes..\n")
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(["kb", "stats", "--input", "-"],
+                       stdin=pathlib.Path(toy_kb_path).read_text())
+    assert code == 0
+    stats = json.loads(out)
+    assert stats["n_concepts"] == 5 and stats["bytes_on_disk"] == 0
+
+
 def test_kb_validate_bad_file_exits_2(run, tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text("{broken\n")
@@ -261,7 +272,17 @@ def test_eval_citations_one_word_base_sentence(run):
     (["bench", "--input", "{missing}", "--stages", ","], "--stages"),
     (["eval", "recall", "--index", "{missing}", "--gold", "{missing}", "--k-list", "5,x"],
      "--k-list"),
-], ids=["n 0", "n -5", "no stages", "k-list"])
+    (["bench", "--input", "{missing}", "--stages", "tokenize,frob"], "--stages"),
+    (["bench", "--input", "{missing}", "--reps", "0"], "--reps"),
+    (["bench", "--input", "{missing}", "--warmup", "-3"], "--warmup"),
+    (["eval", "recall", "--index", "{missing}", "--gold", "{missing}", "--k-list", "0,5"],
+     "--k-list"),
+    (["eval", "recall", "--index", "{missing}", "--gold", "{missing}", "--k-list", "5,1"],
+     "--k-list"),
+    (["eval", "recall", "--index", "{missing}", "--gold", "{missing}", "--k-list", "5,5"],
+     "--k-list"),
+], ids=["n 0", "n -5", "no stages", "k-list", "unknown stage", "reps 0", "warmup -3",
+        "k-list 0", "k-list decreasing", "k-list repeated"])
 def test_bad_flag_value_exits_1(run, tmp_path, argv, flag):
     # checked before any file is read, so the missing file is not reported
     missing = str(tmp_path / "missing.txt")

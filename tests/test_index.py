@@ -17,17 +17,14 @@ from bioling.kb import Concept, KnowledgeBase, normalize_alias
 from bioling.vectorizer import NgramVectorizer, zero_vector
 
 from conftest import (
-    BLIX_CORRUPTIONS, BruteForceOracle, make_synthetic_kb, stand_in, synth_alias,
-    write_corrupt_blix,
+    BLIX_CORRUPTIONS, BruteForceOracle, blix_array_starts, make_synthetic_kb, stand_in,
+    synth_alias, write_corrupt_blix,
 )
 
+DATA = pathlib.Path(__file__).parent / "data"
 # written from the `toy_kb` fixture (min_df=1); pins the format across
 # implementations of the writer
-GOLDEN_BLIX = pathlib.Path(__file__).parent / "data" / "toy.blix"
-# the same KB in format version 1 (rows in KB order, then a backend byte)
-# and version 2 (a row per surface, then a keyed alias table)
-GOLDEN_BLIX_V1 = pathlib.Path(__file__).parent / "data" / "toy-v1.blix"
-GOLDEN_BLIX_V2 = pathlib.Path(__file__).parent / "data" / "toy-v2.blix"
+GOLDEN_BLIX = DATA / "toy.blix"
 
 
 def query_pool(n, seed):
@@ -210,18 +207,15 @@ def test_load_rejects_corrupt_file(case, toy_index, tmp_path):
         load_index(path)
 
 
-def test_version_1_file_asks_for_rebuild():
+# the toy KB in older formats: version 1 (rows in KB order, then a backend
+# byte), version 2 (a row per surface, then a keyed alias table) and
+# version 3 (length-prefixed strings and the CSR rows)
+@pytest.mark.parametrize("version", [1, 2, 3])
+def test_old_version_file_asks_for_rebuild(version):
     with pytest.raises(IndexFormatError, match=(
-            r"unsupported format version 1 \(expected 3\); "
+            rf"unsupported format version {version} \(expected 4\); "
             r"rebuild the index with `bioling index build`")):
-        load_index(str(GOLDEN_BLIX_V1))
-
-
-def test_version_2_file_asks_for_rebuild():
-    with pytest.raises(IndexFormatError, match=(
-            r"unsupported format version 2 \(expected 3\); "
-            r"rebuild the index with `bioling index build`")):
-        load_index(str(GOLDEN_BLIX_V2))
+        load_index(str(DATA / f"toy-v{version}.blix"))
 
 
 def test_golden_fixture_round_trips(toy_index, tmp_path):
@@ -252,18 +246,9 @@ def blix_files(toy_index, tmp_path_factory):
     return directory, files
 
 
-def _first_df_byte(raw: bytes) -> int:
-    """Offset of the first document frequency in a .blix file."""
-    (vocab_size,) = struct.unpack_from("<I", raw, 14)
-    pos = 18
-    for _ in range(vocab_size):
-        pos += 4 + struct.unpack_from("<I", raw, pos)[0]
-    return pos + 8
-
-
 # flipping this bit makes the first df negative; a reader that let it
 # through would give a NaN idf, with only a RuntimeWarning from `np.log`
-TOY_DF_SIGN_BIT = 8 * (_first_df_byte(GOLDEN_BLIX.read_bytes()) + 7) + 7
+TOY_DF_SIGN_BIT = 8 * (blix_array_starts(GOLDEN_BLIX.read_bytes())["df"] + 7) + 7
 
 
 @settings(max_examples=300, deadline=None)
@@ -272,10 +257,8 @@ TOY_DF_SIGN_BIT = 8 * (_first_df_byte(GOLDEN_BLIX.read_bytes()) + 7) + 7
 @example(name="toy", truncate=False, position=TOY_DF_SIGN_BIT)
 def test_damaged_file_is_rejected_or_searchable(blix_files, name, truncate, position):
     """A valid file cut to `position` bytes, or with bit `position` flipped
-    (both modulo its size), is rejected, or loads, searches without any
-    other exception or warning and saves back to the same bytes. Without a
-    checksum a flipped weight bit loads a different valid index, so that is
-    all a loaded file owes."""
+    (both modulo its size), is rejected with `IndexFormatError` and no other
+    exception or warning: the CRC-32 trailer catches every such damage."""
     directory, files = blix_files
     raw = files[name]
     if truncate:
@@ -288,17 +271,8 @@ def test_damaged_file_is_rejected_or_searchable(blix_files, name, truncate, posi
     path.write_bytes(bytes(damaged))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        try:
-            index = load_index(str(path))
-        except IndexFormatError:
-            return
-        for text in [*index.aliases, "lung cancer", "zzz"]:
-            q = index.vectorizer.encode(text)
-            for k in (1, 5, len(index) + 1):
-                index.nearest_aliases(q, k)
-    resaved = directory / "resaved.blix"
-    save_index(index, str(resaved))
-    assert resaved.read_bytes() == bytes(damaged)
+        with pytest.raises(IndexFormatError):
+            load_index(str(path))
 
 
 ALIAS_TEXT = st.text(
@@ -364,12 +338,23 @@ def test_failed_save_keeps_existing_file(toy_index, tmp_path):
     path = tmp_path / "toy.blix"
     save_index(toy_index, str(path))
     before = path.read_bytes()
-    # concept ids are written after the vectorizer, so this fails part-way
+    # the weights are written last, so this fails part-way
     with pytest.raises(TypeError):
-        save_index(stand_in(toy_index, alias_table=None), str(path))
+        save_index(stand_in(toy_index, post_weights=object()), str(path))
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["toy.blix"]
 
 
 def test_magic_constant():
-    assert MAGIC == b"BLIX" and FORMAT_VERSION == 3
+    assert MAGIC == b"BLIX" and FORMAT_VERSION == 4
+
+
+def test_loaded_postings_are_aligned_and_own_their_data():
+    # views of the file's bytes would be unaligned at odd offsets, and would
+    # keep the whole file in memory
+    index = load_index(str(GOLDEN_BLIX))
+    arrays = [index.post_ptr, index.post_rows, index.post_weights,
+              index.vectorizer.codes, index.vectorizer.df]
+    for arr in arrays:
+        assert arr.flags.aligned and arr.flags.owndata
+    assert [a.dtype for a in arrays[:3]] == [np.int64, np.int64, np.float64]

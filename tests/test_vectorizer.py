@@ -4,6 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -55,9 +56,13 @@ def assert_matches_reference(aliases, min_df):
     kb = KnowledgeBase({"C1": Concept("C1", "c", tuple(aliases))},
                        {normalize_alias(a): frozenset({"C1"}) for a in aliases})
     index = build_index(kb, vec)
-    want = reference_csr(vec, index.aliases)
-    for got, expected in zip((index.indptr, index.indices, index.weights), want):
-        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+    # the postings are the reference rows in CSC form, as scipy transposes them
+    indptr, indices, weights = reference_csr(vec, index.aliases)
+    want = sp.csr_matrix((weights, indices, indptr),
+                         shape=(len(index), vec.vocab_size)).tocsc()
+    for got, expected in zip((index.post_ptr, index.post_rows, index.post_weights),
+                             (want.indptr, want.indices, want.data)):
+        assert np.array_equal(got, expected)
 
 
 def reference_tfidf_cosine(corpus, a, b, min_df=1):
