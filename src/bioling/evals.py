@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .doc import Document
-from .linker import generate_candidates
+from .linker import fan_out
 
 CITATION_FAMILIES = (
     "bracket_numeric",
@@ -71,23 +71,24 @@ def recall_at_k(
     """Fraction of gold mentions whose concept appears among candidates."""
     if not gold:
         raise ValueError("empty gold mention set")
-    if not ks or any(b <= a for a, b in zip(ks, ks[1:])):
-        raise ValueError("ks must be nonempty and strictly increasing")
-    points = []
-    for k in ks:
-        hits = 0
-        counts = []
-        for gm in gold:
-            cs = generate_candidates(index, index.alias_table, gm.mention, k, expansion)
-            counts.append(len(cs.candidates))
-            if gm.gold_concept_id in cs.concept_ids():
-                hits += 1
-        points.append(RecallPoint(
-            k=k,
-            recall=hits / len(gold),
-            mean_candidates=sum(counts) / len(counts),
-            max_candidates=max(counts),
-        ))
+    if not ks or ks[0] < 1 or any(b <= a for a, b in zip(ks, ks[1:])):
+        raise ValueError("ks must be nonempty and strictly increasing from 1 or more")
+    hits = dict.fromkeys(ks, 0)
+    counts: dict[int, list[int]] = {k: [] for k in ks}
+    for gm in gold:
+        query_text = expansion.get(gm.mention, gm.mention) if expansion else gm.mention
+        # one search at the largest K: the search at each smaller k gives
+        # its first k rows, which are ranked by one total order (score,
+        # then alias) before the cut
+        rows = index.nearest_aliases(index.vectorizer.encode(query_text), ks[-1])
+        for k in ks:
+            candidates = fan_out(index, rows[:k])
+            counts[k].append(len(candidates))
+            hits[k] += any(c.concept_id == gm.gold_concept_id for c in candidates)
+    points = [RecallPoint(k=k, recall=hits[k] / len(gold),
+                          mean_candidates=sum(counts[k]) / len(gold),
+                          max_candidates=max(counts[k]))
+              for k in ks]
     return RecallCurve(tuple(points))
 
 

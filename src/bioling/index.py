@@ -9,10 +9,20 @@ non-negative and vectors unit-normalized, scores are cosines in [0, 1].
 Rows are stored in alias order, so the row number is the tie-break: ties
 at the same cosine come out lexicographically by alias string.
 
-Top-k selection never sorts the whole index: zero scores are dropped,
-`np.partition` finds the k-th best remaining score, and only the rows
-scoring at least that much (so every row tied with it) are sorted, by
-score descending with a stable sort over ascending rows.
+Each posting list is added into the scores in one pass with
+`np.add.at` (numpy >= 1.25 adds in place without buffering). Rows are
+unique within a list, so every score gets the same float additions, in
+the same order, as a gather, add and scatter would give it.
+
+Top-k selection never sorts the whole index. Any k scored rows bound the
+k-th best score from below (the threshold of WAND, Broder et al. 2003,
+read from scores already computed: nothing is pruned or rescored). The
+bound t is the k-th best score among the rows of the shortest query
+posting list that holds at least k rows; only rows scoring at least t
+are kept (rows above 0 when t is 0 or no list holds k rows), so every
+row of the top k survives, ties included. `np.partition` then finds the
+k-th best kept score, and only the rows scoring at least that much are
+sorted, by score descending with a stable sort over ascending rows.
 
 Surfaces with the same `normalize_alias` key have identical vectors, so
 each key has one row: its smallest surface, carrying the key's concept
@@ -95,10 +105,23 @@ class AliasIndex:
 
     def _exact_scores(self, query: SparseVector) -> np.ndarray:
         scores = np.zeros(len(self.aliases), dtype=np.float64)
-        for gi, w in zip(query.indices, query.weights):
+        for gi, w in zip(query.indices.tolist(), query.weights.tolist()):
             lo, hi = self.post_ptr[gi], self.post_ptr[gi + 1]
-            scores[self.post_rows[lo:hi]] += float(w) * self.post_weights[lo:hi]
+            np.add.at(scores, self.post_rows[lo:hi], w * self.post_weights[lo:hi])
         return scores
+
+    def _kth_score_bound(self, query: SparseVector, scores: np.ndarray, k: int) -> float:
+        """A lower bound on the k-th best score: the k-th best score among the
+        rows of the shortest query posting list holding at least k rows, or
+        0.0 when no list holds k rows."""
+        lo, hi = self.post_ptr[query.indices], self.post_ptr[query.indices + 1]
+        lengths = hi - lo
+        long_enough = np.flatnonzero(lengths >= k)
+        if not len(long_enough):
+            return 0.0
+        g = long_enough[np.argmin(lengths[long_enough])]
+        vals = scores[self.post_rows[lo[g]:hi[g]]]
+        return float(np.partition(vals, len(vals) - k)[len(vals) - k])
 
     def nearest_aliases(self, query: SparseVector, k: int) -> list[tuple[str, float]]:
         """Up to k (alias, cosine) pairs, best first.
@@ -111,7 +134,9 @@ class AliasIndex:
         if query.is_zero or not self.aliases:
             return []
         scores = self._exact_scores(query)
-        rows = np.flatnonzero(scores > 0.0)
+        # every row of the top k scores at least the bound, ties included
+        bound = self._kth_score_bound(query, scores, k)
+        rows = np.flatnonzero(scores >= bound if bound > 0.0 else scores > 0.0)
         vals = scores[rows]
         # sort only the rows scoring at least the k-th best, so every row
         # tied with it survives to the tie-break
@@ -121,8 +146,9 @@ class AliasIndex:
             rows, vals = rows[keep], vals[keep]
         # rows are still ascending, i.e. in alias order, and the sort is
         # stable, so tied rows come out in alias order
-        rows = rows[np.argsort(-vals, kind="stable")[:k]]
-        return [(self.aliases[r], float(scores[r])) for r in rows.tolist()]
+        order = np.argsort(-vals, kind="stable")[:k]
+        return list(zip(map(self.aliases.__getitem__, rows[order].tolist()),
+                        vals[order].tolist()))
 
 
 def build_index(kb: KnowledgeBase, vectorizer: NgramVectorizer) -> AliasIndex:

@@ -57,15 +57,18 @@ def generate_candidates(
     if query.is_zero:
         return CandidateSet(mention, query_text, (), start, end,
                             reason=REASON_OUT_OF_VOCABULARY)
+    return CandidateSet(mention, query_text, fan_out(index, index.nearest_aliases(query, k)),
+                        start, end)
+
+
+def fan_out(index: AliasIndex, hits: list[tuple[str, float]]) -> tuple[Candidate, ...]:
+    """The concepts of the alias rows `hits`, (alias, cosine) pairs best
+    first with ties in alias order, as `nearest_aliases` returns them. Each
+    concept comes once, with its first and so best alias, ranked by
+    cosine, then concept id."""
     best: dict[str, tuple[float, str]] = {}
-    for alias, sim in index.nearest_aliases(query, k):
+    for alias, sim in hits:
         for cid in index.alias_table[alias]:
-            prev = best.get(cid)
-            if prev is None or sim > prev[0]:
-                best[cid] = (sim, alias)
+            best.setdefault(cid, (sim, alias))
     ranked = sorted(best.items(), key=lambda kv: (-kv[1][0], kv[0]))
-    return CandidateSet(
-        mention, query_text,
-        tuple(Candidate(cid, alias, sim) for cid, (sim, alias) in ranked),
-        start, end,
-    )
+    return tuple(Candidate(cid, alias, sim) for cid, (sim, alias) in ranked)

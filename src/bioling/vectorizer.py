@@ -124,13 +124,11 @@ class SparseVector:
         return total
 
 
-_ZERO = None
+_ZERO = SparseVector(np.empty(0, dtype=np.int32), np.empty(0, dtype=np.float64))
 
 
 def zero_vector() -> SparseVector:
-    global _ZERO
-    if _ZERO is None:
-        _ZERO = SparseVector(np.empty(0, dtype=np.int32), np.empty(0, dtype=np.float64))
+    """The all-zero vector: one shared instance, with empty arrays."""
     return _ZERO
 
 

@@ -7,6 +7,8 @@ from bioling.evals import (
     ADVERSARIAL_FAMILIES, CITATION_FAMILIES, GoldMention, RecallCurve,
     RecallPoint, make_citation_corpus, recall_at_k, segmentation_accuracy,
 )
+from bioling.kb import normalize_alias
+from bioling.linker import generate_candidates
 from bioling.segmenter import default_segmenter_config, segment
 from bioling.tokenizer import tokenize
 
@@ -67,11 +69,34 @@ def test_recall_with_expansion(toy_index):
     assert with_exp.recall_at(1) == 1.0
 
 
+def test_recall_points_equal_one_search_per_k(synth_index, synth_kb):
+    """The curve from one search per gold mention equals the one from a
+    separate `generate_candidates` call per mention and k."""
+    # clipped aliases, so the gold concept is often below rank 1, and one
+    # out-of-vocabulary mention
+    gold = [GoldMention(alias[:-3], min(synth_kb.alias_table[normalize_alias(alias)]))
+            for alias in synth_kb.alias_surfaces()[:6000:150]]
+    gold.append(GoldMention("xyzzy qqq", "C0000001"))
+    ks = [1, 2, 5, 25, 60]
+    expected = []
+    for k in ks:
+        sets = [generate_candidates(synth_index, synth_index.alias_table, gm.mention, k)
+                for gm in gold]
+        sizes = [len(cs.candidates) for cs in sets]
+        hits = sum(gm.gold_concept_id in cs.concept_ids() for gm, cs in zip(gold, sets))
+        expected.append(RecallPoint(k, hits / len(gold), sum(sizes) / len(sizes), max(sizes)))
+    curve = recall_at_k(synth_index, gold, ks)
+    assert curve == RecallCurve(tuple(expected))
+    assert len({p.recall for p in curve.points}) > 1
+
+
 def test_recall_input_validation(toy_index):
     with pytest.raises(ValueError, match="gold"):
         recall_at_k(toy_index, [], [1])
     with pytest.raises(ValueError, match="increasing"):
         recall_at_k(toy_index, [GoldMention("tumor", "C03")], [5, 1])
+    with pytest.raises(ValueError, match="increasing from 1"):
+        recall_at_k(toy_index, [GoldMention("tumor", "C03")], [0, 5])
 
 
 def test_segmentation_accuracy_perfect():

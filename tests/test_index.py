@@ -14,11 +14,11 @@ from bioling.index import (
     FORMAT_VERSION, IndexFormatError, MAGIC, build_index, load_index, save_index,
 )
 from bioling.kb import Concept, KnowledgeBase, normalize_alias
-from bioling.vectorizer import NgramVectorizer, zero_vector
+from bioling.vectorizer import NgramVectorizer, SparseVector, zero_vector
 
 from conftest import (
-    BLIX_CORRUPTIONS, BruteForceOracle, blix_array_starts, make_synthetic_kb, stand_in,
-    synth_alias, write_corrupt_blix,
+    BLIX_CORRUPTIONS, BruteForceOracle, blix_array_starts, make_synthetic_kb, sealed,
+    stand_in, synth_alias, write_corrupt_blix,
 )
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -51,7 +51,11 @@ def test_exact_match_scores_one(toy_index):
 
 
 def test_zero_query_returns_nothing(toy_index):
-    assert toy_index.nearest_aliases(zero_vector(), 5) == []
+    oov = toy_index.vectorizer.encode("xyzzy qqq")
+    assert oov.is_zero
+    for q in (zero_vector(), oov):
+        for k in (1, 5, len(toy_index), len(toy_index) + 2):
+            assert toy_index.nearest_aliases(q, k) == []
 
 
 def test_k_validation(toy_index):
@@ -151,6 +155,135 @@ def test_top_k_k_at_least_index_size(tie_index):
         for k in (len(idx), len(idx) + 7):
             got = idx.nearest_aliases(q, k)
             assert_equals_oracle(got, oracle.top_k(q, k))
+
+
+def fancy_index_scores(index, query):
+    """Reference for `_exact_scores`: one gather, add and scatter per posting
+    list. Rows are unique within a list, so it adds the same floats in the
+    same order and must agree to the bit."""
+    scores = np.zeros(len(index), dtype=np.float64)
+    for gi, w in zip(query.indices, query.weights):
+        lo, hi = index.post_ptr[gi], index.post_ptr[gi + 1]
+        scores[index.post_rows[lo:hi]] += float(w) * index.post_weights[lo:hi]
+    return scores
+
+
+def test_exact_scores_equal_fancy_index_loop(synth_index):
+    texts = query_pool(200, seed=11) + synth_index.aliases[::100] + ["acute", "oma", "xyzzy"]
+    for text in texts:
+        q = synth_index.vectorizer.encode(text)
+        assert np.array_equal(synth_index._exact_scores(q), fancy_index_scores(synth_index, q))
+
+
+def test_bound_keeps_rows_tied_at_it(tie_index):
+    vec, idx = tie_index
+    oracle = BruteForceOracle(idx)
+    # the six variants tie at the top score, so for k up to 6 the bound is
+    # the score they tie at, and every one of them must get past it
+    q = vec.encode("tumor growth factor")
+    scores = idx._exact_scores(q)
+    for k in range(1, 7):
+        got = idx.nearest_aliases(q, k)
+        assert idx._kth_score_bound(q, scores, k) == got[-1][1] == got[0][1]
+        assert_equals_oracle(got, oracle.top_k(q, k))
+        assert [a for a, _ in got] == sorted(TIED_VARIANTS)[:k]
+
+
+def test_bound_when_no_posting_list_holds_k_rows(synth_index):
+    oracle = BruteForceOracle(synth_index)
+    lengths = np.diff(synth_index.post_ptr)
+    checked = 0
+    for text in query_pool(100, seed=12):
+        q = synth_index.vectorizer.encode(text)
+        k = int(lengths[q.indices].max()) + 1
+        scores = synth_index._exact_scores(q)
+        if np.count_nonzero(scores) <= k:
+            continue
+        # every list is shorter than k, but more than k rows score
+        assert synth_index._kth_score_bound(q, scores, k) == 0.0
+        assert_equals_oracle(synth_index.nearest_aliases(q, k), oracle.top_k(q, k))
+        checked += 1
+    assert checked >= 50
+
+
+def test_bound_with_k_at_least_the_positive_rows(tie_index):
+    vec, idx = tie_index
+    oracle = BruteForceOracle(idx)
+    for text in ["renal failure", "lung", "growth factor"]:
+        q = vec.encode(text)
+        positive = np.count_nonzero(idx._exact_scores(q))
+        for k in range(max(1, positive - 1), positive + 2):
+            got = idx.nearest_aliases(q, k)
+            assert len(got) == min(k, positive)
+            assert_equals_oracle(got, oracle.top_k(q, k))
+
+
+def hand_written_blix(path, grams, df, n_docs, aliases, postings):
+    """A version 4 `.blix` file written field by field, one concept id per
+    alias. `postings` lists each gram's (row, weight) pairs."""
+    def array(values, dtype):
+        arr = np.asarray(values, dtype=dtype)
+        return struct.pack("<Q", len(arr)) + arr.tobytes()
+
+    codes = [ord(a) << 42 | ord(b) << 21 | ord(c) for a, b, c in grams]
+    text_offsets = np.cumsum([0, *map(len, aliases)])
+    ids = [f"C{i}" for i in range(len(aliases))]
+    body = struct.pack("<4sHII", MAGIC, FORMAT_VERSION, n_docs, 1) + b"".join([
+        array(codes, "<i8"), array(df, "<i8"),
+        array(text_offsets, "<i8"), array(list("".join(aliases).encode()), "u1"),
+        array(range(len(ids) + 1), "<i8"),
+        array(np.cumsum([0, *map(len, ids)]), "<i8"), array(list("".join(ids).encode()), "u1"),
+        array(np.cumsum([0, *map(len, postings)]), "<i8"),
+        array([r for plist in postings for r, _ in plist], "<i4"),
+        array([w for plist in postings for _, w in plist], "<f8"),
+    ])
+    path.write_bytes(sealed(body))
+
+
+def test_zero_weights_fall_back_to_positive_scores(tmp_path):
+    # gram " ab" has a zero weight in every row, so its list holds k rows
+    # whose k-th best score can be 0: the bound then selects rows above 0
+    path = tmp_path / "zero.blix"
+    hand_written_blix(path, grams=[" ab", "ab "], df=[4, 1], n_docs=4,
+                      aliases=["a", "b", "c", "d"],
+                      postings=[[(0, 0.0), (1, 0.0), (2, 0.0), (3, 0.0)], [(2, 1.0)]])
+    idx = load_index(str(path))
+    q = SparseVector(np.array([0, 1], dtype=np.int32), np.array([0.6, 0.8]))
+    scores = idx._exact_scores(q)
+    assert idx._kth_score_bound(q, scores, 1) == 0.8
+    for k in (2, 3, 4):
+        assert idx._kth_score_bound(q, scores, k) == 0.0
+    for k in (1, 2, 3, 4, 5):
+        assert idx.nearest_aliases(q, k) == [("c", 0.8)]
+    only_zero = SparseVector(np.array([0], dtype=np.int32), np.array([1.0]))
+    assert idx.nearest_aliases(only_zero, 2) == []
+
+
+SMALL_ALPHABET_TEXT = st.text("abcd -", min_size=1, max_size=10).filter(str.strip)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(SMALL_ALPHABET_TEXT, min_size=1, max_size=3), min_size=1, max_size=12),
+       st.data())
+def test_nearest_aliases_equal_brute_force(concept_aliases, data):
+    """Small alphabets make long posting lists and many tied scores, so the
+    bound meets every case: lists longer and shorter than k, ties at it."""
+    concepts = {f"C{i}": Concept(f"C{i}", aliases[0], tuple(aliases))
+                for i, aliases in enumerate(concept_aliases)}
+    table: dict[str, set[str]] = {}
+    for concept in concepts.values():
+        for alias in concept.aliases:
+            table.setdefault(normalize_alias(alias), set()).add(concept.concept_id)
+    kb = KnowledgeBase(concepts, {k: frozenset(v) for k, v in table.items()})
+    vec = NgramVectorizer.fit(kb.alias_surfaces(), min_df=1)
+    idx = build_index(kb, vec)
+    oracle = BruteForceOracle(idx)
+    texts = data.draw(st.lists(SMALL_ALPHABET_TEXT | st.sampled_from(idx.aliases),
+                               min_size=1, max_size=5))
+    for text in texts:
+        q = vec.encode(text)
+        k = data.draw(st.integers(1, len(idx) + 2))
+        assert_equals_oracle(idx.nearest_aliases(q, k), oracle.top_k(q, k))
 
 
 def test_save_load_round_trip_exact(toy_index, tmp_path):
