@@ -55,24 +55,6 @@ def _best_long_form_start(short_form: str, window: str) -> int | None:
     return l + 1
 
 
-def check_match(short_form: str, long_form: str) -> bool:
-    """Independent re-check that a long form covers its short form.
-
-    Scans the short form right-to-left locating each character in the
-    long form moving leftward; used by tests as a second opinion on the
-    main matcher.
-    """
-    pos = len(long_form)
-    for c in reversed(short_form.lower()):
-        if not c.isalnum():
-            continue
-        found = long_form.lower().rfind(c, 0, pos)
-        if found < 0:
-            return False
-        pos = found
-    return True
-
-
 def _validate_pair(short_form: str, long_form: str) -> bool:
     if len(long_form) <= len(short_form):
         return False

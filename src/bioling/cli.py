@@ -277,7 +277,7 @@ def _cmd_eval_recall(args) -> int:
     curve = recall_at_k(index, gold, ks)
     with _open_out(args.output) as fout:
         fout.write("k,recall,mean_candidates,max_candidates\n")
-        for p in curve.points:
+        for p in curve:
             fout.write(f"{p.k},{p.recall:.6f},{p.mean_candidates:.2f},"
                        f"{p.max_candidates}\n")
     return 0
@@ -320,7 +320,7 @@ def _cmd_eval_citations(args) -> int:
     base = _nonempty_lines(args.base)
     cfg = _get_seg_config(args)
     try:
-        corpus = make_citation_corpus(base, args.seed, args.n)
+        corpus = [sent for sent, _ in make_citation_corpus(base, args.seed, args.n)]
         rate = citation_split_rate(corpus, cfg)
     except ValueError as exc:
         raise DataError(str(exc))

@@ -51,11 +51,6 @@ class Document:
     def with_sentences(self, sentences: Iterable[SentenceSpan]) -> "Document":
         return Document(self.text, self.tokens, tuple(sentences), self.leading_ws)
 
-    def sentence_text(self, span: SentenceSpan) -> str:
-        first = self.tokens[span.first_token]
-        last = self.tokens[span.last_token]
-        return self.text[first.start:last.end]
-
     def sentence_char_span(self, span: SentenceSpan) -> tuple[int, int]:
         return (self.tokens[span.first_token].start,
                 self.tokens[span.last_token].end)

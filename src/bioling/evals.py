@@ -16,8 +16,6 @@ CITATION_FAMILIES = (
     "plain_author_year",
     "superscript",
 )
-# families a segmenter without citation handling tends to split
-ADVERSARIAL_FAMILIES = frozenset({"plain_author_year"})
 
 _AUTHORS = (
     "Smith", "Jones", "Chen", "Kim", "Garcia", "Miller", "Tanaka", "Novak",
@@ -46,17 +44,6 @@ class RecallPoint:
 
 
 @dataclass(frozen=True)
-class RecallCurve:
-    points: tuple[RecallPoint, ...]
-
-    def recall_at(self, k: int) -> float:
-        for p in self.points:
-            if p.k == k:
-                return p.recall
-        raise KeyError(k)
-
-
-@dataclass(frozen=True)
 class SegmentationAccuracy:
     sentence_acc: float
     abstract_acc: float
@@ -67,8 +54,9 @@ def recall_at_k(
     gold: Sequence[GoldMention],
     ks: Sequence[int],
     expansion: Mapping[str, str] | None = None,
-) -> RecallCurve:
-    """Fraction of gold mentions whose concept appears among candidates."""
+) -> tuple[RecallPoint, ...]:
+    """The recall curve: for each k of `ks`, in order, the fraction of gold
+    mentions whose concept appears among the candidates at k."""
     if not gold:
         raise ValueError("empty gold mention set")
     if not ks or ks[0] < 1 or any(b <= a for a, b in zip(ks, ks[1:])):
@@ -85,11 +73,10 @@ def recall_at_k(
             candidates = fan_out(index, rows[:k])
             counts[k].append(len(candidates))
             hits[k] += any(c.concept_id == gm.gold_concept_id for c in candidates)
-    points = [RecallPoint(k=k, recall=hits[k] / len(gold),
-                          mean_candidates=sum(counts[k]) / len(gold),
-                          max_candidates=max(counts[k]))
-              for k in ks]
-    return RecallCurve(tuple(points))
+    return tuple(RecallPoint(k=k, recall=hits[k] / len(gold),
+                             mean_candidates=sum(counts[k]) / len(gold),
+                             max_candidates=max(counts[k]))
+                 for k in ks)
 
 
 def segmentation_accuracy(
@@ -150,13 +137,13 @@ def make_citation_corpus(
     base_sentences: Sequence[str],
     seed: int,
     n: int,
-    with_labels: bool = False,
-) -> list:
-    """Deterministically inject one citation into each of n sentences.
+) -> list[tuple[str, str]]:
+    """Deterministically inject one citation into each of n sentences, as
+    (sentence, citation family) pairs; the family lets a caller score a
+    subset, such as the families a naive segmenter splits.
 
     Input sentences must be citation-free single sentences of one or more
-    words. With `with_labels`, (sentence, family) pairs are returned so
-    callers can slice out the adversarial subset.
+    words.
     """
     if not base_sentences:
         raise ValueError("empty base sentence set")
@@ -172,5 +159,5 @@ def make_citation_corpus(
         base = base_sentences[i % len(base_sentences)]
         family = CITATION_FAMILIES[rng.randrange(len(CITATION_FAMILIES))]
         sent = _inject_citation(base, family, rng)
-        out.append((sent, family) if with_labels else sent)
+        out.append((sent, family))
     return out

@@ -93,14 +93,6 @@ class AliasIndex:
     def __len__(self) -> int:
         return len(self.aliases)
 
-    def row(self, i: int) -> SparseVector:
-        """The vector of alias i, gathered from every posting list that holds
-        the row. This scans all postings: it serves checks, not search."""
-        at = np.flatnonzero(self.post_rows == i)
-        # entries are in gram order, so the gram ids come out increasing
-        grams = np.searchsorted(self.post_ptr, at, side="right") - 1
-        return SparseVector(grams.astype(np.int32), self.post_weights[at])
-
     # -- scoring --------------------------------------------------------
 
     def _exact_scores(self, query: SparseVector) -> np.ndarray:

@@ -39,10 +39,6 @@ class Concept:
     types: tuple[str, ...] = ()
     definition: str | None = None
 
-    @property
-    def has_definition(self) -> bool:
-        return self.definition is not None
-
 
 @dataclass(frozen=True)
 class KBStats:

@@ -26,21 +26,19 @@ def _lone_surrogate(text: str) -> str | None:
 
 class Lines:
     """Numbered lines of a text file or a text in memory, and errors naming
-    them. Iterating yields (lineno, line) from 1; a file line holding an
-    undecoded byte raises. With `name` None, errors read "line <n>: ..."."""
+    them. Iterating yields (lineno, line) from 1; a line holding an
+    undecoded byte (a lone surrogate) raises. A text in memory is split as
+    a file opened with universal newlines is: at LF, CR and CR LF only, not
+    at the other line boundaries of `str.splitlines` (VT, FF, FS, GS, RS,
+    NEL, U+2028, U+2029). With `name` None, errors read "line <n>: ..."."""
 
     def __init__(self, source: str | Iterable[str], name: str | None = None,
                  error: type[InputError] = InputError):
-        self._source = source
+        self._source = io.StringIO(source, newline=None) if isinstance(source, str) else source
         self.name = name
         self._error = error
 
     def __iter__(self) -> Iterator[tuple[int, str]]:
-        if isinstance(self._source, str):  # no bytes were decoded
-            return enumerate(self._source.splitlines(), start=1)
-        return self._decoded()
-
-    def _decoded(self) -> Iterator[tuple[int, str]]:
         for lineno, line in enumerate(self._source, start=1):
             # isascii is O(1), so only lines with other characters are scanned
             if not line.isascii() and _lone_surrogate(line):

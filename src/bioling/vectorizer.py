@@ -29,7 +29,8 @@ the square root and the division are correctly rounded, so doing those
 over whole arrays changes no bit. A vectorized sum of squares
 (`bincount`) adds in another order and differed by up to one ulp in
 about a quarter of the weights, which would change `.blix` bytes and
-make `index.row(i)` differ from `encode(alias)`.
+make an index row differ from `encode(alias)` (`index_row` in
+tests/conftest.py gathers a row back from the postings to check this).
 """
 
 from __future__ import annotations
@@ -100,28 +101,8 @@ class SparseVector:
     weights: np.ndarray  # float64
 
     @property
-    def nnz(self) -> int:
-        return len(self.indices)
-
-    @property
     def is_zero(self) -> bool:
         return len(self.indices) == 0
-
-    def dot(self, other: "SparseVector") -> float:
-        i = j = 0
-        total = 0.0
-        a_idx, a_w = self.indices, self.weights
-        b_idx, b_w = other.indices, other.weights
-        while i < len(a_idx) and j < len(b_idx):
-            if a_idx[i] == b_idx[j]:
-                total += a_w[i] * b_w[j]
-                i += 1
-                j += 1
-            elif a_idx[i] < b_idx[j]:
-                i += 1
-            else:
-                j += 1
-        return total
 
 
 _ZERO = SparseVector(np.empty(0, dtype=np.int32), np.empty(0, dtype=np.float64))
@@ -187,7 +168,7 @@ class NgramVectorizer:
         vocab_size = self.vocab_size
         # a sentinel above every code keeps `searchsorted` positions in bounds
         codes = np.append(self.codes, np.iinfo(np.int64).max)
-        nnz, indices, weights = [], [], []
+        row_counts, indices, weights = [], [], []
         for lo in range(0, len(texts), _CHUNK):
             chunk = texts[lo:lo + _CHUNK]
             grams, gram_of, rows = _chunk_grams(chunk)
@@ -205,11 +186,11 @@ class NgramVectorizer:
             ptr = np.cumsum(counts).tolist()
             w /= np.repeat(np.sqrt([np.dot(w[a:b], w[a:b]) for a, b in zip([0, *ptr], ptr)]),
                            counts)
-            nnz.append(counts)
+            row_counts.append(counts)
             indices.append(gram.astype(np.int32))
             weights.append(w)
         indptr = np.zeros(len(texts) + 1, dtype=np.int64)
-        np.cumsum(np.concatenate([np.empty(0, np.int64), *nnz]), out=indptr[1:])
+        np.cumsum(np.concatenate([np.empty(0, np.int64), *row_counts]), out=indptr[1:])
         return (indptr, np.concatenate([np.empty(0, np.int32), *indices]),
                 np.concatenate([np.empty(0), *weights]))
 
@@ -227,12 +208,3 @@ class NgramVectorizer:
         weights = tf * self.idf[indices]
         weights /= math.sqrt(float(np.dot(weights, weights)))
         return SparseVector(indices, weights)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, NgramVectorizer)
-            and np.array_equal(self.codes, other.codes)
-            and self.n_docs == other.n_docs
-            and self.min_df == other.min_df
-            and np.array_equal(self.df, other.df)
-        )

@@ -10,7 +10,10 @@ import pytest
 
 from bioling.index import build_index, save_index
 from bioling.kb import KnowledgeBase, load_kb
-from bioling.vectorizer import NgramVectorizer
+from bioling.vectorizer import NgramVectorizer, SparseVector
+
+# citation families a segmenter without citation handling tends to split
+ADVERSARIAL_FAMILIES = frozenset({"plain_author_year"})
 
 # word pool for synthetic aliases; drawn from recognizable biomedical
 # morphemes so character 3-grams overlap heavily across aliases
@@ -143,7 +146,7 @@ class BruteForceOracle:
         rows, cols, data = [], [], []
         vectors = [index.vectorizer.encode(a) for a in index.aliases]
         for i, vec in enumerate(vectors):
-            rows.extend([i] * vec.nnz)
+            rows.extend([i] * len(vec.indices))
             cols.extend(int(c) for c in vec.indices)
             data.extend(float(w) for w in vec.weights)
         self.matrix = sp.csr_matrix((data, (rows, cols)), shape=(n, vocab))
@@ -160,7 +163,7 @@ class BruteForceOracle:
             return []
         q = self._sp.csr_matrix(
             ([float(w) for w in query.weights],
-             ([0] * query.nnz, [int(c) for c in query.indices])),
+             ([0] * len(query.indices), [int(c) for c in query.indices])),
             shape=(1, self.vocab),
         )
         scores = np.asarray((self.matrix @ q.T).todense()).ravel()
@@ -169,6 +172,57 @@ class BruteForceOracle:
             (self.aliases[int(i)], float(scores[int(i)]))
             for i in order[:k] if scores[int(i)] > 0.0
         ]
+
+
+# -- oracles and helpers ----------------------------------------------------
+# Second opinions the differential tests compare the library against, none
+# sharing code with the path it checks, and views the library has no use for.
+
+def check_match(short_form: str, long_form: str) -> bool:
+    """Whether a long form covers its short form: each alphanumeric
+    character of the short form, right to left, is found in the long form
+    moving leftward. A second opinion on the matcher in `bioling.abbrev`."""
+    pos = len(long_form)
+    for c in reversed(short_form.lower()):
+        if not c.isalnum():
+            continue
+        found = long_form.lower().rfind(c, 0, pos)
+        if found < 0:
+            return False
+        pos = found
+    return True
+
+
+def dot(a: SparseVector, b: SparseVector) -> float:
+    """The dot product of two sparse vectors, by a merge of their sorted
+    indices rather than the index's posting-list accumulation."""
+    i = j = 0
+    total = 0.0
+    while i < len(a.indices) and j < len(b.indices):
+        if a.indices[i] == b.indices[j]:
+            total += a.weights[i] * b.weights[j]
+            i += 1
+            j += 1
+        elif a.indices[i] < b.indices[j]:
+            i += 1
+        else:
+            j += 1
+    return total
+
+
+def index_row(index, i: int) -> SparseVector:
+    """The vector of alias row i, gathered from every posting list that holds
+    the row. This scans all postings."""
+    at = np.flatnonzero(index.post_rows == i)
+    # entries are in gram order, so the gram ids come out increasing
+    grams = np.searchsorted(index.post_ptr, at, side="right") - 1
+    return SparseVector(grams.astype(np.int32), index.post_weights[at])
+
+
+def fitted_state(vec: NgramVectorizer) -> tuple:
+    """What a fitted vectorizer is: its gram codes, document frequencies,
+    training-set size and `min_df`. Equal states encode alike."""
+    return vec.codes.tolist(), vec.df.tolist(), vec.n_docs, vec.min_df
 
 
 def stand_in(index, **changes):

@@ -4,11 +4,13 @@ import pathlib
 import pytest
 
 from bioling.abbrev import (
-    check_match, expansion_map, find_abbreviations, _best_long_form_start,
+    expansion_map, find_abbreviations, _best_long_form_start,
     _is_valid_short_form, _validate_pair,
 )
 from bioling.segmenter import segment
 from bioling.tokenizer import tokenize
+
+from conftest import check_match
 
 CASES_PATH = pathlib.Path(__file__).parent / "data" / "abbrev_cases.jsonl"
 

@@ -16,9 +16,7 @@ import pytest
 from bioling.abbrev import find_abbreviations
 from bioling.bench import run_bench
 from bioling.doc import detokenize
-from bioling.evals import (
-    ADVERSARIAL_FAMILIES, GoldMention, make_citation_corpus, recall_at_k,
-)
+from bioling.evals import GoldMention, make_citation_corpus, recall_at_k
 from bioling.index import FORMAT_VERSION, IndexFormatError, load_index, save_index
 from bioling.kb import normalize_alias
 from bioling.linker import generate_candidates
@@ -28,7 +26,7 @@ from bioling.segmenter import (
 from bioling.tokenizer import tokenize
 from bioling.vectorizer import NgramVectorizer, SparseVector, extract_3grams
 
-from conftest import BruteForceOracle, synth_alias
+from conftest import ADVERSARIAL_FAMILIES, BruteForceOracle, dot, index_row, synth_alias
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -185,7 +183,7 @@ def test_shared_alias_semantics(capsys, toy_index):
 def test_recall_monotonic(capsys, synth_index, synth_gold):
     ks = [1, 5, 25, 100]
     exact = recall_at_k(synth_index, synth_gold, ks)
-    exact_recalls = [p.recall for p in exact.points]
+    exact_recalls = [p.recall for p in exact]
     monotone = exact_recalls == sorted(exact_recalls)
     report(capsys, "recall@K monotonicity", monotone, f"exact {exact_recalls}")
     assert monotone
@@ -222,8 +220,7 @@ BASE_SENTENCES = [
 
 
 def test_citation_segmentation(capsys):
-    labeled = make_citation_corpus(BASE_SENTENCES, seed=20_26, n=500,
-                                   with_labels=True)
+    labeled = make_citation_corpus(BASE_SENTENCES, seed=20_26, n=500)
     full_cfg = default_segmenter_config()
     naive_cfg = SegmenterConfig()
 
@@ -315,7 +312,7 @@ def test_tf_scale_invariance(capsys, synth_index):
     vec = synth_index.vectorizer
     rng = random.Random(0x5CA1E)
     sample = rng.sample(synth_index.aliases, 60)
-    others = [synth_index.row(rng.randrange(len(synth_index)))
+    others = [index_row(synth_index, rng.randrange(len(synth_index)))
               for _ in range(50)]
     worst = 0.0
     for text in sample:
@@ -331,7 +328,7 @@ def test_tf_scale_invariance(capsys, synth_index):
         w /= np.sqrt(np.dot(w, w))
         scaled = SparseVector(idx, w)
         for other in others:
-            worst = max(worst, abs(base.dot(other) - scaled.dot(other)))
+            worst = max(worst, abs(dot(base, other) - dot(scaled, other)))
     ok = worst <= 1e-12
     report(capsys, "TF scale invariance", ok,
            f"max cosine shift {worst:.2e} when TF x7")

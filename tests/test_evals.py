@@ -4,13 +4,15 @@ import pytest
 
 from bioling.doc import SentenceSpan
 from bioling.evals import (
-    ADVERSARIAL_FAMILIES, CITATION_FAMILIES, GoldMention, RecallCurve,
-    RecallPoint, make_citation_corpus, recall_at_k, segmentation_accuracy,
+    CITATION_FAMILIES, GoldMention, RecallPoint, make_citation_corpus, recall_at_k,
+    segmentation_accuracy,
 )
 from bioling.kb import normalize_alias
 from bioling.linker import generate_candidates
 from bioling.segmenter import default_segmenter_config, segment
 from bioling.tokenizer import tokenize
+
+from conftest import ADVERSARIAL_FAMILIES
 
 BASE_SENTENCES = [
     "Treatment significantly reduced tumor growth in the cohort.",
@@ -28,13 +30,6 @@ def test_gold_mention_validation():
         GoldMention("tumor", "")
 
 
-def test_recall_curve_lookup():
-    curve = RecallCurve((RecallPoint(1, 0.5, 1.0, 1), RecallPoint(5, 0.8, 4.0, 6)))
-    assert curve.recall_at(5) == 0.8
-    with pytest.raises(KeyError):
-        curve.recall_at(3)
-
-
 def test_recall_at_k_toy(toy_index):
     gold = [
         GoldMention("lung carcinoma", "C01"),
@@ -42,10 +37,10 @@ def test_recall_at_k_toy(toy_index):
         GoldMention("tumor", "C03"),
         GoldMention("completely unrelated xyzzy", "C01"),
     ]
-    curve = recall_at_k(toy_index, gold, ks=[1, 5])
-    assert curve.recall_at(1) >= 0.75
-    assert curve.recall_at(5) >= curve.recall_at(1)
-    p5 = curve.points[1]
+    p1, p5 = recall_at_k(toy_index, gold, ks=[1, 5])
+    assert (p1.k, p5.k) == (1, 5)
+    assert p1.recall >= 0.75
+    assert p5.recall >= p1.recall
     assert p5.max_candidates >= p5.mean_candidates > 0
 
 
@@ -57,16 +52,15 @@ def test_recall_monotone_in_k(toy_index):
         GoldMention("interleukin 2", "C05"),
     ]
     curve = recall_at_k(toy_index, gold, ks=[1, 2, 4, 8])
-    recalls = [p.recall for p in curve.points]
+    recalls = [p.recall for p in curve]
     assert recalls == sorted(recalls)
 
 
 def test_recall_with_expansion(toy_index):
     gold = [GoldMention("HSP", "C04")]
     expansion = {"HSP": "heat shock protein"}
-    with_exp = recall_at_k(toy_index, gold, [1],
-                           expansion=expansion)
-    assert with_exp.recall_at(1) == 1.0
+    (with_exp,) = recall_at_k(toy_index, gold, [1], expansion=expansion)
+    assert with_exp.recall == 1.0
 
 
 def test_recall_points_equal_one_search_per_k(synth_index, synth_kb):
@@ -86,8 +80,8 @@ def test_recall_points_equal_one_search_per_k(synth_index, synth_kb):
         hits = sum(gm.gold_concept_id in cs.concept_ids() for gm, cs in zip(gold, sets))
         expected.append(RecallPoint(k, hits / len(gold), sum(sizes) / len(sizes), max(sizes)))
     curve = recall_at_k(synth_index, gold, ks)
-    assert curve == RecallCurve(tuple(expected))
-    assert len({p.recall for p in curve.points}) > 1
+    assert curve == tuple(expected)
+    assert len({p.recall for p in curve}) > 1
 
 
 def test_recall_input_validation(toy_index):
@@ -139,7 +133,7 @@ def test_citation_corpus_deterministic():
 
 
 def test_citation_corpus_labels_and_families():
-    labeled = make_citation_corpus(BASE_SENTENCES, seed=1, n=400, with_labels=True)
+    labeled = make_citation_corpus(BASE_SENTENCES, seed=1, n=400)
     families = {fam for _, fam in labeled}
     assert families == set(CITATION_FAMILIES)
     assert ADVERSARIAL_FAMILIES <= families
@@ -154,7 +148,7 @@ def test_citation_corpus_capacity_bound():
 
 
 def test_one_word_sentence_gets_every_family():
-    labeled = make_citation_corpus(["Mice"], seed=13, n=200, with_labels=True)
+    labeled = make_citation_corpus(["Mice"], seed=13, n=200)
     assert {fam for _, fam in labeled} == set(CITATION_FAMILIES)
     for sent, fam in labeled:
         assert sent.startswith("Mice") and sent != "Mice"
@@ -173,13 +167,13 @@ def test_corpus_of_multiword_sentences_is_pinned():
     # change corpora whose sentences all have two or more words
     corpus = make_citation_corpus(["Mice were treated daily.", "Levels rose."],
                                   seed=13, n=500)
-    digest = hashlib.sha256("\n".join(corpus).encode()).hexdigest()
+    digest = hashlib.sha256("\n".join(s for s, _ in corpus).encode()).hexdigest()
     assert digest.startswith("8f6f2691d5b81b2c")
 
 
 def test_citation_corpus_sentences_differ_from_base():
     out = make_citation_corpus(BASE_SENTENCES, seed=2, n=len(BASE_SENTENCES))
-    for sent, base in zip(out, BASE_SENTENCES):
+    for (sent, _), base in zip(out, BASE_SENTENCES):
         assert sent != base
 
 
@@ -187,6 +181,6 @@ def test_default_segmenter_keeps_corpus_sentences_intact():
     cfg = default_segmenter_config()
     corpus = make_citation_corpus(BASE_SENTENCES, seed=3, n=200)
     intact = sum(
-        1 for sent in corpus if len(segment(tokenize(sent), cfg).sentences) == 1
+        1 for sent, _ in corpus if len(segment(tokenize(sent), cfg).sentences) == 1
     )
     assert intact / len(corpus) >= 0.95

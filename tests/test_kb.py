@@ -20,7 +20,7 @@ def test_load_toy_kb(toy_kb):
     assert set(toy_kb.concepts) == {"C01", "C02", "C03", "C04", "C05"}
     assert toy_kb.concepts["C01"].canonical_name == "Lung Cancer"
     assert toy_kb.concepts["C02"].definition is None
-    assert toy_kb.concepts["C01"].has_definition
+    assert toy_kb.concepts["C01"].definition is not None
 
 
 def test_canonical_name_becomes_alias(toy_kb):

@@ -9,9 +9,12 @@ from bioling.tokenizer import RulesFileError, tokenize
 NAIVE = SegmenterConfig()  # no stoplist, no citation handling
 
 
+def sentence_texts(doc):
+    return [doc.text[slice(*doc.sentence_char_span(s))] for s in doc.sentences]
+
+
 def sentences_of(text, cfg=None):
-    doc = segment(tokenize(text), cfg)
-    return [doc.sentence_text(s) for s in doc.sentences]
+    return sentence_texts(segment(tokenize(text), cfg))
 
 
 def test_two_sentence_canonical_case():
@@ -89,11 +92,11 @@ def test_determinism():
 def test_bracket_citation_attached_to_current_sentence():
     text = "Results improved. [3] Next trial began."
     with_cite = segment(tokenize(text), default_segmenter_config())
-    assert [with_cite.sentence_text(s) for s in with_cite.sentences] == [
+    assert sentence_texts(with_cite) == [
         "Results improved. [3]", "Next trial began.",
     ]
     without = segment(tokenize(text), NAIVE)
-    assert [without.sentence_text(s) for s in without.sentences] == [
+    assert sentence_texts(without) == [
         "Results improved.", "[3] Next trial began.",
     ]
 
@@ -101,7 +104,7 @@ def test_bracket_citation_attached_to_current_sentence():
 def test_author_year_citation_attached():
     text = "The effect is known. (Smith et al., 2002) Replication followed."
     doc = segment(tokenize(text), default_segmenter_config())
-    assert doc.sentence_text(doc.sentences[0]) == \
+    assert sentence_texts(doc)[0] == \
         "The effect is known. (Smith et al., 2002)"
 
 

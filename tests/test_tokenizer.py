@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from bioling import tokenizer
 from bioling.doc import Document, Token, detokenize
 from bioling.tokenizer import (
-    RulesFileError, TokenizerRules, default_biomedical_rules, parse_rules,
-    tokenize,
+    RulesFileError, TokenizerRules, default_biomedical_rules, load_rules,
+    parse_rules, tokenize,
 )
 
 
@@ -172,6 +172,25 @@ def test_rules_file_comments_and_blanks():
     rules = parse_rules("# comment\n\nPREFIX (\nSUFFIX .\nPROTECT al.\n")
     assert rules.prefixes == ("(",)
     assert rules.protected == frozenset({"al."})
+
+
+# characters `str.splitlines` breaks at; a file read with universal newlines
+# breaks only at "\n", "\r" and "\r\n"
+@pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                 "\u2028", "\u2029", "\r", "\r\n"])
+def test_rules_text_and_file_split_lines_alike(sep, tmp_path):
+    path = tmp_path / "rules.txt"
+    text = f"PREFIX (\nPROTECT e.g.{sep}SUFFIX )\n"
+    path.write_bytes(text.encode("utf-8"))
+    assert parse_rules(text) == load_rules(str(path))
+    # the same line numbers in errors, too
+    text = f"PREFIX (\nPROTECT a{sep}FROBNICATE x\nSUFFIX )\nFROBNICATE y\n"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(RulesFileError) as from_text:
+        parse_rules(text)
+    with pytest.raises(RulesFileError) as from_file:
+        load_rules(str(path))
+    assert f"{path}: {from_text.value}" == str(from_file.value)
 
 
 def test_infix_earliest_rule_wins():
