@@ -4,16 +4,19 @@ The raw text is the ground truth: every token, sentence and mention is a
 span into it, and concatenating token surfaces with their recorded
 whitespace reproduces the original string exactly. Offsets are Unicode
 code point indices, not bytes.
+
+`Token` is a `NamedTuple`, which is immutable and builds faster than a
+frozen dataclass, once per token: tuple equality, indexing and unpacking
+in field order are part of its API.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     surface: str
     start: int
     end: int

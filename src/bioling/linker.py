@@ -4,20 +4,23 @@ The mention (after optional abbreviation expansion) is TF-IDF encoded
 and its k nearest alias rows (one per alias key) retrieved; each fans out
 to every concept it names, so the candidate set may be smaller or larger
 than k. Per concept, the best-scoring alias and its cosine are kept.
+
+`Candidate` is a `NamedTuple`, cheap to build tens of times per mention:
+tuple equality, indexing and unpacking in field order are part of its
+API.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .index import AliasIndex
 
 REASON_OUT_OF_VOCABULARY = "out_of_vocabulary"
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     concept_id: str
     alias: str
     similarity: float

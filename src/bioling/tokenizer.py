@@ -14,13 +14,18 @@ the leftmost match first and, at one position, the first listed infix,
 with no overlaps.
 
 Speed, as in spaCy's tokenizer: each `TokenizerRules` compiles its
-rules once, on first use. Prefixes and infixes each become one regex
+rules once, on first use. The regex that finds the chunks also picks out
+those no rule can touch: a chunk that does not start with a prefix's
+first character, does not end with a suffix's last character and holds
+no infix's first character is one token straight from the scan. The
+test is conservative; every other chunk, and a special-case literal,
+goes through the rules. Prefixes and infixes each become one regex
 alternation, which tries alternatives in list order; the infix one is
 scanned with `finditer`. Suffixes become a dict from suffix to its first
 list index, looked up once per distinct suffix length. Each rules object
-also memoizes the split of every chunk it has seen, up to 4,096 chunks,
-and empties the memo when it is full. Neither changes an output; tokens
-are still built per occurrence, with absolute offsets.
+also memoizes what the rules make of each chunk, up to 4,096 chunks, and
+empties the memo when it is full. None of this changes an output;
+tokens are still built per occurrence, with absolute offsets.
 
 The tokenizer is lossless: detokenize(tokenize(s)) == s for any input.
 """
@@ -31,14 +36,12 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from importlib import resources
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .doc import Document, Token
 from .lines import InputError, Lines, open_lines
 
 _SPACE_RE = re.compile(r"\s*")
-# a whitespace-free chunk and the whitespace after it
-_CHUNK_RE = re.compile(r"(\S+)(\s*)")
 # chunks memoized per rules object; a full memo is emptied
 _MEMO_MAX = 4096
 
@@ -140,6 +143,11 @@ def _alternation(literals: tuple[str, ...]) -> re.Pattern:
     return re.compile("|".join(map(re.escape, literals)) if literals else "(?!)")
 
 
+def _char_class(chars: Iterable[str]) -> str:
+    """The characters, escaped, as the body of a regex class; "" for none."""
+    return "".join(map(re.escape, sorted(set(chars))))
+
+
 class _Splitter:
     """The compiled rules of one `TokenizerRules`, plus its chunk memo."""
 
@@ -153,6 +161,15 @@ class _Splitter:
         for rank, suf in enumerate(rules.suffixes):
             self.suffix_rank.setdefault(suf, rank)
         self.suffix_lens = sorted({len(suf) for suf in rules.suffixes})
+        # group 1: a chunk no rule can touch (a one-character chunk avoids
+        # all three classes); group 2: any other chunk; group 3: the
+        # whitespace after it
+        first = _char_class(p[0] for p in rules.prefixes)
+        last = _char_class(s[-1] for s in rules.suffixes)
+        inner = _char_class(i[0] for i in rules.infixes)
+        simple = (rf"[^\s{first}{inner}][^\s{inner}]*[^\s{last}{inner}]"
+                  rf"|[^\s{first}{last}{inner}]")
+        self.chunk = re.compile(rf"(?:({simple})(?!\S)|(\S+))(\s*)")
         self.memo: dict[str, tuple[tuple[str, int, int], ...]] = {}
 
     def split(self, chunk: str) -> tuple[tuple[str, int, int], ...]:
@@ -222,14 +239,19 @@ def tokenize(text: str, rules: TokenizerRules | None = None) -> Document:
     """Tokenize into a lossless Document; any unicode string is accepted."""
     if rules is None:
         rules = default_biomedical_rules()
-    split = rules._splitter.split
+    splitter = rules._splitter
+    split, specials = splitter.split, splitter.specials
     tokens: list[Token] = []
     leading = _SPACE_RE.match(text).group()
-    for m in _CHUNK_RE.finditer(text, len(leading)):
+    for m in splitter.chunk.finditer(text, len(leading)):
+        simple, chunk, ws = m.groups()
         base = m.start()
-        pieces = split(m.group(1))
+        if simple is not None and simple not in specials:
+            tokens.append(Token(simple, base, m.end(1), ws))
+            continue
+        pieces = split(simple or chunk)
         for surface, s, e in pieces[:-1]:
             tokens.append(Token(surface, base + s, base + e))
         surface, s, e = pieces[-1]
-        tokens.append(Token(surface, base + s, base + e, m.group(2)))
+        tokens.append(Token(surface, base + s, base + e, ws))
     return Document(text, tuple(tokens), (), leading)

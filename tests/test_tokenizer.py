@@ -261,9 +261,10 @@ def test_empty_rule_string_rejected(kind):
 
 # -- differential property: compiled matchers and memo against the oracle --
 
-_RULE_CHARS = ".,<=()-ab"
+# "]^\\" and "-" are special inside a regex character class
+_RULE_CHARS = ".,<=()-ab]^\\"
 _AFFIXES = st.text(alphabet=_RULE_CHARS, min_size=1, max_size=3)
-_TEXT_CHARS = ".,<=()-ab1 \n\t"
+_TEXT_CHARS = ".,<=()-ab1 \n\t]^\\\u00a0"
 
 
 @st.composite
@@ -325,3 +326,30 @@ def test_memo_eviction_keeps_outputs():
     assert len(rules._splitter.memo) <= tokenizer._MEMO_MAX
     assert docs == [tokenize(text, fresh()) for text in texts]
     assert docs[1] == oracle_tokenize(repeated, rules)
+
+
+# -- the fast path: chunks no rule can touch -------------------------------
+
+@pytest.mark.parametrize("rules_text,text,expected", [
+    # a special case with no affix character still splits
+    ("SPECIAL cannot => can|not\n", "we cannot go", ["we", "can", "not", "go"]),
+    # a protected literal that ends in a suffix character stays whole
+    ("SUFFIX .\nPROTECT al.\n", "et al. x.", ["et", "al.", "x", "."]),
+    # one-character chunks equal to a prefix, a suffix and an infix
+    ("PREFIX (\nSUFFIX )\nINFIX /\n", "( ) / a a( )a",
+     ["(", ")", "/", "a", "a(", ")a"]),
+    # multi-character affixes whose end characters occur in plain words
+    ("PREFIX un\nSUFFIX ly\nINFIX and\n", "only until lyre y un banana bandit",
+     ["on", "ly", "un", "til", "lyre", "y", "un", "banana", "b", "and", "it"]),
+    # rules made of characters special inside a regex character class
+    ("PREFIX ]\nSUFFIX ^\nINFIX \\\nINFIX -\n", "]a b^ c\\d e-f ^x x] a- ^",
+     ["]", "a", "b", "^", "c", "\\", "d", "e", "-", "f", "^x", "x]", "a", "-", "^"]),
+    # non-ASCII whitespace separates chunks
+    (None, "a\u00a0b\u2009(c) \u00a0d\u2009", ["a", "b", "(", "c", ")", "d"]),
+])
+def test_fast_path_equals_loop_oracle(rules_text, text, expected):
+    rules = default_biomedical_rules() if rules_text is None else parse_rules(rules_text)
+    doc = tokenize(text, rules)
+    assert [t.surface for t in doc.tokens] == expected
+    assert doc == oracle_tokenize(text, rules)
+    assert detokenize(doc) == text
