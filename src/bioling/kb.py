@@ -7,7 +7,11 @@ The KB format is JSONL, one concept per line:
 
 Aliases are many-to-many: one normalized alias string may map to several
 concepts. Normalization is applied to lookup keys only; original alias
-surfaces are kept for display and vectorizer input.
+surfaces are kept for display and vectorizer input. A concept's
+canonical name leads its aliases unless one of them has the same key.
+`load_kb` keeps only the concepts: `KnowledgeBase.alias_table` (key ->
+concept ids) is derived from them on first use, and `build_index` does
+not use it, so an index build never holds it.
 
 Input is checked where it enters: `load_kb` validates each line as
 `lines.open_lines` reads it, and a bad one raises KBFormatError.
@@ -15,9 +19,12 @@ Input is checked where it enters: `load_kb` validates each line as
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import attrgetter
 
 from .lines import InputError, Lines, open_lines
 
@@ -51,16 +58,23 @@ class KBStats:
 @dataclass
 class KnowledgeBase:
     concepts: dict[str, Concept] = field(default_factory=dict)
-    alias_table: dict[str, frozenset[str]] = field(default_factory=dict)
-    source_path: str | None = None
+    source_path: str | None = field(default=None, kw_only=True)
+
+    @cached_property
+    def alias_table(self) -> dict[str, frozenset[str]]:
+        """Each normalized alias key, in order of first appearance, with the
+        ids of the concepts that have it; derived from `concepts` on first
+        use and kept."""
+        table: dict[str, set[str]] = {}
+        for concept in self.concepts.values():
+            for alias in concept.aliases:
+                table.setdefault(normalize_alias(alias), set()).add(concept.concept_id)
+        return {key: frozenset(ids) for key, ids in table.items()}
 
     def alias_surfaces(self) -> list[str]:
         """Distinct original alias surfaces, in KB insertion order."""
-        seen: dict[str, None] = {}
-        for concept in self.concepts.values():
-            for alias in concept.aliases:
-                seen.setdefault(alias)
-        return list(seen)
+        aliases = map(attrgetter("aliases"), self.concepts.values())
+        return list(dict.fromkeys(itertools.chain.from_iterable(aliases)))
 
 
 def normalize_alias(s: str) -> str:
@@ -68,8 +82,9 @@ def normalize_alias(s: str) -> str:
     return " ".join(s.split()).lower()
 
 
-def _parse_concept(obj: dict, lines: Lines, lineno: int) -> tuple[Concept, list[str]]:
-    """The concept on a line, and the normalized key of each of its aliases."""
+def _parse_concept(obj: dict, lines: Lines, lineno: int) -> Concept:
+    """The concept on a line; its canonical name leads its aliases unless
+    one of them has the same normalized key."""
     try:
         concept_id = obj["concept_id"]
         canonical = obj["canonical_name"]
@@ -88,35 +103,30 @@ def _parse_concept(obj: dict, lines: Lines, lineno: int) -> tuple[Concept, list[
         raise lines.error(lineno, "types must be a list of strings")
     if definition is not None and not isinstance(definition, str):
         raise lines.error(lineno, "definition must be a string or null")
-    # canonical name is always an alias of its own concept
-    keys = [normalize_alias(a) for a in aliases]
-    canonical_key = normalize_alias(canonical)
-    if canonical_key not in keys:
+    # canonical name is always an alias of its own concept; a literal
+    # match needs no normalizing
+    if canonical not in aliases and (
+            normalize_alias(canonical) not in map(normalize_alias, aliases)):
         aliases = [canonical, *aliases]
-        keys = [canonical_key, *keys]
-    return Concept(concept_id, canonical, tuple(aliases), tuple(types), definition), keys
+    return Concept(concept_id, canonical, tuple(aliases), tuple(types), definition)
 
 
 def load_kb(path: str) -> KnowledgeBase:
     """Load and validate a KB file, or standard input for "-"; a bad line
     raises KBFormatError naming the file and the line."""
     concepts: dict[str, Concept] = {}
-    table: dict[str, set[str]] = {}
     with open_lines(path, KBFormatError) as lines:
         for lineno, line in lines:
             line = line.strip()
             if not line:
                 continue
             obj = lines.json_object(lineno, line)
-            concept, keys = _parse_concept(obj, lines, lineno)
+            concept = _parse_concept(obj, lines, lineno)
             if concept.concept_id in concepts:
                 raise lines.error(lineno, f"duplicate concept_id {concept.concept_id!r}")
             concepts[concept.concept_id] = concept
-            for key in keys:
-                table.setdefault(key, set()).add(concept.concept_id)
-    alias_table = {k: frozenset(v) for k, v in table.items()}
     # standard input has no file to size, whatever file is named "-"
-    return KnowledgeBase(concepts, alias_table, source_path=None if path == "-" else path)
+    return KnowledgeBase(concepts, source_path=None if path == "-" else path)
 
 
 def save_kb(kb: KnowledgeBase, path: str) -> None:

@@ -8,8 +8,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from bioling.index import build_index, save_index
-from bioling.kb import KnowledgeBase, load_kb
+from bioling.index import AliasIndex, build_index, save_index
+from bioling.kb import KnowledgeBase, load_kb, normalize_alias
 from bioling.vectorizer import NgramVectorizer, SparseVector
 
 # citation families a segmenter without citation handling tends to split
@@ -60,10 +60,9 @@ def make_synthetic_kb(
         if a not in seen:
             seen.add(a)
             surfaces.append(a)
-    from bioling.kb import Concept, normalize_alias
+    from bioling.kb import Concept
 
     concepts = {}
-    table: dict[str, set[str]] = {}
     per_concept = len(surfaces) / n_concepts
     pos = 0
     for i in range(n_concepts):
@@ -74,11 +73,8 @@ def make_synthetic_kb(
         # every so often, share an alias with the previous concept
         if i % 97 == 1 and pos > take + 1:
             aliases.append(surfaces[pos - take - 1])
-        concept = Concept(cid, aliases[0], tuple(aliases))
-        concepts[cid] = concept
-        for a in concept.aliases:
-            table.setdefault(normalize_alias(a), set()).add(cid)
-    return KnowledgeBase(concepts, {k: frozenset(v) for k, v in table.items()})
+        concepts[cid] = Concept(cid, aliases[0], tuple(aliases))
+    return KnowledgeBase(concepts)
 
 
 @pytest.fixture(scope="session")
@@ -217,6 +213,22 @@ def index_row(index, i: int) -> SparseVector:
     # entries are in gram order, so the gram ids come out increasing
     grams = np.searchsorted(index.post_ptr, at, side="right") - 1
     return SparseVector(grams.astype(np.int32), index.post_weights[at])
+
+
+def reference_build_index(kb: KnowledgeBase, vectorizer: NgramVectorizer) -> AliasIndex:
+    """`build_index` by its earlier rules: each key's smallest surface from
+    a sort of every surface, the key's ids from `kb.alias_table`, and the
+    transpose from a stable argsort of the `int32` gram ids."""
+    smallest: dict[str, str] = {}
+    for alias in sorted(kb.alias_surfaces()):
+        smallest.setdefault(normalize_alias(alias), alias)
+    alias_table = {alias: tuple(sorted(kb.alias_table[key])) for key, alias in smallest.items()}
+    indptr, indices, weights = vectorizer.encode_csr(list(alias_table))
+    by_gram = np.argsort(indices, kind="stable")
+    post_rows = np.repeat(np.arange(len(alias_table)), np.diff(indptr))[by_gram]
+    post_ptr = np.zeros(vectorizer.vocab_size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(indices, minlength=vectorizer.vocab_size), out=post_ptr[1:])
+    return AliasIndex(alias_table, post_ptr, post_rows, weights[by_gram], vectorizer)
 
 
 def fitted_state(vec: NgramVectorizer) -> tuple:

@@ -3,6 +3,7 @@ import pathlib
 import random
 import struct
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,7 +19,7 @@ from bioling.vectorizer import NgramVectorizer, SparseVector, zero_vector
 
 from conftest import (
     BLIX_CORRUPTIONS, BruteForceOracle, blix_array_starts, fitted_state, index_row,
-    make_synthetic_kb, sealed, stand_in, synth_alias, write_corrupt_blix,
+    make_synthetic_kb, reference_build_index, sealed, stand_in, synth_alias, write_corrupt_blix,
 )
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -109,9 +110,7 @@ def tie_index():
     """(vectorizer, index) over the tied variants and a few other aliases."""
     aliases = ["tumor growth factors", *TIED_VARIANTS, "heart failure", "renal failure",
                "growth factor", "kidney stone", "lung tumor"]
-    concepts = {f"T{i}": Concept(f"T{i}", a, (a,)) for i, a in enumerate(aliases)}
-    table = {normalize_alias(a): frozenset({f"T{i}"}) for i, a in enumerate(aliases)}
-    kb = KnowledgeBase(concepts, table)
+    kb = KnowledgeBase({f"T{i}": Concept(f"T{i}", a, (a,)) for i, a in enumerate(aliases)})
     vec = NgramVectorizer.fit(aliases, min_df=1)
     return vec, build_index(kb, vec)
 
@@ -268,13 +267,8 @@ SMALL_ALPHABET_TEXT = st.text("abcd -", min_size=1, max_size=10).filter(str.stri
 def test_nearest_aliases_equal_brute_force(concept_aliases, data):
     """Small alphabets make long posting lists and many tied scores, so the
     bound meets every case: lists longer and shorter than k, ties at it."""
-    concepts = {f"C{i}": Concept(f"C{i}", aliases[0], tuple(aliases))
-                for i, aliases in enumerate(concept_aliases)}
-    table: dict[str, set[str]] = {}
-    for concept in concepts.values():
-        for alias in concept.aliases:
-            table.setdefault(normalize_alias(alias), set()).add(concept.concept_id)
-    kb = KnowledgeBase(concepts, {k: frozenset(v) for k, v in table.items()})
+    kb = KnowledgeBase({f"C{i}": Concept(f"C{i}", aliases[0], tuple(aliases))
+                        for i, aliases in enumerate(concept_aliases)})
     vec = NgramVectorizer.fit(kb.alias_surfaces(), min_df=1)
     idx = build_index(kb, vec)
     oracle = BruteForceOracle(idx)
@@ -417,13 +411,8 @@ ALIAS_TEXT = st.text(
 @given(st.lists(st.lists(ALIAS_TEXT, min_size=1, max_size=4), min_size=1, max_size=8),
        st.integers(1, 3))
 def test_save_of_load_is_byte_identical(concept_aliases, min_df):
-    concepts = {f"C{i}": Concept(f"C{i}", aliases[0], tuple(aliases))
-                for i, aliases in enumerate(concept_aliases)}
-    table: dict[str, set[str]] = {}
-    for concept in concepts.values():
-        for alias in concept.aliases:
-            table.setdefault(normalize_alias(alias), set()).add(concept.concept_id)
-    kb = KnowledgeBase(concepts, {k: frozenset(v) for k, v in table.items()})
+    kb = KnowledgeBase({f"C{i}": Concept(f"C{i}", aliases[0], tuple(aliases))
+                        for i, aliases in enumerate(concept_aliases)})
     try:
         vec = NgramVectorizer.fit(kb.alias_surfaces(), min_df=min_df)
     except ValueError:  # no gram reaches min_df
@@ -465,6 +454,73 @@ def test_index_rows_are_encode_bits(request, fixture):
         want, got = index.vectorizer.encode(alias), index_row(index, i)
         assert np.array_equal(got.indices, want.indices)
         assert np.array_equal(got.weights, want.weights)
+
+
+# shared keys within and across concepts, in at most 256 grams at min_df=1
+SMALL_KB = KnowledgeBase({
+    "S1": Concept("S1", "Heat shock protein", ("Heat shock protein", "HSP", "heat  shock protein")),
+    "S2": Concept("S2", "hsp", ("hsp", "Hsp", "HSP")),
+    "S3": Concept("S3", "Tumour", ("Tumour", "tumor", "TUMOR", "Tumor")),
+})
+
+
+def cjk_kb(n_aliases: int = 17_000) -> KnowledgeBase:
+    """Aliases of one 4-character CJK word, each position a different
+    permutation of 20,992 code points, so that nearly every gram is new:
+    over 65,536 grams at min_df=1."""
+    words = ["".join(chr(0x4E00 + m * i % 20_992) for m in (1, 7, 11, 13))
+             for i in range(n_aliases)]
+    return KnowledgeBase({f"J{i}": Concept(f"J{i}", w, (w,)) for i, w in enumerate(words)})
+
+
+@pytest.mark.parametrize("name, key_dtype", [
+    ("toy", "uint8"), ("synthetic", "uint16"), ("small", "uint8"), ("cjk", "uint32")])
+def test_build_index_equals_reference(request, name, key_dtype):
+    """The one-pass key table and the narrow transpose sort give the earlier
+    rules' rows and postings, values and dtypes, in each width of gram id."""
+    kb, min_df = {"toy": lambda: (request.getfixturevalue("toy_kb"), 1),
+                  "synthetic": lambda: (request.getfixturevalue("synth_kb"), 10),
+                  "small": lambda: (SMALL_KB, 1),
+                  "cjk": lambda: (cjk_kb(), 1)}[name]()
+    vec = NgramVectorizer.fit(kb.alias_surfaces(), min_df=min_df)
+    assert np.min_scalar_type(vec.vocab_size - 1) == key_dtype
+    got, want = build_index(kb, vec), reference_build_index(kb, vec)
+    assert list(got.alias_table.items()) == list(want.alias_table.items())
+    for field in ("post_ptr", "post_rows", "post_weights"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+
+
+# the tracemalloc peak after `encode_csr` over the final postings' bytes
+# reads 1.78 on the synthetic KB (numpy 2.4, Python 3.11), so this leaves
+# a 20% margin. Keeping the encoded weights to the end, or gathering the
+# rows as int64, reads 2.28; the earlier transpose, which did both and
+# also kept the gram ids, 2.56.
+TRANSPOSE_PEAK_RATIO = 2.15
+
+
+def test_build_index_transpose_memory(synth_kb, synth_index):
+    """The build's arrays after `encode_csr` stay under a bound set by the
+    postings they make. At this size `encode_csr`'s per-chunk temporaries
+    set the whole build's peak, so the peak is restarted when it returns:
+    what is left is the encoded rows, the key table and the transpose."""
+    v = synth_index.vectorizer
+    vec = NgramVectorizer(v.codes, v.df, v.n_docs, v.min_df)
+
+    def encode_csr(texts):
+        out = NgramVectorizer.encode_csr(vec, texts)
+        tracemalloc.reset_peak()
+        return out
+
+    vec.encode_csr = encode_csr
+    tracemalloc.start()
+    try:
+        index = build_index(synth_kb, vec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    postings = index.post_ptr.nbytes + index.post_rows.nbytes + index.post_weights.nbytes
+    assert peak / postings < TRANSPOSE_PEAK_RATIO
 
 
 def test_failed_save_keeps_existing_file(toy_index, tmp_path):

@@ -1,9 +1,13 @@
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bioling.kb import (
-    KBFormatError, kb_stats, load_kb, normalize_alias, save_kb,
+    Concept, KBFormatError, KnowledgeBase, kb_stats, load_kb, normalize_alias, save_kb,
 )
 
 
@@ -141,6 +145,76 @@ def test_kb_stats(toy_kb):
     assert stats.n_shared_aliases == 1  # "cancer"
     assert stats.n_aliases == len(toy_kb.alias_table)
     assert stats.bytes_on_disk > 0
+
+
+def test_source_path_is_keyword_only():
+    concepts = {"X1": Concept("X1", "a", ("a",))}
+    with pytest.raises(TypeError):
+        KnowledgeBase(concepts, {"a": frozenset({"X1"})})
+    assert KnowledgeBase(concepts, source_path="kb.jsonl").source_path == "kb.jsonl"
+
+
+def reference_ingest(records: list[dict]) -> tuple[dict, dict]:
+    """Each concept's aliases and the alias table, by the eager rules
+    `load_kb` once had: every alias normalized as it is read, the canonical
+    name put first unless its key is among them."""
+    aliases_of, table = {}, {}
+    for rec in records:
+        aliases = rec["aliases"]
+        keys = [normalize_alias(a) for a in aliases]
+        canonical_key = normalize_alias(rec["canonical_name"])
+        if canonical_key not in keys:
+            aliases = [rec["canonical_name"], *aliases]
+            keys = [canonical_key, *keys]
+        aliases_of[rec["concept_id"]] = tuple(aliases)
+        for key in keys:
+            table.setdefault(key, set()).add(rec["concept_id"])
+    return aliases_of, {key: frozenset(ids) for key, ids in table.items()}
+
+
+# few letters in two cases, and whitespace: keys often collide
+SURFACE = st.text("aAb \t", min_size=1, max_size=6).filter(str.strip)
+
+
+@st.composite
+def kb_records(draw) -> list[dict]:
+    """KB lines whose aliases repeat earlier ones, and whose canonical name is
+    one of its aliases, one up to case and whitespace, or any surface."""
+    records, used = [], []
+    for i in range(draw(st.integers(1, 6))):
+        surface = st.one_of(SURFACE, st.sampled_from(used)) if used else SURFACE
+        aliases = draw(st.lists(surface, max_size=4))
+        used += aliases
+        kind = draw(st.sampled_from(["literal", "variant", "other"]))
+        if kind != "other" and aliases:
+            canonical = draw(st.sampled_from(aliases))
+            if kind == "variant":
+                canonical = f" {canonical.swapcase()}\t"
+        else:
+            canonical = draw(SURFACE)
+        records.append({"concept_id": f"X{i}", "canonical_name": canonical, "aliases": aliases})
+    return records
+
+
+@settings(max_examples=200, deadline=None)
+@given(kb_records())
+@example([
+    # literally an alias; "cancer" is shared with X2
+    {"concept_id": "X1", "canonical_name": "Lung Cancer", "aliases": ["cancer", "Lung Cancer"]},
+    # an alias only after case and whitespace normalization
+    {"concept_id": "X2", "canonical_name": "Breast  CANCER", "aliases": ["breast cancer", "cancer"]},
+    # absent, with two surfaces of one key
+    {"concept_id": "X3", "canonical_name": "Tumor", "aliases": ["growth", " Growth"]},
+])
+def test_ingest_equals_eager_rules(records):
+    aliases_of, table = reference_ingest(records)
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "kb.jsonl")
+        with open(path, "w", encoding="utf-8") as fp:
+            fp.writelines(json.dumps(rec) + "\n" for rec in records)
+        kb = load_kb(path)
+    assert {cid: c.aliases for cid, c in kb.concepts.items()} == aliases_of
+    assert list(kb.alias_table.items()) == list(table.items())
 
 
 def test_synthetic_kb_shape(synth_kb):

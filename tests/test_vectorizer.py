@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from bioling import vectorizer
 from bioling.index import build_index
-from bioling.kb import Concept, KnowledgeBase, normalize_alias
+from bioling.kb import Concept, KnowledgeBase
 from bioling.vectorizer import (
     NgramVectorizer, SparseVector, extract_3grams, zero_vector,
 )
@@ -55,8 +55,7 @@ def assert_matches_reference(aliases, min_df):
     # one and so get no index row
     for got, expected in zip(vec.encode_csr(aliases), reference_csr(vec, aliases)):
         assert got.dtype == expected.dtype and np.array_equal(got, expected)
-    kb = KnowledgeBase({"C1": Concept("C1", "c", tuple(aliases))},
-                       {normalize_alias(a): frozenset({"C1"}) for a in aliases})
+    kb = KnowledgeBase({"C1": Concept("C1", "c", tuple(aliases))})
     index = build_index(kb, vec)
     # the postings are the reference rows in CSC form, as scipy transposes them
     indptr, indices, weights = reference_csr(vec, index.aliases)
