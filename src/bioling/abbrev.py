@@ -4,6 +4,9 @@ Implements the classic right-to-left character matcher over parenthesized
 candidates: each character of the short form must be found in the
 preceding window moving leftward, and the first character must start a
 word. The long form is the shortest window suffix satisfying the match.
+
+Candidates are the innermost parentheticals of each sentence, found by
+one regex scan for parentheses rather than a walk over every character.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from typing import Iterable, Sequence
 from .doc import AbbreviationPair, Document, MentionSpan
 
 _WORD_RE = re.compile(r"\S+")
+_PAREN_RE = re.compile(r"[()]")
 
 _MIN_SF_LEN = 2
 _MAX_SF_LEN = 10
@@ -72,11 +76,11 @@ def _innermost_parens(text: str, start: int, end: int) -> list[tuple[int, int]]:
     """(open, close) offsets of parentheticals with no nested pair inside."""
     pairs = []
     stack = []
-    for i in range(start, end):
-        c = text[i]
-        if c == "(":
+    for m in _PAREN_RE.finditer(text, start, end):
+        i = m.start()
+        if m.group() == "(":
             stack.append(i)
-        elif c == ")" and stack:
+        elif stack:
             lp = stack.pop()
             if not any(lp < p[0] and p[1] < i for p in pairs):
                 pairs.append((lp, i))

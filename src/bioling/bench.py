@@ -4,7 +4,8 @@ Times the requested pipeline stages over a corpus of raw abstracts:
 warmup repetitions run untimed, then each timed repetition processes the
 whole corpus. Rule/index loading happens before the clock starts and is
 reported separately. The headline number is the median per-abstract time
-over repetitions.
+over repetitions; each stage that runs is also timed on its own, so the
+stage times of a repetition add up to at most its total.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import platform
 import statistics
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 from . import abbrev as abbrev_mod
@@ -43,10 +44,14 @@ class BenchReport:
     hardware_note: str
     cpu_total_s: float = 0.0
     per_rep_total_s: tuple[float, ...] = ()
+    # per stage that ran, including those a requested stage needs as input
+    stage_ms_per_abstract_median: dict[str, float] = field(default_factory=dict)
+    per_rep_stage_s: dict[str, tuple[float, ...]] = field(default_factory=dict)
 
     def as_dict(self) -> dict:
         return {**asdict(self), "stages": list(self.stages),
-                "per_rep_total_s": list(self.per_rep_total_s)}
+                "per_rep_total_s": list(self.per_rep_total_s),
+                "per_rep_stage_s": {s: list(t) for s, t in self.per_rep_stage_s.items()}}
 
 
 def _bench_mentions(doc) -> list[str]:
@@ -64,16 +69,28 @@ def _process(
     rules: TokenizerRules,
     seg_cfg: SegmenterConfig,
     index: AliasIndex | None,
+    stage_ns: list[int],
 ) -> None:
+    """Run the stages on one abstract, adding each stage's nanoseconds to
+    `stage_ns` (indexed as `STAGES`)."""
+    clock = time.perf_counter_ns
+    t0 = clock()
     doc = tokenize(text, rules)
+    t1 = clock()
+    stage_ns[0] += t1 - t0
     if {"segment", "abbrev", "link"} & stages:
         doc = segment(doc, seg_cfg)
+        t0, t1 = t1, clock()
+        stage_ns[1] += t1 - t0
     expansion = None
     if {"abbrev", "link"} & stages:
         expansion = abbrev_mod.expansion_map(abbrev_mod.find_abbreviations(doc))
+        t0, t1 = t1, clock()
+        stage_ns[2] += t1 - t0
     if "link" in stages:
         for mention in _bench_mentions(doc):
             generate_candidates(index, index.alias_table, mention, _LINK_K, expansion)
+        stage_ns[3] += clock() - t1
 
 
 def run_bench(
@@ -97,25 +114,31 @@ def run_bench(
     setup_start = time.perf_counter()
     rules = default_biomedical_rules()
     seg_config = default_segmenter_config()
+    setup_s = time.perf_counter() - setup_start
     # sentence counts come from one untimed segmenter pass
     n_sentences = sum(
         len(segment(tokenize(text, rules), seg_config).sentences) for text in corpus
     )
-    setup_s = time.perf_counter() - setup_start
 
-    def one_pass():
+    def one_pass(stage_ns):
         for text in corpus:
-            _process(text, stage_set, rules, seg_config, index)
+            _process(text, stage_set, rules, seg_config, index, stage_ns)
 
     for _ in range(warmup):
-        one_pass()
+        one_pass([0] * len(STAGES))
 
+    # every stage up to the last one asked for runs, as its input
+    ran = STAGES[:1 + max(STAGES.index(s) for s in stage_set)]
     per_rep: list[float] = []
+    per_rep_stage: dict[str, list[float]] = {s: [] for s in ran}
     cpu0 = time.process_time()
     for _ in range(reps):
-        t0 = time.perf_counter()
-        one_pass()
-        per_rep.append(time.perf_counter() - t0)
+        stage_ns = [0] * len(STAGES)
+        t0 = time.perf_counter_ns()
+        one_pass(stage_ns)
+        per_rep.append((time.perf_counter_ns() - t0) / 1e9)
+        for s, ns in zip(ran, stage_ns):
+            per_rep_stage[s].append(ns / 1e9)
     cpu_total = time.process_time() - cpu0
 
     per_abstract_ms = [t * 1000.0 / len(corpus) for t in per_rep]
@@ -137,4 +160,8 @@ def run_bench(
                       f"python {platform.python_version()}",
         cpu_total_s=cpu_total,
         per_rep_total_s=tuple(per_rep),
+        stage_ms_per_abstract_median={
+            s: statistics.median(t) * 1000.0 / len(corpus) for s, t in per_rep_stage.items()
+        },
+        per_rep_stage_s={s: tuple(t) for s, t in per_rep_stage.items()},
     )

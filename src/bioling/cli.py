@@ -351,6 +351,8 @@ def _cmd_bench(args) -> int:
         for key, value in d.items():
             if key == "per_rep_total_s":
                 value = ", ".join(f"{v:.4f}" for v in report.per_rep_total_s)
+            elif isinstance(value, dict):
+                value = json.dumps(value)
             elif isinstance(value, float):
                 value = f"{value:.4f}"
             print(f"{key:<{width}}  {value}")

@@ -5,6 +5,11 @@ token is a known abbreviation, the position is inside an unclosed
 bracket, a citation pattern immediately follows (it is attached to the
 current sentence), or the following token fails the confirmation test
 (uppercase / digit / opening bracket).
+
+Only a token whose surface ends in terminal punctuation or a bracket can
+change the bracket depth or end a sentence, so one comprehension picks
+those out and the loop visits them alone; the tokens of an attached
+citation are skipped, as they are consumed with the sentence they end.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from .tokenizer import RulesFileError, _directives, default_biomedical_rules, to
 _TERMINALS = frozenset(".!?")
 _OPENERS = frozenset("([{")
 _CLOSERS = frozenset(")]}")
+_STATE_ENDS = ".!?([{)]}"
 _NUM_LIST_RE = re.compile(r"[0-9][0-9,;–—-]*\Z")
 _YEAR_RE = re.compile(r"(1[6-9]|20)\d\d[a-z]?\Z")
 _CONFIRM_RE = re.compile(r'[A-Z0-9([{"“‘]')
@@ -129,16 +135,17 @@ def segment(doc: Document, cfg: SegmenterConfig | None = None) -> Document:
 
     boundaries: list[int] = []  # index of the last token of each sentence
     depth = 0
-    i = 0
-    while i < n:
+    resume = 0  # tokens before it belong to an attached citation
+    # `s[-1:]`, unlike `s[-1]`, takes an empty surface without raising
+    for i in [i for i, s in enumerate(surfaces) if s[-1:] in _STATE_ENDS]:
+        if i < resume:
+            continue
         s = surfaces[i]
         if s in _OPENERS:
             depth += 1
-            i += 1
             continue
         if s in _CLOSERS:
             depth = max(0, depth - 1)
-            i += 1
             continue
         prev = surfaces[i - 1] if i > 0 else None
         if depth == 0 and _is_boundary_token(s, prev, cfg.stoplist):
@@ -161,9 +168,7 @@ def segment(doc: Document, cfg: SegmenterConfig | None = None) -> Document:
                             break
             if j >= n or _CONFIRM_RE.match(surfaces[j]):
                 boundaries.append(end)
-            i = end + 1
-            continue
-        i += 1
+            resume = end + 1
 
     if not boundaries or boundaries[-1] != n - 1:
         boundaries.append(n - 1)

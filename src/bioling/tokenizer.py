@@ -24,7 +24,11 @@ alternation, which tries alternatives in list order; the infix one is
 scanned with `finditer`. Suffixes become a dict from suffix to its first
 list index, looked up once per distinct suffix length. Each rules object
 also memoizes what the rules make of each chunk, up to 4,096 chunks, and
-empties the memo when it is full. None of this changes an output;
+empties the memo when it is full. The chunks come from one `findall`:
+after the leading whitespace its matches are contiguous, each a chunk and
+the whitespace after it, so a running offset places every token without
+a match object, and tokens are built with `tuple.__new__`, without
+`Token`'s Python-level constructor. None of this changes an output;
 tokens are still built per occurrence, with absolute offsets.
 
 The tokenizer is lossless: detokenize(tokenize(s)) == s for any input.
@@ -241,17 +245,21 @@ def tokenize(text: str, rules: TokenizerRules | None = None) -> Document:
         rules = default_biomedical_rules()
     splitter = rules._splitter
     split, specials = splitter.split, splitter.specials
+    new = tuple.__new__
     tokens: list[Token] = []
     leading = _SPACE_RE.match(text).group()
-    for m in splitter.chunk.finditer(text, len(leading)):
-        simple, chunk, ws = m.groups()
-        base = m.start()
-        if simple is not None and simple not in specials:
-            tokens.append(Token(simple, base, m.end(1), ws))
+    pos = len(leading)
+    for simple, chunk, ws in splitter.chunk.findall(text, pos):
+        # findall gives an unmatched group as ""
+        if simple and simple not in specials:
+            tokens.append(new(Token, (simple, pos, pos + len(simple), ws)))
+            pos += len(simple) + len(ws)
             continue
-        pieces = split(simple or chunk)
+        chunk = simple or chunk
+        pieces = split(chunk)
         for surface, s, e in pieces[:-1]:
-            tokens.append(Token(surface, base + s, base + e))
+            tokens.append(new(Token, (surface, pos + s, pos + e, "")))
         surface, s, e = pieces[-1]
-        tokens.append(Token(surface, base + s, base + e, ws))
+        tokens.append(new(Token, (surface, pos + s, pos + e, ws)))
+        pos += len(chunk) + len(ws)
     return Document(text, tuple(tokens), (), leading)

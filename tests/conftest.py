@@ -8,8 +8,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from bioling import segmenter
+from bioling.doc import Document, SentenceSpan
 from bioling.index import AliasIndex, build_index, save_index
 from bioling.kb import KnowledgeBase, load_kb, normalize_alias
+from bioling.segmenter import SegmenterConfig
 from bioling.vectorizer import NgramVectorizer, SparseVector
 
 # citation families a segmenter without citation handling tends to split
@@ -187,6 +190,71 @@ def check_match(short_form: str, long_form: str) -> bool:
             return False
         pos = found
     return True
+
+
+def reference_innermost_parens(text: str, start: int, end: int) -> list[tuple[int, int]]:
+    """`abbrev._innermost_parens` by its earlier per-character loop: (open,
+    close) offsets of parentheticals in text[start:end] with no nested pair
+    inside, in order of their closing parenthesis."""
+    pairs = []
+    stack = []
+    for i in range(start, end):
+        c = text[i]
+        if c == "(":
+            stack.append(i)
+        elif c == ")" and stack:
+            lp = stack.pop()
+            if not any(lp < p[0] and p[1] < i for p in pairs):
+                pairs.append((lp, i))
+    return pairs
+
+
+def reference_segment(doc: Document, cfg: SegmenterConfig) -> Document:
+    """`segment` by its earlier loop, which visits every token in turn."""
+    surfaces = [t.surface for t in doc.tokens]
+    n = len(surfaces)
+    if n == 0:
+        return doc.with_sentences(())
+    boundaries: list[int] = []
+    depth = 0
+    i = 0
+    while i < n:
+        s = surfaces[i]
+        if s in segmenter._OPENERS:
+            depth += 1
+            i += 1
+            continue
+        if s in segmenter._CLOSERS:
+            depth = max(0, depth - 1)
+            i += 1
+            continue
+        prev = surfaces[i - 1] if i > 0 else None
+        if depth == 0 and segmenter._is_boundary_token(s, prev, cfg.stoplist):
+            end = i
+            j = i + 1
+            matched = True
+            while matched and j < n:
+                matched = False
+                for enabled, matcher in (
+                    (cfg.cite_bracket, segmenter._match_bracket_citation),
+                    (cfg.cite_author_year, segmenter._match_author_year_citation),
+                ):
+                    if enabled:
+                        nxt = matcher(surfaces, j)
+                        if nxt is not None:
+                            end = nxt - 1
+                            j = nxt
+                            matched = True
+                            break
+            if j >= n or segmenter._CONFIRM_RE.match(surfaces[j]):
+                boundaries.append(end)
+            i = end + 1
+            continue
+        i += 1
+    if not boundaries or boundaries[-1] != n - 1:
+        boundaries.append(n - 1)
+    firsts = [0] + [last + 1 for last in boundaries[:-1]]
+    return doc.with_sentences(map(SentenceSpan, firsts, boundaries))
 
 
 def dot(a: SparseVector, b: SparseVector) -> float:

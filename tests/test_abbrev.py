@@ -2,15 +2,17 @@ import json
 import pathlib
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bioling.abbrev import (
     expansion_map, find_abbreviations, _best_long_form_start,
-    _is_valid_short_form, _validate_pair,
+    _innermost_parens, _is_valid_short_form, _validate_pair,
 )
 from bioling.segmenter import segment
 from bioling.tokenizer import tokenize
 
-from conftest import check_match
+from conftest import check_match, reference_innermost_parens
 
 CASES_PATH = pathlib.Path(__file__).parent / "data" / "abbrev_cases.jsonl"
 
@@ -111,3 +113,21 @@ def test_document_order():
     pairs = find_abbreviations(segment(tokenize(text)))
     assert [p.short_form.surface for p in pairs] == ["HSP", "TNF"]
     assert pairs[0].short_form.start < pairs[1].short_form.start
+
+
+@st.composite
+def text_and_window(draw):
+    text = draw(st.text(alphabet="(() )a.\n", max_size=60))
+    start = draw(st.integers(0, len(text)))
+    return text, start, draw(st.integers(start, len(text)))
+
+
+@given(text_and_window())
+@settings(max_examples=400, deadline=None)
+@example(("((a) (b)) (c", 0, 12))
+@example(("(a)) ((b)", 1, 9))
+@example(("((a)(b))", 1, 7))
+def test_innermost_parens_equals_loop_oracle(case):
+    text, start, end = case
+    assert _innermost_parens(text, start, end) == \
+        reference_innermost_parens(text, start, end)

@@ -51,3 +51,30 @@ def test_errors():
         run_bench(CORPUS, ["tokenize", "link"])
     with pytest.raises(ValueError, match="reps"):
         run_bench(CORPUS, ["tokenize"], reps=0)
+
+
+@pytest.mark.parametrize("stages,ran", [
+    (["tokenize"], ["tokenize"]),
+    (["tokenize", "abbrev"], ["tokenize", "segment", "abbrev"]),
+    (list(STAGES), list(STAGES)),
+])
+def test_stage_times_within_each_rep(toy_index, stages, ran):
+    report = run_bench(CORPUS, stages, reps=3, warmup=0, index=toy_index)
+    # every stage that ran is timed, including one only needed as input
+    assert list(report.per_rep_stage_s) == ran
+    assert list(report.stage_ms_per_abstract_median) == ran
+    for rep, total in enumerate(report.per_rep_total_s):
+        stage_sum = sum(times[rep] for times in report.per_rep_stage_s.values())
+        assert 0 < stage_sum <= total
+    for stage, times in report.per_rep_stage_s.items():
+        assert report.stage_ms_per_abstract_median[stage] == \
+            pytest.approx(sorted(times)[1] * 1000 / report.n_docs)
+
+
+def test_setup_excludes_corpus_pass():
+    # rule loading alone: the sentence-count pass over the corpus, as long
+    # as a tokenize-and-segment repetition, runs outside setup_s
+    small = run_bench(CORPUS, ["tokenize"], reps=1)  # the rules are loaded now
+    report = run_bench(CORPUS * 500, ["tokenize", "segment"], reps=1, warmup=0)
+    assert report.n_sentences == 500 * small.n_sentences
+    assert report.setup_s < report.per_rep_total_s[0] / 10

@@ -340,6 +340,18 @@ def test_bench_json(run, index_path, tmp_path):
     report = json.loads(out)
     assert report["n_docs"] == 3
     assert report["stages"] == ["tokenize", "segment", "abbrev", "link"]
+    assert list(report["stage_ms_per_abstract_median"]) == report["stages"]
+    assert [len(t) for t in report["per_rep_stage_s"].values()] == [1] * 4
+
+
+def test_bench_text_report(run, tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("Tumor growth was reduced. HSP levels rose [1].\n")
+    code, out, _ = run(["bench", "--input", str(corpus), "--stages", "segment"])
+    assert code == 0
+    lines = dict(line.split(None, 1) for line in out.splitlines())
+    assert list(json.loads(lines["stage_ms_per_abstract_median"])) == \
+        ["tokenize", "segment"]
 
 
 def test_bench_link_without_index_exits_1(run, tmp_path):

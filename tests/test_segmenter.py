@@ -1,10 +1,15 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from bioling.doc import Document, Token
 from bioling.segmenter import (
     SegmenterConfig, citation_split_rate, default_segmenter_config,
     parse_segmenter_config, segment,
 )
 from bioling.tokenizer import RulesFileError, tokenize
+
+from conftest import reference_segment
 
 NAIVE = SegmenterConfig()  # no stoplist, no citation handling
 
@@ -153,3 +158,49 @@ def test_citation_split_rate_differential():
 def test_citation_split_rate_empty_errors():
     with pytest.raises(ValueError, match="empty evaluation set"):
         citation_split_rate([], default_segmenter_config())
+
+
+# -- differential property: the candidate scan against the per-token loop --
+
+# brackets and terminals alone and attached, stoplisted abbreviations,
+# citation parts, and words that do and do not confirm a boundary
+_SURFACES = [".", "!", "?", "(", ")", "[", "]", "{", "}", "al.", "Fig.", "e.g.",
+             "vs.", "et", "Smith", "Jones", "2002", "1999a", "1,2", "3", "4-6", ",",
+             "rose.", "cells!", "Why?", "x)", "a(", "[1]", "The", "mice", "“Data", ""]
+
+
+def hand_built(surfaces):
+    """A document whose tokens are exactly `surfaces`, one space apart."""
+    tokens, pos = [], 0
+    for surface in surfaces:
+        tokens.append(Token(surface, pos, pos + len(surface), " "))
+        pos += len(surface) + 1
+    return Document(" ".join(surfaces) + " " * bool(surfaces), tuple(tokens))
+
+
+# whole citations, attached or not; one holds an unbalanced bracket, whose
+# depth counts only if the citation's tokens are visited
+_CITATIONS = [["(", "Smith", "et", "al.", ",", "2002", ")"], ["(", "Jones", "1999a", ")"],
+              ["[", "1,2", "]"], ["[", "3", ",", "4-6", "]"],
+              ["(", "Smith", "[", "2002", ")"], ["(", "Jones", "}", "1999a", ")"]]
+
+
+@pytest.mark.parametrize("cite_bracket", [False, True])
+@pytest.mark.parametrize("cite_author_year", [False, True])
+@given(parts=st.lists(st.one_of(st.sampled_from(_SURFACES).map(lambda s: [s]),
+                                st.sampled_from(_CITATIONS)), max_size=30))
+@settings(max_examples=300, deadline=None)
+@example(parts=[["Cells", "rose."], _CITATIONS[4], ["Then", "fell.", "Next", "."]])
+def test_segment_equals_loop_oracle(cite_bracket, cite_author_year, parts):
+    cfg = SegmenterConfig(default_segmenter_config().stoplist, cite_bracket,
+                          cite_author_year)
+    doc = hand_built([s for part in parts for s in part])
+    assert segment(doc, cfg) == reference_segment(doc, cfg)
+
+
+def test_empty_surface_token_segments():
+    doc = hand_built(["", "Cells", "", "rose.", "Next", "", "."])
+    cfg = default_segmenter_config()
+    assert segment(doc, cfg) == reference_segment(doc, cfg)
+    assert [(s.first_token, s.last_token) for s in segment(doc, cfg).sentences] == \
+        [(0, 3), (4, 6)]

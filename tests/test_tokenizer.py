@@ -209,7 +209,9 @@ def test_deterministic():
 @given(st.text(max_size=300))
 @settings(max_examples=300, deadline=None)
 def test_lossless_property(s):
-    assert detokenize(tokenize(s)) == s
+    doc = tokenize(s)
+    assert detokenize(doc) == s
+    assert all(type(tok) is Token for tok in doc.tokens)
 
 
 @given(st.text(alphabet="αβγδ()[]{}.,;%<>/=- \n0123456789abcXYZ", max_size=120))
@@ -264,7 +266,7 @@ def test_empty_rule_string_rejected(kind):
 # "]^\\" and "-" are special inside a regex character class
 _RULE_CHARS = ".,<=()-ab]^\\"
 _AFFIXES = st.text(alphabet=_RULE_CHARS, min_size=1, max_size=3)
-_TEXT_CHARS = ".,<=()-ab1 \n\t]^\\\u00a0"
+_TEXT_CHARS = ".,<=()-ab1 \n\t\r]^\\\u00a0\x1c\u2028\u3000"
 
 
 @st.composite
@@ -305,11 +307,19 @@ def rules_and_text(draw):
 @example((TokenizerRules(prefixes=("<", "<="), infixes=("<=", "<")), "<=a<=b<c <<="))
 @example((TokenizerRules(suffixes=(")", ".", ".)"), protected=frozenset({"b.)"})),
           "b.) (b.).) .)"))
+# leading and trailing whitespace of every kind: each token's offset runs on
+# from the whitespace the scan consumed before it
+@example((TokenizerRules(suffixes=(".",)), " \r\n\x1c\u2028a.\u3000 b\t"))
+@example((TokenizerRules(prefixes=("(",)), "\u3000\u2028(a \x1c\r\n"))
+@example((TokenizerRules(), "\u2028\u3000 \x1c"))
 def test_tokenize_equals_loop_oracle(case):
     rules, text = case
     # twice, so the second pass reads every chunk from the memo
-    assert tokenize(text, rules) == oracle_tokenize(text, rules)
-    assert tokenize(text, rules) == oracle_tokenize(text, rules)
+    for _ in range(2):
+        doc = tokenize(text, rules)
+        assert doc == oracle_tokenize(text, rules)
+        # tuple equality cannot tell a plain tuple from a Token
+        assert all(type(tok) is Token for tok in doc.tokens)
 
 
 def test_memo_eviction_keeps_outputs():
