@@ -5,7 +5,10 @@ warmup repetitions run untimed, then each timed repetition processes the
 whole corpus. Rule/index loading happens before the clock starts and is
 reported separately. The headline number is the median per-abstract time
 over repetitions; each stage that runs is also timed on its own, so the
-stage times of a repetition add up to at most its total.
+stage times of a repetition add up to at most its total. Counts (sentences,
+and with the link stage mentions, out-of-vocabulary mentions and
+candidate-set sizes) come from one untimed pass over the corpus, so no
+stage time moves; the link counters take the names perfbench gives them.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Sequence
 
 from . import abbrev as abbrev_mod
 from .index import AliasIndex
-from .linker import generate_candidates
+from .linker import REASON_OUT_OF_VOCABULARY, CandidateSet, generate_candidates
 from .segmenter import SegmenterConfig, default_segmenter_config, segment
 from .tokenizer import TokenizerRules, default_biomedical_rules, tokenize
 
@@ -47,6 +50,12 @@ class BenchReport:
     # per stage that ran, including those a requested stage needs as input
     stage_ms_per_abstract_median: dict[str, float] = field(default_factory=dict)
     per_rep_stage_s: dict[str, tuple[float, ...]] = field(default_factory=dict)
+    # with the link stage: mentions linked per pass, those out of
+    # vocabulary, and `linker.candidates_mean`, `linker.candidates_max`
+    # and `vectorizer.oov_share`
+    n_mentions: int = 0
+    n_oov_mentions: int = 0
+    link_counters: dict[str, float] = field(default_factory=dict)
 
     def as_dict(self) -> dict:
         return {**asdict(self), "stages": list(self.stages),
@@ -61,6 +70,12 @@ def _bench_mentions(doc) -> list[str]:
         key=lambda w: (-len(w), w),
     )
     return words[:_LINK_MENTIONS_PER_DOC]
+
+
+def _link(doc, index: AliasIndex, expansion) -> list[CandidateSet]:
+    """The candidates of each mention `_bench_mentions` picks from the doc."""
+    return [generate_candidates(index, index.alias_table, mention, _LINK_K, expansion)
+            for mention in _bench_mentions(doc)]
 
 
 def _process(
@@ -88,8 +103,7 @@ def _process(
         t0, t1 = t1, clock()
         stage_ns[2] += t1 - t0
     if "link" in stages:
-        for mention in _bench_mentions(doc):
-            generate_candidates(index, index.alias_table, mention, _LINK_K, expansion)
+        _link(doc, index, expansion)
         stage_ns[3] += clock() - t1
 
 
@@ -115,10 +129,16 @@ def run_bench(
     rules = default_biomedical_rules()
     seg_config = default_segmenter_config()
     setup_s = time.perf_counter() - setup_start
-    # sentence counts come from one untimed segmenter pass
-    n_sentences = sum(
-        len(segment(tokenize(text, rules), seg_config).sentences) for text in corpus
-    )
+    # the counts come from one untimed pass
+    n_sentences, sizes, n_oov = 0, [], 0
+    for text in corpus:
+        doc = segment(tokenize(text, rules), seg_config)
+        n_sentences += len(doc.sentences)
+        if "link" in stage_set:
+            expansion = abbrev_mod.expansion_map(abbrev_mod.find_abbreviations(doc))
+            for cs in _link(doc, index, expansion):
+                sizes.append(len(cs.candidates))
+                n_oov += cs.reason == REASON_OUT_OF_VOCABULARY
 
     def one_pass(stage_ns):
         for text in corpus:
@@ -164,4 +184,11 @@ def run_bench(
             s: statistics.median(t) * 1000.0 / len(corpus) for s, t in per_rep_stage.items()
         },
         per_rep_stage_s={s: tuple(t) for s, t in per_rep_stage.items()},
+        n_mentions=len(sizes),
+        n_oov_mentions=n_oov,
+        link_counters={
+            "linker.candidates_mean": statistics.fmean(sizes),
+            "linker.candidates_max": max(sizes),
+            "vectorizer.oov_share": n_oov / len(sizes),
+        } if sizes else {},
     )

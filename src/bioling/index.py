@@ -20,11 +20,14 @@ Top-k selection never sorts the whole index. Any k scored rows bound the
 k-th best score from below (the threshold of WAND, Broder et al. 2003,
 read from scores already computed: nothing is pruned or rescored). The
 bound t is the k-th best score among the rows of the shortest query
-posting list that holds at least k rows; only rows scoring at least t
-are kept (rows above 0 when t is 0 or no list holds k rows), so every
-row of the top k survives, ties included. `np.partition` then finds the
-k-th best kept score, and only the rows scoring at least that much are
-sorted, by score descending with a stable sort over ascending rows.
+posting list that holds at least k rows; the scoring loop notes that list
+as it goes, from the [lo, hi) of every query gram taken in one gather
+from `post_ptr`, so the bound costs one `np.partition` over the list's
+scores. Only rows scoring at least t are kept (rows above 0 when t is 0
+or no list holds k rows), so every row of the top k survives, ties
+included. `np.partition` then finds the k-th best kept score, and only
+the rows scoring at least that much are sorted, by score descending with
+a stable sort over ascending rows.
 
 Surfaces with the same `normalize_alias` key have identical vectors, so
 each key has one row: its smallest surface, carrying the key's concept
@@ -35,11 +38,19 @@ Persistence: single little-endian binary file, magic "BLIX", format
 version 4 (see docs/index-format.md): a header, flat typed arrays and a
 CRC-32 trailer. `save_index` replaces the target atomically;
 `load_index` raises `IndexFormatError` on any damaged, malformed or
-older file. Constructors trust their inputs; the reader checks them.
+older file. It reads each array straight into the buffer the index
+keeps, widening only the int32 posting rows, and carries the CRC over
+the arrays as it reads them; the file is never held whole (a pipe or
+FIFO, which cannot seek, is read into one `io.BytesIO` first). Every
+byte is checked against the CRC before any field, so a damaged file is
+reported as such whatever its counts say, and a count that runs past the
+end of the file is rejected before anything is allocated. Constructors
+trust their inputs; the reader checks them.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
 import operator
 import os
@@ -60,6 +71,9 @@ _HEADER = struct.Struct("<4sHII")
 # codes, document frequencies, aliases (code-point offsets, UTF-8 bytes),
 # per-row concept id offsets, concept ids (likewise) and the postings
 _ARRAYS = ("<i8", "<i8", "<i8", "u1", "<i8", "<i8", "u1", "<i8", "<i4", "<f8")
+# added to a column of gram ids: the `post_ptr` entries of each one's posting
+# list's start and end
+_LO_HI = np.array([0, 1])
 
 
 class IndexFormatError(ValueError):
@@ -98,25 +112,25 @@ class AliasIndex:
 
     # -- scoring --------------------------------------------------------
 
-    def _exact_scores(self, query: SparseVector) -> np.ndarray:
+    def _scores_and_bound(self, query: SparseVector, k: int) -> tuple[np.ndarray, float]:
+        """The query's score against every row, and a lower bound on the k-th
+        best of them: the k-th best score among the rows of the shortest
+        query posting list holding at least k rows, or 0.0 when no list
+        holds k rows."""
         scores = np.zeros(len(self.aliases), dtype=np.float64)
-        for gi, w in zip(query.indices.tolist(), query.weights.tolist()):
-            lo, hi = self.post_ptr[gi], self.post_ptr[gi + 1]
-            np.add.at(scores, self.post_rows[lo:hi], w * self.post_weights[lo:hi])
-        return scores
-
-    def _kth_score_bound(self, query: SparseVector, scores: np.ndarray, k: int) -> float:
-        """A lower bound on the k-th best score: the k-th best score among the
-        rows of the shortest query posting list holding at least k rows, or
-        0.0 when no list holds k rows."""
-        lo, hi = self.post_ptr[query.indices], self.post_ptr[query.indices + 1]
-        lengths = hi - lo
-        long_enough = np.flatnonzero(lengths >= k)
-        if not len(long_enough):
-            return 0.0
-        g = long_enough[np.argmin(lengths[long_enough])]
-        vals = scores[self.post_rows[lo[g]:hi[g]]]
-        return float(np.partition(vals, len(vals) - k)[len(vals) - k])
+        post_rows, post_weights = self.post_rows, self.post_weights
+        # each query gram's [lo, hi) in the postings, from one gather
+        spans = self.post_ptr[query.indices[:, None] + _LO_HI].tolist()
+        shortest, shortest_len = None, len(post_rows) + 1
+        for (lo, hi), w in zip(spans, query.weights.tolist()):
+            rows = post_rows[lo:hi]
+            np.add.at(scores, rows, w * post_weights[lo:hi])
+            if k <= hi - lo < shortest_len:
+                shortest, shortest_len = rows, hi - lo
+        if shortest is None:
+            return scores, 0.0
+        vals = scores[shortest]
+        return scores, float(np.partition(vals, len(vals) - k)[len(vals) - k])
 
     def nearest_aliases(self, query: SparseVector, k: int) -> list[tuple[str, float]]:
         """Up to k (alias, cosine) pairs, best first.
@@ -128,10 +142,11 @@ class AliasIndex:
             raise ValueError("k must be >= 1")
         if query.is_zero or not self.aliases:
             return []
-        scores = self._exact_scores(query)
         # every row of the top k scores at least the bound, ties included
-        bound = self._kth_score_bound(query, scores, k)
-        rows = np.flatnonzero(scores >= bound if bound > 0.0 else scores > 0.0)
+        scores, bound = self._scores_and_bound(query, k)
+        # the mask's own `nonzero`: `np.flatnonzero` ravels it first, 2-5 µs
+        # more per query at 20k rows
+        rows = (scores >= bound if bound > 0.0 else scores > 0.0).nonzero()[0]
         vals = scores[rows]
         # sort only the rows scoring at least the k-th best, so every row
         # tied with it survives to the tie-break
@@ -235,21 +250,49 @@ def save_index(index: AliasIndex, path: str) -> None:
         raise
 
 
-def _read_arrays(body: memoryview) -> list[np.ndarray]:
-    """The arrays after the header, each copied, integers into int64: a view
-    at an odd file offset is unaligned and searches slower, and no view of
-    the file's bytes outlives the load."""
-    arrays, pos = [], _HEADER.size
-    for dtype in _ARRAYS:
-        count, start = body[pos:pos + 8], pos + 8
-        n = int.from_bytes(count, "little")
-        if len(count) < 8 or start + n * np.dtype(dtype).itemsize > len(body):
+def _crc_of_rest(fp: BinaryIO, n: int, crc: int) -> int:
+    """`crc` carried over the next `n` bytes of `fp`, read a block at a time."""
+    while n > 0:
+        block = fp.read(min(n, 1 << 20))
+        if not block:
             raise IndexFormatError("unexpected end of file")
-        view = np.frombuffer(body, dtype=dtype, count=n, offset=start)
-        arrays.append(view.astype(np.int64 if view.dtype.kind == "i" else view.dtype))
-        pos = start + view.nbytes
-    if pos != len(body):
-        raise IndexFormatError(f"{len(body) - pos} trailing bytes after the postings")
+        crc, n = zlib.crc32(block, crc), n - len(block)
+    return crc
+
+
+def _read_arrays(fp: BinaryIO, end: int, crc: int) -> list[np.ndarray]:
+    """The arrays after the header, which `fp` is positioned at; `end` is where
+    the CRC-32 trailer starts and `crc` the CRC-32 of the header.
+
+    Each array is read into a buffer of its own, the one the index keeps
+    (only the int32 rows are then widened, to int64: `np.add.at` would
+    convert them on every query), and the CRC is carried over it. A count
+    that runs past `end` stops the reading before anything is allocated;
+    the rest of the bytes are still checked against the trailer first, so
+    damage reads as damage whatever the counts say."""
+    arrays, problem, pos = [], None, fp.tell()
+    for dtype in map(np.dtype, _ARRAYS):
+        count = fp.read(8)
+        n = int.from_bytes(count, "little")
+        # a count cut short by `end` fails this too, whatever it reads as
+        if pos + 8 + n * dtype.itemsize > end:
+            problem = "unexpected end of file"
+            fp.seek(pos)
+            break
+        arr = np.empty(n, dtype=dtype)
+        if fp.readinto(arr) != arr.nbytes:
+            raise IndexFormatError("unexpected end of file")
+        crc = zlib.crc32(arr, zlib.crc32(count, crc))
+        arrays.append(arr.astype(np.int64 if dtype.kind == "i" else dtype, copy=False))
+        pos += 8 + arr.nbytes
+    else:
+        if pos != end:
+            problem = f"{end - pos} trailing bytes after the postings"
+    crc = _crc_of_rest(fp, end - pos, crc)
+    if crc != int.from_bytes(fp.read(4), "little"):
+        raise IndexFormatError("CRC-32 mismatch: the file is damaged")
+    if problem:
+        raise IndexFormatError(problem)
     return arrays
 
 
@@ -302,22 +345,22 @@ def _check_postings(n_aliases: int, vocab_size: int, ptr: np.ndarray,
         raise IndexFormatError("weights must be finite and non-negative")
 
 
-def _parse_index(data: bytes) -> AliasIndex:
-    if data[:4] != MAGIC:
+def _parse_index(fp: BinaryIO) -> AliasIndex:
+    size = fp.seek(0, os.SEEK_END)
+    fp.seek(0)
+    header = fp.read(_HEADER.size)
+    if header[:4] != MAGIC:
         raise IndexFormatError("not an index file (bad magic)")
-    if len(data) < _HEADER.size + 4:
+    if size < _HEADER.size + 4:
         raise IndexFormatError("unexpected end of file")
-    _, version, n_docs, min_df = _HEADER.unpack_from(data)
+    _, version, n_docs, min_df = _HEADER.unpack(header)
     if version != FORMAT_VERSION:
         raise IndexFormatError(
             f"unsupported format version {version} (expected {FORMAT_VERSION}); "
             "rebuild the index with `bioling index build`")
     # the CRC-32 trailer covers every byte before it
-    body = memoryview(data)[:-4]
-    if zlib.crc32(body) != int.from_bytes(data[-4:], "little"):
-        raise IndexFormatError("CRC-32 mismatch: the file is damaged")
     (codes, df, alias_offsets, alias_bytes, id_ptr, id_offsets, id_bytes,
-     post_ptr, post_rows, post_weights) = _read_arrays(body)
+     post_ptr, post_rows, post_weights) = _read_arrays(fp, size - 4, zlib.crc32(header))
     # a repeated code would shadow an earlier gram id in the vocabulary
     if np.any(codes[1:] <= codes[:-1]):
         raise IndexFormatError("gram codes must be strictly increasing")
@@ -347,9 +390,9 @@ def _parse_index(data: bytes) -> AliasIndex:
 
 
 def load_index(path: str) -> AliasIndex:
-    with open(path, "rb") as fp:
-        data = fp.read()
     try:
-        return _parse_index(data)
+        with open(path, "rb") as fp:
+            # a pipe or FIFO cannot seek: read it whole, once
+            return _parse_index(fp if fp.seekable() else io.BytesIO(fp.read()))
     except IndexFormatError as exc:
         raise IndexFormatError(f"{path}: {exc}") from None

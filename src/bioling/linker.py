@@ -7,17 +7,25 @@ than k. Per concept, the best-scoring alias and its cosine are kept.
 
 `Candidate` is a `NamedTuple`, cheap to build tens of times per mention:
 tuple equality, indexing and unpacking in field order are part of its
-API.
+API. `fan_out` keeps a plain (concept id, alias, cosine) tuple per concept
+as first seen, ranks them with two stable sorts keyed by `itemgetter`
+(concept id, then cosine, best first) and builds each `Candidate` with
+`tuple.__new__`, as `tokenize` builds tokens. `generate_candidates`
+calls `encode` and `nearest_aliases` through the index's instances, so a
+tracer can shadow them there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Mapping, NamedTuple
 
 from .index import AliasIndex
 
 REASON_OUT_OF_VOCABULARY = "out_of_vocabulary"
+
+_concept_id, _similarity = itemgetter(0), itemgetter(2)
 
 
 class Candidate(NamedTuple):
@@ -69,9 +77,14 @@ def fan_out(index: AliasIndex, hits: list[tuple[str, float]]) -> tuple[Candidate
     first with ties in alias order, as `nearest_aliases` returns them. Each
     concept comes once, with its first and so best alias, ranked by
     cosine, then concept id."""
-    best: dict[str, tuple[float, str]] = {}
+    table = index.alias_table
+    best: dict[str, tuple[str, str, float]] = {}
     for alias, sim in hits:
-        for cid in index.alias_table[alias]:
-            best.setdefault(cid, (sim, alias))
-    ranked = sorted(best.items(), key=lambda kv: (-kv[1][0], kv[0]))
-    return tuple(Candidate(cid, alias, sim) for cid, (sim, alias) in ranked)
+        for cid in table[alias]:
+            if cid not in best:
+                best[cid] = (cid, alias, sim)
+    # two stable sorts: by concept id, then by cosine, best first
+    ranked = sorted(best.values(), key=_concept_id)
+    ranked.sort(key=_similarity, reverse=True)
+    new = tuple.__new__
+    return tuple([new(Candidate, c) for c in ranked])

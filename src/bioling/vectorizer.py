@@ -6,7 +6,11 @@ gram crosses a word boundary. Grams kept in the vocabulary must appear
 in at least `min_df` distinct training strings (default 10). Weights are
 raw term count times smoothed idf, ln((1+N)/(1+df)) + 1, L2-normalized.
 
-`encode` serves single queries through `extract_3grams`. `fit` and
+`encode` serves single queries. `_grams` lists the windows of each padded
+word (`extract_3grams` is the `Counter` of that list), one `map` looks each
+up in the `vocabulary` dict, and a `Counter` over the ids, with the `None`
+of out-of-vocabulary grams popped, gives the term counts; the arrays are
+filled from the sorted (id, count) pairs with `np.fromiter`. `fit` and
 `encode_csr` (which `build_index` calls) compute the same grams for
 many strings at once over arrays: each string becomes
 " " + " ".join(words) + " ", all of them are concatenated and read as
@@ -38,6 +42,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -49,16 +54,18 @@ _CHUNK = 4096
 _CP_BITS = 21
 _CP_MASK = (1 << _CP_BITS) - 1
 _SPACE = ord(" ")
+_first, _second = itemgetter(0), itemgetter(1)
+
+
+def _grams(s: str) -> list[str]:
+    """The 3-gram windows of each padded word of the lowered string, in order."""
+    return [p[i:i + 3] for p in [f" {w} " for w in s.lower().split()]
+            for i in range(len(p) - 2)]
 
 
 def extract_3grams(s: str) -> Counter:
     """Multiset of word-boundary-aware character 3-grams of the string."""
-    grams: Counter = Counter()
-    for word in s.lower().split():
-        padded = f" {word} "
-        for i in range(len(padded) - 2):
-            grams[padded[i:i + 3]] += 1
-    return grams
+    return Counter(_grams(s))
 
 
 def gram_code_points(codes: np.ndarray) -> np.ndarray:
@@ -196,15 +203,14 @@ class NgramVectorizer:
 
     def encode(self, s: str) -> SparseVector:
         """TF-IDF encode and L2-normalize; all-OOV input gives a zero vector."""
-        counts = extract_3grams(s)
-        pairs = sorted(
-            (self.vocabulary[g], tf) for g, tf in counts.items()
-            if g in self.vocabulary
-        )
-        if not pairs:
+        # gram id -> term count; an out-of-vocabulary gram counts as None
+        counts = Counter(map(self.vocabulary.get, _grams(s)))
+        counts.pop(None, None)
+        if not counts:
             return zero_vector()
-        indices = np.fromiter((p[0] for p in pairs), dtype=np.int32, count=len(pairs))
-        tf = np.fromiter((p[1] for p in pairs), dtype=np.float64, count=len(pairs))
+        pairs = sorted(counts.items())
+        indices = np.fromiter(map(_first, pairs), dtype=np.int32, count=len(pairs))
+        tf = np.fromiter(map(_second, pairs), dtype=np.float64, count=len(pairs))
         weights = tf * self.idf[indices]
         weights /= math.sqrt(float(np.dot(weights, weights)))
         return SparseVector(indices, weights)

@@ -1,8 +1,10 @@
 import json
+import math
 import pathlib
 import random
 import struct
 import zlib
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,8 +14,9 @@ from bioling import segmenter
 from bioling.doc import Document, SentenceSpan
 from bioling.index import AliasIndex, build_index, save_index
 from bioling.kb import KnowledgeBase, load_kb, normalize_alias
+from bioling.linker import Candidate
 from bioling.segmenter import SegmenterConfig
-from bioling.vectorizer import NgramVectorizer, SparseVector
+from bioling.vectorizer import NgramVectorizer, SparseVector, zero_vector
 
 # citation families a segmenter without citation handling tends to split
 ADVERSARIAL_FAMILIES = frozenset({"plain_author_year"})
@@ -272,6 +275,36 @@ def dot(a: SparseVector, b: SparseVector) -> float:
         else:
             j += 1
     return total
+
+
+def reference_encode(vec: NgramVectorizer, s: str) -> SparseVector:
+    """`NgramVectorizer.encode` by its earlier loop: a `Counter` of the grams
+    of each padded word, (gram id, count) pairs for the grams in the
+    vocabulary, sorted, and arrays filled from generators."""
+    counts: Counter = Counter()
+    for word in s.lower().split():
+        padded = f" {word} "
+        for i in range(len(padded) - 2):
+            counts[padded[i:i + 3]] += 1
+    pairs = sorted((vec.vocabulary[g], tf) for g, tf in counts.items() if g in vec.vocabulary)
+    if not pairs:
+        return zero_vector()
+    indices = np.fromiter((p[0] for p in pairs), dtype=np.int32, count=len(pairs))
+    tf = np.fromiter((p[1] for p in pairs), dtype=np.float64, count=len(pairs))
+    weights = tf * vec.idf[indices]
+    weights /= math.sqrt(float(np.dot(weights, weights)))
+    return SparseVector(indices, weights)
+
+
+def reference_fan_out(index, hits: list[tuple[str, float]]) -> tuple[Candidate, ...]:
+    """`linker.fan_out` by its earlier rules: the first (cosine, alias) seen
+    per concept id, then one sort keyed by (-cosine, concept id)."""
+    best: dict[str, tuple[float, str]] = {}
+    for alias, sim in hits:
+        for cid in index.alias_table[alias]:
+            best.setdefault(cid, (sim, alias))
+    ranked = sorted(best.items(), key=lambda kv: (-kv[1][0], kv[0]))
+    return tuple(Candidate(cid, alias, sim) for cid, (sim, alias) in ranked)
 
 
 def index_row(index, i: int) -> SparseVector:

@@ -1,6 +1,12 @@
+import statistics
+
 import pytest
 
-from bioling.bench import STAGES, run_bench
+from bioling import abbrev
+from bioling.bench import STAGES, _LINK_K, _bench_mentions, run_bench
+from bioling.linker import REASON_OUT_OF_VOCABULARY, generate_candidates
+from bioling.segmenter import segment
+from bioling.tokenizer import tokenize
 
 CORPUS = [
     "Treatment reduced tumor size in mice. Heat shock protein (HSP) levels "
@@ -78,3 +84,34 @@ def test_setup_excludes_corpus_pass():
     report = run_bench(CORPUS * 500, ["tokenize", "segment"], reps=1, warmup=0)
     assert report.n_sentences == 500 * small.n_sentences
     assert report.setup_s < report.per_rep_total_s[0] / 10
+
+
+def test_link_counters(toy_index):
+    """Mentions, out-of-vocabulary mentions and candidate-set sizes of one
+    pass, under perfbench's names, whatever the number of repetitions."""
+    corpus = [*CORPUS, "Xyzzyq plughzz frobnicated quuxes."]
+    sets = []
+    for text in corpus:
+        doc = segment(tokenize(text))
+        expansion = abbrev.expansion_map(abbrev.find_abbreviations(doc))
+        sets += [generate_candidates(toy_index, toy_index.alias_table, m, _LINK_K, expansion)
+                 for m in _bench_mentions(doc)]
+    sizes = [len(cs.candidates) for cs in sets]
+    n_oov = sum(cs.reason == REASON_OUT_OF_VOCABULARY for cs in sets)
+    assert 0 < n_oov < len(sets) and max(sizes) > 1
+    for reps in (1, 2):
+        report = run_bench(corpus, STAGES, reps=reps, warmup=0, index=toy_index)
+        assert report.n_mentions == len(sets)
+        assert report.n_oov_mentions == n_oov
+        assert report.link_counters == {
+            "linker.candidates_mean": statistics.fmean(sizes),
+            "linker.candidates_max": max(sizes),
+            "vectorizer.oov_share": n_oov / len(sets),
+        }
+        assert report.as_dict()["link_counters"] == report.link_counters
+
+
+def test_no_link_counters_without_the_link_stage(toy_index):
+    report = run_bench(CORPUS, ["tokenize", "abbrev"], reps=1, warmup=0, index=toy_index)
+    assert report.n_mentions == report.n_oov_mentions == 0
+    assert report.link_counters == {}

@@ -3,6 +3,7 @@ import pathlib
 import random
 import struct
 import tempfile
+import threading
 import tracemalloc
 import warnings
 
@@ -157,9 +158,9 @@ def test_top_k_k_at_least_index_size(tie_index):
 
 
 def fancy_index_scores(index, query):
-    """Reference for `_exact_scores`: one gather, add and scatter per posting
-    list. Rows are unique within a list, so it adds the same floats in the
-    same order and must agree to the bit."""
+    """Reference for the scores of `_scores_and_bound`: one gather, add and
+    scatter per posting list. Rows are unique within a list, so it adds the
+    same floats in the same order and must agree to the bit."""
     scores = np.zeros(len(index), dtype=np.float64)
     for gi, w in zip(query.indices, query.weights):
         lo, hi = index.post_ptr[gi], index.post_ptr[gi + 1]
@@ -167,11 +168,28 @@ def fancy_index_scores(index, query):
     return scores
 
 
+def reference_kth_score_bound(index, query, scores, k):
+    """Reference for the bound of `_scores_and_bound`, by a second pass over
+    the query's posting lists: the k-th best score among the rows of the
+    first of the shortest lists holding at least k rows, else 0.0."""
+    lengths = [int(index.post_ptr[g + 1] - index.post_ptr[g]) for g in query.indices]
+    long_enough = [(n, i) for i, n in enumerate(lengths) if n >= k]
+    if not long_enough:
+        return 0.0
+    g = query.indices[min(long_enough)[1]]
+    vals = sorted(scores[index.post_rows[index.post_ptr[g]:index.post_ptr[g + 1]]])
+    return float(vals[-k])
+
+
 def test_exact_scores_equal_fancy_index_loop(synth_index):
     texts = query_pool(200, seed=11) + synth_index.aliases[::100] + ["acute", "oma", "xyzzy"]
     for text in texts:
         q = synth_index.vectorizer.encode(text)
-        assert np.array_equal(synth_index._exact_scores(q), fancy_index_scores(synth_index, q))
+        want = fancy_index_scores(synth_index, q)
+        for k in (1, 25, 400):
+            scores, bound = synth_index._scores_and_bound(q, k)
+            assert np.array_equal(scores, want)
+            assert bound == reference_kth_score_bound(synth_index, q, want, k)
 
 
 def test_bound_keeps_rows_tied_at_it(tie_index):
@@ -180,10 +198,9 @@ def test_bound_keeps_rows_tied_at_it(tie_index):
     # the six variants tie at the top score, so for k up to 6 the bound is
     # the score they tie at, and every one of them must get past it
     q = vec.encode("tumor growth factor")
-    scores = idx._exact_scores(q)
     for k in range(1, 7):
         got = idx.nearest_aliases(q, k)
-        assert idx._kth_score_bound(q, scores, k) == got[-1][1] == got[0][1]
+        assert idx._scores_and_bound(q, k)[1] == got[-1][1] == got[0][1]
         assert_equals_oracle(got, oracle.top_k(q, k))
         assert [a for a, _ in got] == sorted(TIED_VARIANTS)[:k]
 
@@ -195,11 +212,11 @@ def test_bound_when_no_posting_list_holds_k_rows(synth_index):
     for text in query_pool(100, seed=12):
         q = synth_index.vectorizer.encode(text)
         k = int(lengths[q.indices].max()) + 1
-        scores = synth_index._exact_scores(q)
+        scores, bound = synth_index._scores_and_bound(q, k)
         if np.count_nonzero(scores) <= k:
             continue
         # every list is shorter than k, but more than k rows score
-        assert synth_index._kth_score_bound(q, scores, k) == 0.0
+        assert bound == 0.0
         assert_equals_oracle(synth_index.nearest_aliases(q, k), oracle.top_k(q, k))
         checked += 1
     assert checked >= 50
@@ -210,7 +227,7 @@ def test_bound_with_k_at_least_the_positive_rows(tie_index):
     oracle = BruteForceOracle(idx)
     for text in ["renal failure", "lung", "growth factor"]:
         q = vec.encode(text)
-        positive = np.count_nonzero(idx._exact_scores(q))
+        positive = np.count_nonzero(idx._scores_and_bound(q, 1)[0])
         for k in range(max(1, positive - 1), positive + 2):
             got = idx.nearest_aliases(q, k)
             assert len(got) == min(k, positive)
@@ -248,10 +265,9 @@ def test_zero_weights_fall_back_to_positive_scores(tmp_path):
                       postings=[[(0, 0.0), (1, 0.0), (2, 0.0), (3, 0.0)], [(2, 1.0)]])
     idx = load_index(str(path))
     q = SparseVector(np.array([0, 1], dtype=np.int32), np.array([0.6, 0.8]))
-    scores = idx._exact_scores(q)
-    assert idx._kth_score_bound(q, scores, 1) == 0.8
+    assert idx._scores_and_bound(q, 1)[1] == 0.8
     for k in (2, 3, 4):
-        assert idx._kth_score_bound(q, scores, k) == 0.0
+        assert idx._scores_and_bound(q, k)[1] == 0.0
     for k in (1, 2, 3, 4, 5):
         assert idx.nearest_aliases(q, k) == [("c", 0.8)]
     only_zero = SparseVector(np.array([0], dtype=np.int32), np.array([1.0]))
@@ -332,6 +348,64 @@ def test_load_rejects_corrupt_file(case, toy_index, tmp_path):
     match = write_corrupt_blix(toy_index, case, path)
     with pytest.raises(IndexFormatError, match=match):
         load_index(path)
+
+
+@pytest.mark.parametrize("count", [2**23, 2**63, 2**64 - 1])
+def test_oversized_count_is_rejected_before_allocation(count, tmp_path):
+    """A gram-code count past the end of the file, with a valid CRC, is an
+    early end of file, found before a buffer of that size is allocated;
+    with the CRC left as it was, the damage is reported first."""
+    raw = GOLDEN_BLIX.read_bytes()
+    body = bytearray(raw[:-4])
+    struct.pack_into("<Q", body, blix_array_starts(raw)["codes"] - 8, count)
+    resealed, damaged = tmp_path / "resealed.blix", tmp_path / "damaged.blix"
+    resealed.write_bytes(sealed(bytes(body)))
+    damaged.write_bytes(bytes(body) + raw[-4:])
+    tracemalloc.start()
+    try:
+        with pytest.raises(IndexFormatError, match="unexpected end of file"):
+            load_index(str(resealed))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(raw) + (1 << 16)
+    with pytest.raises(IndexFormatError, match="CRC-32 mismatch"):
+        load_index(str(damaged))
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("case, match", [
+    ("valid", None), ("CRC mismatch", "CRC-32 mismatch"),
+    ("trailing bytes", "trailing"), ("indptr start", "posting offsets must start at 0")])
+def test_load_from_a_fifo(case, match, toy_index, tmp_path):
+    """An index read through a named pipe, which cannot seek, loads as the
+    same file does, and a damaged one is rejected with the same message."""
+    path = str(tmp_path / "toy.blix")
+    if case == "valid":
+        save_index(toy_index, path)
+    else:
+        write_corrupt_blix(toy_index, case, path)
+    fifo = tmp_path / "toy.fifo"
+    os.mkfifo(fifo)
+    # a daemon, so a reader that never opens the pipe cannot hang the run
+    writer = threading.Thread(target=fifo.write_bytes,
+                              args=(pathlib.Path(path).read_bytes(),), daemon=True)
+    writer.start()
+    try:
+        if match is None:
+            loaded = load_index(str(fifo))
+        else:
+            with pytest.raises(IndexFormatError, match=match):
+                load_index(str(fifo))
+            with pytest.raises(IndexFormatError, match=match):
+                load_index(path)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    if match is None:
+        resaved = str(tmp_path / "resaved.blix")
+        save_index(loaded, resaved)
+        assert pathlib.Path(resaved).read_bytes() == pathlib.Path(path).read_bytes()
 
 
 # the toy KB in older formats: version 1 (rows in KB order, then a backend

@@ -1,13 +1,18 @@
 import json
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bioling.index import build_index
 from bioling.kb import load_kb
 from bioling.linker import (
-    REASON_OUT_OF_VOCABULARY, generate_candidates,
+    REASON_OUT_OF_VOCABULARY, Candidate, fan_out, generate_candidates,
 )
 from bioling.vectorizer import NgramVectorizer
+
+from conftest import reference_fan_out
 
 
 def candidates(index, mention, k, expansion=None):
@@ -110,3 +115,30 @@ def test_case_variants_are_one_alias_key(tmp_path):
     # the table argument is ignored: the KB's table, keyed by normalized
     # alias, fans "HSP" out to the same concepts
     assert generate_candidates(index, kb.alias_table, "hsp", 2) == cs
+
+
+# rows of a few aliases whose concept ids overlap, and hits over them in
+# `nearest_aliases` order, with cosines from a small set so that they tie
+ROW_IDS = st.lists(st.sampled_from(["C1", "C2", "C3", "C10", "C20"]), min_size=1, max_size=3,
+                   unique=True).map(lambda ids: tuple(sorted(ids)))
+
+
+@st.composite
+def alias_hits(draw):
+    rows = draw(st.lists(ROW_IDS, min_size=1, max_size=8))
+    table = {f"alias {i}": ids for i, ids in enumerate(rows)}
+    picked = draw(st.lists(st.sampled_from(sorted(table)), unique=True, max_size=len(table)))
+    sims = [draw(st.sampled_from([1.0, 0.75, 0.5, 0.3])) for _ in picked]
+    hits = sorted(zip(picked, sims), key=lambda h: (-h[1], h[0]))
+    return SimpleNamespace(alias_table=table), hits
+
+
+@given(alias_hits())
+@example((SimpleNamespace(alias_table={"a": ("C2", "C3"), "b": ("C1", "C3"), "c": ("C1",)}),
+          [("a", 0.5), ("b", 0.5), ("c", 0.5)]))
+@settings(max_examples=300, deadline=None)
+def test_fan_out_equals_reference(case):
+    index, hits = case
+    got = fan_out(index, hits)
+    assert got == reference_fan_out(index, hits)
+    assert all(type(c) is Candidate for c in got)

@@ -15,7 +15,7 @@ from bioling.vectorizer import (
     NgramVectorizer, SparseVector, extract_3grams, zero_vector,
 )
 
-from conftest import dot, fitted_state
+from conftest import dot, fitted_state, reference_encode
 
 
 # -- reference build -------------------------------------------------------
@@ -213,6 +213,35 @@ def test_array_pass_matches_reference(aliases, min_df, chunk):
     # small chunks, so most examples span several of them
     with mock.patch.object(vectorizer, "_CHUNK", chunk):
         assert_matches_reference(aliases, min_df)
+
+
+# case folding that changes length ("İ" -> "i̇", "ß" stays, "ẞ" -> "ß") or
+# depends on context ("Σ"), whitespace runs, and letters no corpus holds
+_QUERY_CHARS = ["a", "b", "c", "A", "B", "İ", "Σ", "σ", "ς", "ß", "ẞ", " ", "\t",
+                "\n", "\xa0", "\u3000", "-", "z", "q", "\U0001F600"]
+QUERIES = st.text(alphabet=st.sampled_from(_QUERY_CHARS), max_size=24)
+
+
+@given(st.lists(st.text(alphabet=st.sampled_from(_QUERY_CHARS[:11]), min_size=1, max_size=12),
+                min_size=1, max_size=12),
+       st.lists(QUERIES, min_size=1, max_size=8))
+@example(["abc"], ["zzz qq", "", "   ", "\U0001F600"])
+@example(["İstanbul ΣΑΣ", "ßtraße"], ["İSTANBUL  σας", "STRASSE", "ẞtraße\tİ"])
+@settings(max_examples=300, deadline=None)
+def test_encode_equals_reference(corpus, queries):
+    """`encode` gives the earlier loop's bits: same ids, dtypes and weights,
+    and the shared zero vector when no gram is in the vocabulary."""
+    try:
+        vec = NgramVectorizer.fit(corpus, min_df=1)
+    except ValueError:  # no gram at all
+        return
+    for text in [*queries, *corpus]:
+        got, want = vec.encode(text), reference_encode(vec, text)
+        assert got.indices.dtype == want.indices.dtype == np.int32
+        assert got.weights.dtype == want.weights.dtype == np.float64
+        assert got.indices.tobytes() == want.indices.tobytes()
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert got.is_zero == (got is zero_vector())
 
 
 def test_array_pass_matches_reference_over_chunks(synth_kb):
