@@ -1,4 +1,4 @@
-"""Unsupervised (short form, long form) abbreviation detection.
+r"""Unsupervised (short form, long form) abbreviation detection.
 
 Implements the classic right-to-left character matcher over parenthesized
 candidates: each character of the short form must be found in the
@@ -6,18 +6,22 @@ preceding window moving leftward, and the first character must start a
 word. The long form is the shortest window suffix satisfying the match.
 
 Candidates are the innermost parentheticals of each sentence, found by
-one regex scan for parentheses rather than a walk over every character.
+one regex, `\(\s*([^()]*?)\s*\)`: a match is a pair with no parenthesis
+between its ends, and its group is the content stripped of whitespace.
+The words before each nonempty parenthetical are listed once, and both
+the "long form (SF)" and the mirrored "SF (long form)" patterns read
+that one list.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .doc import AbbreviationPair, Document, MentionSpan
 
 _WORD_RE = re.compile(r"\S+")
-_PAREN_RE = re.compile(r"[()]")
+_PAREN_RE = re.compile(r"\(\s*([^()]*?)\s*\)")
 
 _MIN_SF_LEN = 2
 _MAX_SF_LEN = 10
@@ -72,29 +76,6 @@ def _validate_pair(short_form: str, long_form: str) -> bool:
     return True
 
 
-def _innermost_parens(text: str, start: int, end: int) -> list[tuple[int, int]]:
-    """(open, close) offsets of parentheticals with no nested pair inside."""
-    pairs = []
-    stack = []
-    for m in _PAREN_RE.finditer(text, start, end):
-        i = m.start()
-        if m.group() == "(":
-            stack.append(i)
-        elif stack:
-            lp = stack.pop()
-            if not any(lp < p[0] and p[1] < i for p in pairs):
-                pairs.append((lp, i))
-    return pairs
-
-
-def _window_before(text: str, region_start: int, lp: int, max_words: int) -> int:
-    """Start offset of the up-to-max_words words preceding offset lp."""
-    words = list(_WORD_RE.finditer(text, region_start, lp))
-    if not words:
-        return lp
-    return words[max(0, len(words) - max_words)].start()
-
-
 def _extract_pair(
     text: str, sf_start: int, sf_end: int, window_start: int, window_end: int
 ) -> AbbreviationPair | None:
@@ -127,37 +108,33 @@ def find_abbreviations(doc: Document) -> list[AbbreviationPair]:
     else:
         regions = [(0, len(doc.text))]
 
+    text = doc.text
     pairs: list[AbbreviationPair] = []
     for region_start, region_end in regions:
-        for lp, rp in sorted(_innermost_parens(doc.text, region_start, region_end)):
-            content = doc.text[lp + 1:rp].strip()
+        for m in _PAREN_RE.finditer(text, region_start, region_end):
+            content = m.group(1)
             if not content:
                 continue
-            c_start = lp + 1 + (len(doc.text[lp + 1:rp]) - len(doc.text[lp + 1:rp].lstrip()))
-            c_end = c_start + len(content)
-            if _is_valid_short_form(content):
-                wstart = _window_before(
-                    doc.text, region_start, lp, _max_long_form_words(content)
-                )
-                pair = _extract_pair(doc.text, c_start, c_end, wstart, lp)
-                if pair is not None:
-                    pairs.append(pair)
-                continue
-            # mirrored pattern: the token before the parenthesis is the
-            # short form, the parenthetical holds the definition
-            words = list(_WORD_RE.finditer(doc.text, region_start, lp))
+            lp = m.start()
+            words = list(_WORD_RE.finditer(text, region_start, lp))
             if not words:
                 continue
-            prev = words[-1]
-            candidate = prev.group().rstrip(".,;:")
-            if _is_valid_short_form(candidate):
+            c_start, c_end = m.span(1)
+            if _is_valid_short_form(content):
+                wstart = words[max(0, len(words) - _max_long_form_words(content))].start()
+                pair = _extract_pair(text, c_start, c_end, wstart, lp)
+            else:
+                # mirrored pattern: the word before the parenthesis is the
+                # short form, the parenthetical holds the definition
+                prev = words[-1]
+                candidate = prev.group().rstrip(".,;:")
+                if not _is_valid_short_form(candidate):
+                    continue
                 pair = _extract_pair(
-                    doc.text,
-                    prev.start(), prev.start() + len(candidate),
-                    c_start, c_end,
+                    text, prev.start(), prev.start() + len(candidate), c_start, c_end
                 )
-                if pair is not None:
-                    pairs.append(pair)
+            if pair is not None:
+                pairs.append(pair)
     return pairs
 
 

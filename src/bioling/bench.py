@@ -116,8 +116,12 @@ def run_bench(
 ) -> BenchReport:
     if not corpus:
         raise ValueError("empty corpus")
+    if not stages:
+        raise ValueError("no stages")
     if reps < 1:
         raise ValueError("reps must be >= 1")
+    if warmup < 0:
+        raise ValueError("warmup must be >= 0")
     stage_set = frozenset(stages)
     unknown = stage_set - set(STAGES)
     if unknown:

@@ -80,18 +80,22 @@ def _load_file(path: str, loader, what: str):
         raise DataError(f"cannot read {what} {path}: {exc.strerror}") from None
 
 
-def _get_rules(args):
-    path = getattr(args, "rules", None) or os.environ.get("BIOLING_RULES")
-    if path:
-        return _load_file(path, load_rules, "rules file")
-    return default_biomedical_rules()
+# argument attribute -> (environment variable, loader, what it is, default)
+_CONFIGS = {
+    "rules": ("BIOLING_RULES", load_rules, "rules file", default_biomedical_rules),
+    "seg_config": ("BIOLING_SEG_CONFIG", load_segmenter_config, "segmenter config",
+                   default_segmenter_config),
+}
 
 
-def _get_seg_config(args):
-    path = getattr(args, "seg_config", None) or os.environ.get("BIOLING_SEG_CONFIG")
+def _get_config(args, attr: str):
+    """The --rules or --seg-config file (`attr`), else the one its
+    environment variable names, else the default."""
+    env, loader, what, default = _CONFIGS[attr]
+    path = getattr(args, attr, None) or os.environ.get(env)
     if path:
-        return _load_file(path, load_segmenter_config, "segmenter config")
-    return default_segmenter_config()
+        return _load_file(path, loader, what)
+    return default()
 
 
 def _iter_doc_lines(lines: Lines):
@@ -127,7 +131,7 @@ def _ensure_doc(doc, obj, rules) -> tuple[Document, dict]:
 # -- subcommands --------------------------------------------------------
 
 def _cmd_tokenize(args) -> int:
-    rules = _get_rules(args)
+    rules = _get_config(args, "rules")
     with _open_in(args.input) as fin, _open_out(args.output) as fout:
         for _, doc, obj in _iter_doc_lines(fin):
             doc, _ = _ensure_doc(doc, obj, rules)
@@ -136,8 +140,8 @@ def _cmd_tokenize(args) -> int:
 
 
 def _cmd_segment(args) -> int:
-    rules = _get_rules(args)
-    cfg = _get_seg_config(args)
+    rules = _get_config(args, "rules")
+    cfg = _get_config(args, "seg_config")
     with _open_in(args.input) as fin, _open_out(args.output) as fout:
         for _, doc, obj in _iter_doc_lines(fin):
             doc, _ = _ensure_doc(doc, obj, rules)
@@ -147,8 +151,8 @@ def _cmd_segment(args) -> int:
 
 
 def _cmd_abbrev(args) -> int:
-    rules = _get_rules(args)
-    cfg = _get_seg_config(args)
+    rules = _get_config(args, "rules")
+    cfg = _get_config(args, "seg_config")
     with _open_in(args.input) as fin, _open_out(args.output) as fout:
         for _, doc, obj in _iter_doc_lines(fin):
             doc, _ = _ensure_doc(doc, obj, rules)
@@ -223,8 +227,8 @@ def _cmd_link(args) -> int:
     if args.k < 1:
         raise UsageError(f"--k must be >= 1, got {args.k}")
     index = _load_file(args.index, load_index, "index file")
-    rules = _get_rules(args)
-    cfg = _get_seg_config(args)
+    rules = _get_config(args, "rules")
+    cfg = _get_config(args, "seg_config")
     with _open_in(args.input) as fin, _open_out(args.output) as fout:
         for lineno, doc, obj in _iter_doc_lines(fin):
             doc, obj = _ensure_doc(doc, obj, rules)
@@ -318,7 +322,7 @@ def _cmd_eval_citations(args) -> int:
     if args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
     base = _nonempty_lines(args.base)
-    cfg = _get_seg_config(args)
+    cfg = _get_config(args, "seg_config")
     try:
         corpus = [sent for sent, _ in make_citation_corpus(base, args.seed, args.n)]
         rate = citation_split_rate(corpus, cfg)
@@ -366,26 +370,20 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p, default_in="-", default_out="-"):
-        p.add_argument("--input", default=default_in, metavar="FILE|-")
-        p.add_argument("--output", default=default_out, metavar="FILE|-")
+    def add_stream(p, func, seg_config=True):
+        """--rules, --seg-config unless told not to, --input and --output."""
+        p.add_argument("--rules", metavar="FILE")
+        if seg_config:
+            p.add_argument("--seg-config", dest="seg_config", metavar="FILE")
+        p.add_argument("--input", default="-", metavar="FILE|-")
+        p.add_argument("--output", default="-", metavar="FILE|-")
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("tokenize", help="tokenize raw text or documents")
-    p.add_argument("--rules", metavar="FILE")
-    add_io(p)
-    p.set_defaults(func=_cmd_tokenize)
-
-    p = sub.add_parser("segment", help="add sentence spans")
-    p.add_argument("--rules", metavar="FILE")
-    p.add_argument("--seg-config", dest="seg_config", metavar="FILE")
-    add_io(p)
-    p.set_defaults(func=_cmd_segment)
-
-    p = sub.add_parser("abbrev", help="detect abbreviation definitions")
-    p.add_argument("--rules", metavar="FILE")
-    p.add_argument("--seg-config", dest="seg_config", metavar="FILE")
-    add_io(p)
-    p.set_defaults(func=_cmd_abbrev)
+    add_stream(sub.add_parser("tokenize", help="tokenize raw text or documents"),
+               _cmd_tokenize, seg_config=False)
+    add_stream(sub.add_parser("segment", help="add sentence spans"), _cmd_segment)
+    add_stream(sub.add_parser("abbrev", help="detect abbreviation definitions"),
+               _cmd_abbrev)
 
     p = sub.add_parser("kb", help="knowledge-base utilities")
     kb_sub = p.add_subparsers(dest="kb_cmd", required=True)
@@ -406,10 +404,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--index", required=True, metavar="FILE")
     p.add_argument("--k", type=int, default=30)
     p.add_argument("--no-abbrev", dest="no_abbrev", action="store_true")
-    p.add_argument("--rules", metavar="FILE")
-    p.add_argument("--seg-config", dest="seg_config", metavar="FILE")
-    add_io(p)
-    p.set_defaults(func=_cmd_link)
+    add_stream(p, _cmd_link)
 
     p = sub.add_parser("eval", help="evaluation utilities")
     ev_sub = p.add_subparsers(dest="eval_cmd", required=True)

@@ -2,6 +2,7 @@ import json
 import math
 import pathlib
 import random
+import re
 import struct
 import zlib
 from collections import Counter
@@ -11,7 +12,8 @@ import numpy as np
 import pytest
 
 from bioling import segmenter
-from bioling.doc import Document, SentenceSpan
+from bioling.abbrev import _extract_pair, _is_valid_short_form, _max_long_form_words
+from bioling.doc import AbbreviationPair, Document, SentenceSpan
 from bioling.index import AliasIndex, build_index, save_index
 from bioling.kb import KnowledgeBase, load_kb, normalize_alias
 from bioling.linker import Candidate
@@ -196,9 +198,10 @@ def check_match(short_form: str, long_form: str) -> bool:
 
 
 def reference_innermost_parens(text: str, start: int, end: int) -> list[tuple[int, int]]:
-    """`abbrev._innermost_parens` by its earlier per-character loop: (open,
-    close) offsets of parentheticals in text[start:end] with no nested pair
-    inside, in order of their closing parenthesis."""
+    """The parentheticals `abbrev._PAREN_RE` matches, by a per-character
+    loop with a stack: (open, close) offsets of parentheticals in
+    text[start:end] with no nested pair inside, in order of their closing
+    parenthesis."""
     pairs = []
     stack = []
     for i in range(start, end):
@@ -209,6 +212,76 @@ def reference_innermost_parens(text: str, start: int, end: int) -> list[tuple[in
             lp = stack.pop()
             if not any(lp < p[0] and p[1] < i for p in pairs):
                 pairs.append((lp, i))
+    return pairs
+
+
+_WORD_RE = re.compile(r"\S+")
+_PARENS_RE = re.compile(r"[()]")
+
+
+def _innermost_parens(text: str, start: int, end: int) -> list[tuple[int, int]]:
+    """(open, close) offsets of parentheticals with no nested pair inside."""
+    pairs = []
+    stack = []
+    for m in _PARENS_RE.finditer(text, start, end):
+        i = m.start()
+        if m.group() == "(":
+            stack.append(i)
+        elif stack:
+            lp = stack.pop()
+            if not any(lp < p[0] and p[1] < i for p in pairs):
+                pairs.append((lp, i))
+    return pairs
+
+
+def _window_before(text: str, region_start: int, lp: int, max_words: int) -> int:
+    """Start offset of the up-to-max_words words preceding offset lp."""
+    words = list(_WORD_RE.finditer(text, region_start, lp))
+    if not words:
+        return lp
+    return words[max(0, len(words) - max_words)].start()
+
+
+def reference_find_abbreviations(doc: Document) -> list[AbbreviationPair]:
+    """`abbrev.find_abbreviations` by its earlier candidate search: a
+    parenthesis stack, each content stripped and located by slicing, and
+    the words before a parenthetical listed once per pattern."""
+    if doc.sentences:
+        regions = [doc.sentence_char_span(s) for s in doc.sentences]
+    else:
+        regions = [(0, len(doc.text))]
+
+    pairs: list[AbbreviationPair] = []
+    for region_start, region_end in regions:
+        for lp, rp in sorted(_innermost_parens(doc.text, region_start, region_end)):
+            content = doc.text[lp + 1:rp].strip()
+            if not content:
+                continue
+            c_start = lp + 1 + (len(doc.text[lp + 1:rp]) - len(doc.text[lp + 1:rp].lstrip()))
+            c_end = c_start + len(content)
+            if _is_valid_short_form(content):
+                wstart = _window_before(
+                    doc.text, region_start, lp, _max_long_form_words(content)
+                )
+                pair = _extract_pair(doc.text, c_start, c_end, wstart, lp)
+                if pair is not None:
+                    pairs.append(pair)
+                continue
+            # mirrored pattern: the token before the parenthesis is the
+            # short form, the parenthetical holds the definition
+            words = list(_WORD_RE.finditer(doc.text, region_start, lp))
+            if not words:
+                continue
+            prev = words[-1]
+            candidate = prev.group().rstrip(".,;:")
+            if _is_valid_short_form(candidate):
+                pair = _extract_pair(
+                    doc.text,
+                    prev.start(), prev.start() + len(candidate),
+                    c_start, c_end,
+                )
+                if pair is not None:
+                    pairs.append(pair)
     return pairs
 
 

@@ -6,13 +6,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bioling.abbrev import (
-    expansion_map, find_abbreviations, _best_long_form_start,
-    _innermost_parens, _is_valid_short_form, _validate_pair,
+    _PAREN_RE, expansion_map, find_abbreviations, _best_long_form_start,
+    _is_valid_short_form, _validate_pair,
 )
 from bioling.segmenter import segment
 from bioling.tokenizer import tokenize
 
-from conftest import check_match, reference_innermost_parens
+from conftest import (
+    check_match, reference_find_abbreviations, reference_innermost_parens,
+)
 
 CASES_PATH = pathlib.Path(__file__).parent / "data" / "abbrev_cases.jsonl"
 
@@ -129,5 +131,28 @@ def text_and_window(draw):
 @example(("((a)(b))", 1, 7))
 def test_innermost_parens_equals_loop_oracle(case):
     text, start, end = case
-    assert _innermost_parens(text, start, end) == \
-        reference_innermost_parens(text, start, end)
+    assert [(m.start(), m.end() - 1) for m in _PAREN_RE.finditer(text, start, end)] \
+        == reference_innermost_parens(text, start, end)
+
+
+# parentheses (listed twice, so drawn more often), the characters a
+# mirrored short form is trimmed of, letters whose case mapping changes
+# length or depends on position, digits, and whitespace that `str.strip`
+# and `\s` both remove, non-ASCII kinds included
+_ABBREV_ALPHABET = "()().,;:aAbBtTnNİΣσς12 \t\n\x1c\u3000"
+
+
+@given(st.text(alphabet=_ABBREV_ALPHABET, max_size=80))
+@settings(max_examples=400, deadline=None)
+@example("It rose (in tumor necrosis factor (TNF) cells).")
+@example("Tumor necrosis factor (  TNF ) rose; TNF (  tumor necrosis factor ).")
+@example("Tumor necrosis factor (\u3000TNF\x1c) and TNF (\ttumor necrosis factor\n).")
+@example("A blank ( ) and tumor necrosis factor (TNF).")
+@example("An unclosed (tumor necrosis factor (TNF) rose.")
+@example("A stray ) then tumor necrosis factor (TNF).")
+@example("It rose: TNF; (tumor necrosis factor) and IL.,;: (inter leukin).")
+def test_find_abbreviations_equals_reference(text):
+    doc = tokenize(text)
+    assert find_abbreviations(doc) == reference_find_abbreviations(doc)
+    doc = segment(doc)
+    assert find_abbreviations(doc) == reference_find_abbreviations(doc)

@@ -57,6 +57,10 @@ def test_errors():
         run_bench(CORPUS, ["tokenize", "link"])
     with pytest.raises(ValueError, match="reps"):
         run_bench(CORPUS, ["tokenize"], reps=0)
+    with pytest.raises(ValueError, match="no stages"):
+        run_bench(CORPUS, [])
+    with pytest.raises(ValueError, match="warmup must be >= 0"):
+        run_bench(CORPUS, ["tokenize"], warmup=-1)
 
 
 @pytest.mark.parametrize("stages,ran", [
