@@ -3,16 +3,20 @@
 All subcommands stream JSON Lines documents in input order, so they
 compose via pipes. Exit codes: 0 success, 1 usage error, 2 data error.
 Environment: BIOLING_RULES and BIOLING_SEG_CONFIG supply default paths
-for --rules / --seg-config.
+for --rules / --seg-config. tokenize, segment, abbrev and link share one
+document stream and differ only in what they write for each document.
 
-Input is checked where it enters: each line of each input file as
-`lines.open_lines` reads it, a bad one exiting 2 ("<file>: line <n>: ...").
+Input is checked where it enters: each flag value as it is parsed, a bad
+one exiting 1 before any file is read ("argument --k: must be an integer
+>= 1, got '0'"); each line of each input file as `lines.open_lines` reads
+it, a bad one exiting 2 ("<file>: line <n>: ...").
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -29,8 +33,7 @@ from .kb import kb_stats, load_kb
 from .lines import InputError, Lines, open_lines
 from .linker import generate_candidates
 from .segmenter import (
-    SegmenterConfig, citation_split_rate, default_segmenter_config,
-    load_segmenter_config, segment,
+    citation_split_rate, default_segmenter_config, load_segmenter_config, segment,
 )
 from .tokenizer import default_biomedical_rules, load_rules, tokenize
 from .vectorizer import NgramVectorizer
@@ -98,74 +101,56 @@ def _get_config(args, attr: str):
     return default()
 
 
-def _iter_doc_lines(lines: Lines):
-    """Yield (lineno, doc_or_none, raw_obj_or_text) per nonempty input line.
-
-    Lines holding a JSON object with a "text" field are core_text
-    documents; any other line is raw text for tokenization.
-    """
+def _iter_doc_lines(lines: Lines, rules=None):
+    """Yield (lineno, doc, obj) per nonempty input line: a JSON object with
+    a "text" field is a core_text document, any other line raw text (`obj`
+    {}). With `rules`, raw text and a document with text but no tokens are
+    tokenized with them; without, raw text yields `doc` None."""
     for lineno, line in lines:
         line = line.rstrip("\n")
         if not line.strip():
             continue
-        if line.lstrip().startswith("{"):
-            obj = lines.json_object(lineno, line)
-            if "text" not in obj:
-                raise lines.error(lineno, "document object needs a 'text' field")
-            try:
-                yield lineno, from_json_obj(obj), obj
-            except (KeyError, TypeError, ValueError) as exc:
-                raise lines.error(lineno, f"malformed document: {exc}") from None
-        else:
-            yield lineno, None, line
+        if not line.lstrip().startswith("{"):
+            yield lineno, None if rules is None else tokenize(line, rules), {}
+            continue
+        obj = lines.json_object(lineno, line)
+        if "text" not in obj:
+            raise lines.error(lineno, "document object needs a 'text' field")
+        try:
+            doc = from_json_obj(obj)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise lines.error(lineno, f"malformed document: {exc}") from None
+        if rules is not None and not doc.tokens and doc.text.strip():
+            doc = tokenize(doc.text, rules)
+        yield lineno, doc, obj
 
 
-def _ensure_doc(doc, obj, rules) -> tuple[Document, dict]:
-    if doc is None:
-        return tokenize(obj, rules), {}
-    if not doc.tokens and doc.text.strip():
-        doc = tokenize(doc.text, rules)
-    return doc, obj
+def _stream(args, step) -> int:
+    """Write as JSON lines to --output what `step(doc, obj, cfg, error)` yields
+    per --input document: `cfg` is any --seg-config, `error(message)` names its line."""
+    rules = _get_config(args, "rules")
+    cfg = _get_config(args, "seg_config") if "seg_config" in vars(args) else None
+    with _open_in(args.input) as fin, _open_out(args.output) as fout:
+        for lineno, doc, obj in _iter_doc_lines(fin, rules):
+            for out in step(doc, obj, cfg, functools.partial(fin.error, lineno)):
+                fout.write(json.dumps(out, ensure_ascii=False) + "\n")
+    return 0
+
+
+def _abbreviations(doc: Document, cfg):
+    """The abbreviation pairs of `doc`, segmented with `cfg` if it has no sentences."""
+    return find_abbreviations(doc if doc.sentences else segment(doc, cfg))
 
 
 # -- subcommands --------------------------------------------------------
 
-def _cmd_tokenize(args) -> int:
-    rules = _get_config(args, "rules")
-    with _open_in(args.input) as fin, _open_out(args.output) as fout:
-        for _, doc, obj in _iter_doc_lines(fin):
-            doc, _ = _ensure_doc(doc, obj, rules)
-            fout.write(json.dumps(to_json_obj(doc), ensure_ascii=False) + "\n")
-    return 0
-
-
-def _cmd_segment(args) -> int:
-    rules = _get_config(args, "rules")
-    cfg = _get_config(args, "seg_config")
-    with _open_in(args.input) as fin, _open_out(args.output) as fout:
-        for _, doc, obj in _iter_doc_lines(fin):
-            doc, _ = _ensure_doc(doc, obj, rules)
-            doc = segment(doc, cfg)
-            fout.write(json.dumps(to_json_obj(doc), ensure_ascii=False) + "\n")
-    return 0
-
-
-def _cmd_abbrev(args) -> int:
-    rules = _get_config(args, "rules")
-    cfg = _get_config(args, "seg_config")
-    with _open_in(args.input) as fin, _open_out(args.output) as fout:
-        for _, doc, obj in _iter_doc_lines(fin):
-            doc, _ = _ensure_doc(doc, obj, rules)
-            if not doc.sentences:
-                doc = segment(doc, cfg)
-            for pair in find_abbreviations(doc):
-                fout.write(json.dumps({
-                    "short": {"start": pair.short_form.start,
-                              "end": pair.short_form.end},
-                    "long": {"start": pair.long_form.start,
-                             "end": pair.long_form.end},
-                }, ensure_ascii=False) + "\n")
-    return 0
+_cmd_tokenize = functools.partial(_stream, step=lambda doc, obj, cfg, error: [to_json_obj(doc)])
+_cmd_segment = functools.partial(
+    _stream, step=lambda doc, obj, cfg, error: [to_json_obj(segment(doc, cfg))])
+_cmd_abbrev = functools.partial(_stream, step=lambda doc, obj, cfg, error: [
+    {"short": {"start": pair.short_form.start, "end": pair.short_form.end},
+     "long": {"start": pair.long_form.start, "end": pair.long_form.end}}
+    for pair in _abbreviations(doc, cfg)])
 
 
 def _cmd_kb(args) -> int:
@@ -184,8 +169,6 @@ def _cmd_kb(args) -> int:
 
 
 def _cmd_index_build(args) -> int:
-    if args.min_df < 1:
-        raise UsageError(f"--min-df must be >= 1, got {args.min_df}")
     kb = _load_file(args.kb, load_kb, "KB file")
     aliases = kb.alias_surfaces()
     if not aliases:
@@ -203,67 +186,49 @@ def _cmd_index_build(args) -> int:
     return 0
 
 
-def _mention_spans(lines: Lines, lineno: int, doc: Document,
-                   obj: dict) -> list[tuple[int, int]]:
+def _mention_spans(doc: Document, obj: dict, error) -> list[tuple[int, int]]:
     mentions = obj.get("mentions", [])
     if not isinstance(mentions, list):
-        raise lines.error(lineno, "'mentions' must be a list")
+        raise error("'mentions' must be a list")
     spans = []
     for i, m in enumerate(mentions):
         if not isinstance(m, dict):
-            raise lines.error(lineno, f"mention {i} must be an object")
+            raise error(f"mention {i} must be an object")
         start, end = m.get("start"), m.get("end")
         # only JSON integers are offsets; bool is an int subclass in Python
         if type(start) is not int or type(end) is not int:
-            raise lines.error(
-                lineno, f"mention {i} needs integer 'start' and 'end': {m!r}")
+            raise error(f"mention {i} needs integer 'start' and 'end': {m!r}")
         if not (0 <= start < end <= len(doc.text)):
-            raise lines.error(lineno, f"mention span out of range {m!r}")
+            raise error(f"mention span out of range {m!r}")
         spans.append((start, end))
     return spans
 
 
 def _cmd_link(args) -> int:
-    if args.k < 1:
-        raise UsageError(f"--k must be >= 1, got {args.k}")
     index = _load_file(args.index, load_index, "index file")
-    rules = _get_config(args, "rules")
-    cfg = _get_config(args, "seg_config")
-    with _open_in(args.input) as fin, _open_out(args.output) as fout:
-        for lineno, doc, obj in _iter_doc_lines(fin):
-            doc, obj = _ensure_doc(doc, obj, rules)
-            spans = _mention_spans(fin, lineno, doc, obj)
-            expansion = None
-            if not args.no_abbrev:
-                if not doc.sentences:
-                    doc = segment(doc, cfg)
-                expansion = expansion_map(find_abbreviations(doc))
-            for start, end in spans:
-                mention = doc.text[start:end]
-                cs = generate_candidates(index, index.alias_table, mention,
-                                         args.k, expansion, start, end)
-                fout.write(json.dumps({
-                    "mention": mention,
-                    "start": start,
-                    "end": end,
-                    "query_text": cs.query_text,
-                    "candidates": [
-                        {"concept_id": c.concept_id, "alias": c.alias,
-                         "score": c.similarity}
-                        for c in cs.candidates
-                    ],
-                }, ensure_ascii=False) + "\n")
-    return 0
+
+    def step(doc, obj, cfg, error):
+        spans = _mention_spans(doc, obj, error)
+        expansion = None if args.no_abbrev else expansion_map(_abbreviations(doc, cfg))
+        for start, end in spans:
+            mention = doc.text[start:end]
+            cs = generate_candidates(index, index.alias_table, mention,
+                                     args.k, expansion, start, end)
+            yield {
+                "mention": mention,
+                "start": start,
+                "end": end,
+                "query_text": cs.query_text,
+                "candidates": [
+                    {"concept_id": c.concept_id, "alias": c.alias,
+                     "score": c.similarity}
+                    for c in cs.candidates
+                ],
+            }
+    return _stream(args, step)
 
 
 def _cmd_eval_recall(args) -> int:
-    try:
-        ks = [int(k) for k in args.k_list.split(",") if k]
-    except ValueError:
-        ks = []
-    if not ks or ks[0] < 1 or any(b <= a for a, b in zip(ks, ks[1:])):
-        raise UsageError(f"--k-list must be integers, increasing from 1 or more: "
-                         f"{args.k_list!r}")
     index = _load_file(args.index, load_index, "index file")
     gold = []
     with _open_in(args.gold) as lines:
@@ -278,7 +243,7 @@ def _cmd_eval_recall(args) -> int:
             gold.append(GoldMention(obj["mention"], obj["concept_id"]))
     if not gold:
         raise DataError("empty gold mention set")
-    curve = recall_at_k(index, gold, ks)
+    curve = recall_at_k(index, gold, args.k_list)
     with _open_out(args.output) as fout:
         fout.write("k,recall,mean_candidates,max_candidates\n")
         for p in curve:
@@ -319,8 +284,6 @@ def _nonempty_lines(path: str) -> list[str]:
 
 
 def _cmd_eval_citations(args) -> int:
-    if args.n < 1:
-        raise UsageError(f"--n must be >= 1, got {args.n}")
     base = _nonempty_lines(args.base)
     cfg = _get_config(args, "seg_config")
     try:
@@ -333,20 +296,11 @@ def _cmd_eval_citations(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    stages = [s for s in args.stages.split(",") if s]
-    if not stages:
-        raise UsageError(f"--stages names no stage: {args.stages!r}")
-    unknown = sorted(set(stages) - set(STAGES))
-    if unknown:
-        raise UsageError(f"--stages names unknown stages {unknown}; known: {', '.join(STAGES)}")
-    if args.reps < 1 or args.warmup < 0:
-        raise UsageError(f"--reps must be >= 1 and --warmup >= 0, "
-                         f"got {args.reps} and {args.warmup}")
-    if "link" in stages and not args.index:
+    if "link" in args.stages and not args.index:
         raise UsageError("--stages link needs --index")
     index = _load_file(args.index, load_index, "index file") if args.index else None
     corpus = _nonempty_lines(args.input)
-    report = run_bench(corpus, stages, reps=args.reps, warmup=args.warmup, index=index)
+    report = run_bench(corpus, args.stages, reps=args.reps, warmup=args.warmup, index=index)
     if args.json:
         print(json.dumps(report.as_dict()))
     else:
@@ -364,6 +318,25 @@ def _cmd_bench(args) -> int:
 
 
 # -- argument wiring ----------------------------------------------------
+
+def _checked(parse, ok, expected: str):
+    """An argparse type: `parse(text)`, if that passes `ok`."""
+    def check(text: str):
+        with contextlib.suppress(ValueError):
+            if ok(value := parse(text)):
+                return value
+        raise argparse.ArgumentTypeError(f"must be {expected}, got {text!r}")
+    return check
+
+
+_POSITIVE = _checked(int, lambda n: n >= 1, "an integer >= 1")
+_K_LIST = _checked(lambda text: [int(k) for k in text.split(",") if k],
+                   lambda ks: ks and ks[0] >= 1 and all(a < b for a, b in zip(ks, ks[1:])),
+                   "integers, increasing from 1 or more")
+_STAGES = _checked(lambda text: [s for s in text.split(",") if s],
+                   lambda stages: stages and set(stages) <= set(STAGES),
+                   "a list of stages among " + ", ".join(STAGES))
+
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="bioling", description=__doc__)
@@ -396,13 +369,13 @@ def _build_parser() -> _Parser:
     idx_sub = p.add_subparsers(dest="index_cmd", required=True)
     bp = idx_sub.add_parser("build")
     bp.add_argument("--kb", required=True, metavar="FILE")
-    bp.add_argument("--min-df", dest="min_df", type=int, default=10)
+    bp.add_argument("--min-df", dest="min_df", type=_POSITIVE, default=10)
     bp.add_argument("--output", required=True, metavar="FILE")
     bp.set_defaults(func=_cmd_index_build)
 
     p = sub.add_parser("link", help="generate linking candidates for mentions")
     p.add_argument("--index", required=True, metavar="FILE")
-    p.add_argument("--k", type=int, default=30)
+    p.add_argument("--k", type=_POSITIVE, default=30)
     p.add_argument("--no-abbrev", dest="no_abbrev", action="store_true")
     add_stream(p, _cmd_link)
 
@@ -412,7 +385,7 @@ def _build_parser() -> _Parser:
     rp = ev_sub.add_parser("recall")
     rp.add_argument("--index", required=True, metavar="FILE")
     rp.add_argument("--gold", required=True, metavar="FILE")
-    rp.add_argument("--k-list", dest="k_list", default="1,5,10,25,50,100")
+    rp.add_argument("--k-list", dest="k_list", type=_K_LIST, default="1,5,10,25,50,100")
     rp.add_argument("--output", default="-", metavar="FILE|-")
     rp.set_defaults(func=_cmd_eval_recall)
 
@@ -422,7 +395,7 @@ def _build_parser() -> _Parser:
     sp.set_defaults(func=_cmd_eval_segmentation)
 
     cp = ev_sub.add_parser("citations")
-    cp.add_argument("--n", type=int, default=500)
+    cp.add_argument("--n", type=_POSITIVE, default=500)
     cp.add_argument("--seed", type=int, default=13)
     cp.add_argument("--base", required=True, metavar="FILE")
     cp.add_argument("--seg-config", dest="seg_config", metavar="FILE")
@@ -430,10 +403,11 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("bench", help="throughput benchmark")
     p.add_argument("--input", required=True, metavar="FILE")
-    p.add_argument("--stages", default=",".join(STAGES))
+    p.add_argument("--stages", type=_STAGES, default=",".join(STAGES))
     p.add_argument("--index", metavar="FILE")
-    p.add_argument("--reps", type=int, default=3)
-    p.add_argument("--warmup", type=int, default=1)
+    p.add_argument("--reps", type=_POSITIVE, default=3)
+    p.add_argument("--warmup", type=_checked(int, lambda n: n >= 0, "an integer >= 0"),
+                   default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_bench)
 

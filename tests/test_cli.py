@@ -12,8 +12,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bioling
+from bioling.abbrev import expansion_map, find_abbreviations
 from bioling.cli import main
-from bioling.index import build_index, save_index
+from bioling.doc import SentenceSpan, to_json_obj
+from bioling.index import build_index, load_index, save_index
+from bioling.linker import generate_candidates
+from bioling.segmenter import segment
+from bioling.tokenizer import tokenize
 from bioling.vectorizer import NgramVectorizer
 
 from conftest import BLIX_CORRUPTIONS, write_corrupt_blix
@@ -163,6 +168,80 @@ def test_link_uses_abbreviation_expansion(run, index_path):
     assert raw["query_text"] == "HSP"
 
 
+def _mixed_stream_input():
+    """Lines of a stream input and, per nonempty line, the document it
+    holds and its mention spans: raw text, a blank line, whitespace-only
+    documents, and documents with and without tokens, sentences and
+    mentions. `one_sentence` is one sentence over all its tokens, where
+    segmenting it would split it; abbrev and link must keep it."""
+    hsp = "The heat shock protein (HSP) was induced. Levels of HSP remained high [1]."
+    pkc = "We measured protein. Kinase C (PKC) was active (IL-2)."
+    tnf = "Tumor necrosis factor (TNF) rose. TNF (tumor necrosis factor) fell [2]."
+    il2 = "IL-2 (interleukin-2) levels rose."
+    at = hsp.index("HSP", 45)
+    tokenized = tokenize(pkc)
+    one_sentence = tokenized.with_sentences((SentenceSpan(0, len(tokenized.tokens) - 1),))
+    cases = [  # (line, document, mention spans); a blank line has no document
+        (hsp, tokenize(hsp), []),
+        ("", None, None),
+        (json.dumps({"text": "   "}), tokenize("   "), []),
+        (json.dumps({"text": hsp, "mentions": [{"start": at, "end": at + 3},
+                                               {"start": 4, "end": 22}]}),
+         tokenize(hsp), [(at, at + 3), (4, 22)]),
+        (json.dumps({**to_json_obj(tokenize(hsp)),
+                     "mentions": [{"start": at, "end": at + 3}]}),
+         tokenize(hsp), [(at, at + 3)]),
+        (json.dumps({**to_json_obj(segment(tokenize(tnf))),
+                     "mentions": [{"start": 34, "end": 37}]}),
+         segment(tokenize(tnf)), [(34, 37)]),
+        (json.dumps({**to_json_obj(one_sentence),
+                     "mentions": [{"start": 31, "end": 34}, {"start": 12, "end": 19}]}),
+         one_sentence, [(31, 34), (12, 19)]),
+        (json.dumps({"text": "", "mentions": []}), tokenize(""), []),
+        ("   ", None, None),
+        (il2, tokenize(il2), []),
+    ]
+    # segmenting `one_sentence` changes its abbreviations, so skipping it shows
+    assert find_abbreviations(one_sentence) != find_abbreviations(segment(one_sentence))
+    stdin = "".join(line + "\n" for line, _, _ in cases)
+    return stdin, [(doc, spans) for _, doc, spans in cases if doc is not None]
+
+
+@pytest.mark.parametrize("argv", [["tokenize"], ["segment"], ["abbrev"], ["link"],
+                                  ["link", "--no-abbrev"]],
+                         ids=["tokenize", "segment", "abbrev", "link", "link no-abbrev"])
+def test_stream_command_equals_library_calls(run, index_path, argv):
+    stdin, docs = _mixed_stream_input()
+    index = load_index(index_path)
+    expected = []
+    for doc, spans in docs:
+        if argv == ["tokenize"]:
+            expected.append(to_json_obj(doc))
+        elif argv == ["segment"]:
+            expected.append(to_json_obj(segment(doc)))
+        elif argv == ["abbrev"]:
+            expected += [{"short": {"start": p.short_form.start, "end": p.short_form.end},
+                          "long": {"start": p.long_form.start, "end": p.long_form.end}}
+                         for p in find_abbreviations(doc if doc.sentences else segment(doc))]
+        else:
+            expansion = None if "--no-abbrev" in argv else expansion_map(
+                find_abbreviations(doc if doc.sentences else segment(doc)))
+            for start, end in spans:
+                cs = generate_candidates(index, index.alias_table, doc.text[start:end], 10,
+                                         expansion, start, end)
+                expected.append({
+                    "mention": doc.text[start:end], "start": start, "end": end,
+                    "query_text": cs.query_text,
+                    "candidates": [{"concept_id": c.concept_id, "alias": c.alias,
+                                    "score": c.similarity} for c in cs.candidates]})
+    if argv[0] == "link":
+        argv = argv + ["--index", index_path, "--k", "10"]
+    code, out, err = run(argv, stdin=stdin)
+    assert code == 0, err
+    assert out_lines(out) == expected
+    assert len(expected) >= 3
+
+
 def test_link_missing_index_names_path(run):
     code, _, err = run(["link", "--index", "/nope/missing.blix"], stdin="")
     assert code == 2
@@ -281,12 +360,28 @@ def test_eval_citations_one_word_base_sentence(run):
      "--k-list"),
     (["eval", "recall", "--index", "{missing}", "--gold", "{missing}", "--k-list", "5,5"],
      "--k-list"),
+    (["link", "--index", "{missing}", "--k", "x"], "--k"),
+    (["index", "build", "--kb", "{missing}", "--min-df", "1.5", "--output", "{missing}"],
+     "--min-df"),
+    (["bench", "--input", "{missing}", "--reps", ""], "--reps"),
+    # the lowest accepted values: no flag is named and the command runs
+    (["link", "--index", "{index}", "--k", "1"], None),
+    (["bench", "--input", "{text}", "--stages", "tokenize", "--reps", "1", "--warmup", "0"],
+     None),
+    (["eval", "citations", "--base", "{text}", "--n", "1"], None),
 ], ids=["n 0", "n -5", "no stages", "k-list", "unknown stage", "reps 0", "warmup -3",
-        "k-list 0", "k-list decreasing", "k-list repeated"])
-def test_bad_flag_value_exits_1(run, tmp_path, argv, flag):
+        "k-list 0", "k-list decreasing", "k-list repeated", "k not an integer",
+        "min-df not an integer", "reps empty", "k 1", "warmup 0", "n 1"])
+def test_bad_flag_value_exits_1(run, tmp_path, index_path, argv, flag):
     # checked before any file is read, so the missing file is not reported
     missing = str(tmp_path / "missing.txt")
-    code, out, err = run([a.format(missing=missing) for a in argv])
+    text = tmp_path / "text.txt"
+    text.write_text("Mice were treated.\n")
+    code, out, err = run([a.format(missing=missing, index=index_path, text=text)
+                          for a in argv])
+    if flag is None:
+        assert code == 0, err
+        return
     assert code == 1 and out == ""
     assert flag in err and "missing.txt" not in err
 
