@@ -81,8 +81,6 @@ def _extract_pair(
 ) -> AbbreviationPair | None:
     short_form = text[sf_start:sf_end]
     window = text[window_start:window_end].rstrip()
-    if not window:
-        return None
     lf_rel = _best_long_form_start(short_form, window)
     if lf_rel is None:
         return None

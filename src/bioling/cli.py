@@ -209,7 +209,8 @@ def _cmd_link(args) -> int:
 
     def step(doc, obj, cfg, error):
         spans = _mention_spans(doc, obj, error)
-        expansion = None if args.no_abbrev else expansion_map(_abbreviations(doc, cfg))
+        expansion = None if args.no_abbrev or not spans else expansion_map(
+            _abbreviations(doc, cfg))
         for start, end in spans:
             mention = doc.text[start:end]
             cs = generate_candidates(index, index.alias_table, mention,

@@ -10,6 +10,7 @@ Only a token whose surface ends in terminal punctuation or a bracket can
 change the bracket depth or end a sentence, so one comprehension picks
 those out and the loop visits them alone; the tokens of an attached
 citation are skipped, as they are consumed with the sentence they end.
+`bioling link` detects abbreviations only in documents that have mentions.
 """
 
 from __future__ import annotations
@@ -77,38 +78,40 @@ def default_segmenter_config() -> SegmenterConfig:
 
 
 def _match_bracket_citation(surfaces: Sequence[str], j: int) -> int | None:
-    """Match "[ 1,2 ]"-style citations at token j; return index past "]"."""
+    """Match "[ 1,2 ]"-style citations at token j < n; return index past "]"."""
     n = len(surfaces)
-    if j >= n or surfaces[j] != "[":
+    if surfaces[j] != "[":
         return None
     i = j + 1
-    saw_number = False
     while i < n and _NUM_LIST_RE.fullmatch(surfaces[i]):
-        saw_number = True
         i += 1
-    if saw_number and i < n and surfaces[i] == "]":
+    if i > j + 1 and i < n and surfaces[i] == "]":
         return i + 1
     return None
 
 
 def _match_author_year_citation(surfaces: Sequence[str], j: int) -> int | None:
-    """Match "( Name et al. , 2002 )"-style citations; return index past ")"."""
+    """Match "( Name et al. , 2002 )"-style citations at token j < n; index past ")"."""
     n = len(surfaces)
-    if j >= n or surfaces[j] != "(":
+    if surfaces[j] != "(":
         return None
     # bounded scan: author-year citations are short
     for close in range(j + 2, min(j + 10, n)):
         if surfaces[close] == ")":
-            content = surfaces[j + 1:close]
-            if not content:
-                return None
-            first, last = content[0], content[-1]
+            first, last = surfaces[j + 1], surfaces[close - 1]
             if first[:1].isalpha() and first[:1].isupper() and _YEAR_RE.fullmatch(last):
                 return close + 1
             return None
         if surfaces[close] == "(":
             return None
     return None
+
+
+def _citation_end(surfaces: Sequence[str], j: int, cfg: SegmenterConfig) -> int | None:
+    """Index past an enabled citation at token j < n, bracket tried first; else None."""
+    if cfg.cite_bracket and (nxt := _match_bracket_citation(surfaces, j)):
+        return nxt
+    return _match_author_year_citation(surfaces, j) if cfg.cite_author_year else None
 
 
 def _is_boundary_token(surface: str, prev: str | None, stoplist: frozenset[str]) -> bool:
@@ -149,26 +152,13 @@ def segment(doc: Document, cfg: SegmenterConfig | None = None) -> Document:
             continue
         prev = surfaces[i - 1] if i > 0 else None
         if depth == 0 and _is_boundary_token(s, prev, cfg.stoplist):
-            end = i
+            # attach trailing citations to the current sentence
             j = i + 1
-            # attach a trailing citation to the current sentence
-            matched = True
-            while matched and j < n:
-                matched = False
-                for enabled, matcher in (
-                    (cfg.cite_bracket, _match_bracket_citation),
-                    (cfg.cite_author_year, _match_author_year_citation),
-                ):
-                    if enabled:
-                        nxt = matcher(surfaces, j)
-                        if nxt is not None:
-                            end = nxt - 1
-                            j = nxt
-                            matched = True
-                            break
+            while j < n and (nxt := _citation_end(surfaces, j, cfg)):
+                j = nxt
             if j >= n or _CONFIRM_RE.match(surfaces[j]):
-                boundaries.append(end)
-            resume = end + 1
+                boundaries.append(j - 1)
+            resume = j
 
     if not boundaries or boundaries[-1] != n - 1:
         boundaries.append(n - 1)

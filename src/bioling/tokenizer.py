@@ -23,8 +23,8 @@ goes through the rules. Prefixes and infixes each become one regex
 alternation, which tries alternatives in list order; the infix one is
 scanned with `finditer`. Suffixes become a dict from suffix to its first
 list index, looked up once per distinct suffix length. Each rules object
-also memoizes what the rules make of each chunk, up to 4,096 chunks, and
-empties the memo when it is full. The chunks come from one `findall`:
+also memoizes what the rules make of each chunk, keeping the 4,096 most
+recently used chunks. The chunks come from one `findall`:
 after the leading whitespace its matches are contiguous, each a chunk and
 the whitespace after it, so a running offset places every token without
 a match object, and tokens are built with `tuple.__new__`, without
@@ -46,7 +46,7 @@ from .doc import Document, Token
 from .lines import InputError, Lines, open_lines
 
 _SPACE_RE = re.compile(r"\s*")
-# chunks memoized per rules object; a full memo is emptied
+# chunks memoized per rules object, the most recently used kept
 _MEMO_MAX = 4096
 
 
@@ -174,18 +174,12 @@ class _Splitter:
         simple = (rf"[^\s{first}{inner}][^\s{inner}]*[^\s{last}{inner}]"
                   rf"|[^\s{first}{last}{inner}]")
         self.chunk = re.compile(rf"(?:({simple})(?!\S)|(\S+))(\s*)")
-        self.memo: dict[str, tuple[tuple[str, int, int], ...]] = {}
+        self.split = lru_cache(maxsize=_MEMO_MAX)(self._pieces)
 
-    def split(self, chunk: str) -> tuple[tuple[str, int, int], ...]:
+    def _pieces(self, chunk: str) -> tuple[tuple[str, int, int], ...]:
         """(surface, start, end) per token of one whitespace-free chunk,
         offsets relative to the chunk."""
-        pieces = self.memo.get(chunk)
-        if pieces is None:
-            if len(self.memo) >= _MEMO_MAX:
-                self.memo.clear()
-            pieces = self.memo[chunk] = tuple(
-                (chunk[s:e], s, e) for s, e in self._spans(chunk))
-        return pieces
+        return tuple((chunk[s:e], s, e) for s, e in self._spans(chunk))
 
     def _suffix_len(self, piece: str) -> int:
         """Length of the first listed suffix `piece` ends with; 0 if none."""

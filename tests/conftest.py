@@ -285,8 +285,47 @@ def reference_find_abbreviations(doc: Document) -> list[AbbreviationPair]:
     return pairs
 
 
+_REF_NUM_LIST_RE = re.compile(r"[0-9][0-9,;–—-]*\Z")
+_REF_YEAR_RE = re.compile(r"(1[6-9]|20)\d\d[a-z]?\Z")
+
+
+def reference_bracket_citation(surfaces, j: int) -> int | None:
+    """The earlier bracket matcher: "[ 1,2 ]" at token j; index past "]"."""
+    n = len(surfaces)
+    if j >= n or surfaces[j] != "[":
+        return None
+    i = j + 1
+    saw_number = False
+    while i < n and _REF_NUM_LIST_RE.fullmatch(surfaces[i]):
+        saw_number = True
+        i += 1
+    if saw_number and i < n and surfaces[i] == "]":
+        return i + 1
+    return None
+
+
+def reference_author_year_citation(surfaces, j: int) -> int | None:
+    """The earlier author-year matcher: "( Name et al. , 2002 )"; index past ")"."""
+    n = len(surfaces)
+    if j >= n or surfaces[j] != "(":
+        return None
+    for close in range(j + 2, min(j + 10, n)):
+        if surfaces[close] == ")":
+            content = surfaces[j + 1:close]
+            if not content:
+                return None
+            first, last = content[0], content[-1]
+            if first[:1].isalpha() and first[:1].isupper() and _REF_YEAR_RE.fullmatch(last):
+                return close + 1
+            return None
+        if surfaces[close] == "(":
+            return None
+    return None
+
+
 def reference_segment(doc: Document, cfg: SegmenterConfig) -> Document:
-    """`segment` by its earlier loop, which visits every token in turn."""
+    """`segment` by its earlier loop, which visits every token in turn, with
+    its own copies of the earlier citation matchers."""
     surfaces = [t.surface for t in doc.tokens]
     n = len(surfaces)
     if n == 0:
@@ -312,8 +351,8 @@ def reference_segment(doc: Document, cfg: SegmenterConfig) -> Document:
             while matched and j < n:
                 matched = False
                 for enabled, matcher in (
-                    (cfg.cite_bracket, segmenter._match_bracket_citation),
-                    (cfg.cite_author_year, segmenter._match_author_year_citation),
+                    (cfg.cite_bracket, reference_bracket_citation),
+                    (cfg.cite_author_year, reference_author_year_citation),
                 ):
                     if enabled:
                         nxt = matcher(surfaces, j)

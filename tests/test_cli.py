@@ -168,6 +168,27 @@ def test_link_uses_abbreviation_expansion(run, index_path):
     assert raw["query_text"] == "HSP"
 
 
+@pytest.mark.parametrize("obj, calls", [
+    ({"text": "The heat shock protein (HSP) was induced."}, 0),
+    ({"text": "The heat shock protein (HSP) was induced.", "mentions": []}, 0),
+    ({"text": "The heat shock protein (HSP) was induced.",
+      "mentions": [{"start": 24, "end": 27}]}, 1),
+], ids=["no mentions key", "empty mentions", "one mention"])
+def test_link_finds_abbreviations_only_with_mentions(run, index_path, monkeypatch,
+                                                      obj, calls):
+    seen = []
+
+    def counting(doc):
+        seen.append(doc.text)
+        return find_abbreviations(doc)
+
+    monkeypatch.setattr("bioling.cli.find_abbreviations", counting)
+    code, out, _ = run(["link", "--index", index_path], stdin=json.dumps(obj) + "\n")
+    assert code == 0
+    assert len(seen) == calls
+    assert len(out_lines(out)) == len(obj.get("mentions", []))
+
+
 def _mixed_stream_input():
     """Lines of a stream input and, per nonempty line, the document it
     holds and its mention spans: raw text, a blank line, whitespace-only

@@ -179,10 +179,13 @@ def hand_built(surfaces):
 
 
 # whole citations, attached or not; one holds an unbalanced bracket, whose
-# depth counts only if the citation's tokens are visited
+# depth counts only if the citation's tokens are visited. "[ ]" holds no
+# number, and the last author-year one is as long as the matcher's scan takes
 _CITATIONS = [["(", "Smith", "et", "al.", ",", "2002", ")"], ["(", "Jones", "1999a", ")"],
               ["[", "1,2", "]"], ["[", "3", ",", "4-6", "]"],
-              ["(", "Smith", "[", "2002", ")"], ["(", "Jones", "}", "1999a", ")"]]
+              ["(", "Smith", "[", "2002", ")"], ["(", "Jones", "}", "1999a", ")"],
+              ["[", "]"],
+              ["(", "Smith", ",", "Jones", ",", "Chen", "et", "al.", "2002", ")"]]
 
 
 @pytest.mark.parametrize("cite_bracket", [False, True])

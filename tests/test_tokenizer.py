@@ -333,7 +333,7 @@ def test_memo_eviction_keeps_outputs():
     repeated = "(x1/y1). p<0.05 (x7/y7). Fig. e.g., " * 50
     texts = (distinct, repeated, distinct, repeated)
     docs = [tokenize(text, rules) for text in texts]
-    assert len(rules._splitter.memo) <= tokenizer._MEMO_MAX
+    assert rules._splitter.split.cache_info().currsize <= tokenizer._MEMO_MAX
     assert docs == [tokenize(text, fresh()) for text in texts]
     assert docs[1] == oracle_tokenize(repeated, rules)
 
