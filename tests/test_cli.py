@@ -554,6 +554,15 @@ def test_bad_rules_file_exits_2(run, tmp_path):
     assert "line 1" in err
 
 
+def test_rules_literal_with_whitespace_exits_2(run, tmp_path):
+    rules = tmp_path / "rules.txt"
+    rules.write_text("SUFFIX .\nPROTECT e. g.\n")
+    code, out, err = run(["tokenize", "--rules", str(rules)], stdin="e. g.\n")
+    assert code == 2
+    assert out == ""
+    assert "line 2: whitespace in protected literal 'e. g.'" in err
+
+
 @pytest.mark.parametrize("command, flag", [("tokenize", "--rules"),
                                            ("segment", "--seg-config")])
 @pytest.mark.parametrize("kind", ["not UTF-8", "directory"])

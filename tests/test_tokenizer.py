@@ -180,7 +180,8 @@ def test_rules_file_comments_and_blanks():
                                  "\u2028", "\u2029", "\r", "\r\n"])
 def test_rules_text_and_file_split_lines_alike(sep, tmp_path):
     path = tmp_path / "rules.txt"
-    text = f"PREFIX (\nPROTECT e.g.{sep}SUFFIX )\n"
+    # a rule after the character loads only where the line breaks there
+    text = f"PREFIX (\n# note{sep}PROTECT e.g.\nSUFFIX )\n"
     path.write_bytes(text.encode("utf-8"))
     assert parse_rules(text) == load_rules(str(path))
     # the same line numbers in errors, too
@@ -258,6 +259,31 @@ def test_empty_rule_string_rejected(kind):
     # an empty affix would match everywhere without consuming anything
     value = frozenset({""}) if kind == "protected" else ("-", "")
     with pytest.raises(ValueError, match=f"empty string in {kind}"):
+        TokenizerRules(**{kind: value})
+
+
+def test_empty_special_literal_rejected():
+    with pytest.raises(ValueError, match="empty string in specials"):
+        TokenizerRules(specials={"": ()})
+    with pytest.raises(RulesFileError, match="line 2: empty string in specials"):
+        parse_rules("PREFIX (\nSPECIAL =>\n")
+
+
+# a chunk never holds whitespace, so a literal that does could never apply
+@pytest.mark.parametrize("directive, arg, kind", [
+    ("PREFIX", "( [", "prefixes"),
+    ("SUFFIX", "a b", "suffixes"),
+    ("INFIX", "-\u00a0-", "infixes"),
+    ("PROTECT", "e. g.", "protected"),
+    ("SPECIAL", "can not => can| not", "specials"),
+])
+def test_rule_literal_with_whitespace_rejected(directive, arg, kind):
+    with pytest.raises(RulesFileError, match=f"line 2: whitespace in {kind} literal"):
+        parse_rules(f"PROTECT al.\n{directive} {arg}\n")
+    literal = arg.split(" =>")[0]
+    value = ({literal: ("can", " not")} if kind == "specials"
+             else frozenset({literal}) if kind == "protected" else (literal,))
+    with pytest.raises(ValueError, match=f"whitespace in {kind} literal"):
         TokenizerRules(**{kind: value})
 
 
@@ -356,6 +382,27 @@ def test_memo_eviction_keeps_outputs():
      ["]", "a", "b", "^", "c", "\\", "d", "e", "-", "f", "^x", "x]", "a", "-", "^"]),
     # non-ASCII whitespace separates chunks
     (None, "a\u00a0b\u2009(c) \u00a0d\u2009", ["a", "b", "(", "c", ")", "d"]),
+    # the scan peels one prefix and up to two suffixes, in text order
+    (None, "(a), b. [c]! d., (e", ["(", "a", ")", ",", "b", ".", "[", "c", "]",
+                                   "!", "d", ".", ",", "(", "e"]),
+    # a protected piece met after a suffix or the prefix is peeled
+    ("SUFFIX .\nSUFFIX ,\nPROTECT al.\n", "al., al,", ["al.", ",", "al", ","]),
+    ("PREFIX (\nSUFFIX )\nPROTECT a)\n", "(a) (b)", ["(", "a)", "(", "b", ")"]),
+    # protected pieces met at every depth of one chunk
+    ("PREFIX (\nSUFFIX )\nSUFFIX .\nPROTECT (a).\nPROTECT b).\nPROTECT (c\n",
+     "(a). (b). (c (d).", ["(a).", "(", "b).", "(c", "(", "d", ")", "."]),
+    # a special case as the core
+    ("PREFIX (\nSUFFIX )\nSUFFIX ,\nSPECIAL cannot => can|not\n", "(cannot),",
+     ["(", "can", "not", ")", ","]),
+    # one-character affixes shadowed by longer ones
+    ("PREFIX ((\nPREFIX (\nSUFFIX ..\nSUFFIX .\n", "((a.. (a. a..",
+     ["((", "a", "..", "(", "a", ".", "a", ".."]),
+    ("PREFIX (a\nPREFIX (\n", "(ab (b", ["(a", "b", "(", "b"]),
+    ("SUFFIX a.\nSUFFIX .\n", "ba. b.", ["b", "a.", "b", "."]),
+    # three suffixes: the scan takes at most two
+    ("SUFFIX )\nSUFFIX .\nSUFFIX ,\n", "a)., b).", ["a", ")", ".", ",", "b", ")", "."]),
+    # no one-character prefix or suffix
+    ("PREFIX ((\nSUFFIX ..\n", "((a.. a. (a", ["((", "a", "..", "a.", "(a"]),
 ])
 def test_fast_path_equals_loop_oracle(rules_text, text, expected):
     rules = default_biomedical_rules() if rules_text is None else parse_rules(rules_text)
@@ -363,3 +410,11 @@ def test_fast_path_equals_loop_oracle(rules_text, text, expected):
     assert [t.surface for t in doc.tokens] == expected
     assert doc == oracle_tokenize(text, rules)
     assert detokenize(doc) == text
+
+
+def test_fast_shape_skips_the_rules():
+    d = default_biomedical_rules()
+    rules = TokenizerRules(d.prefixes, d.suffixes, d.infixes, d.protected, d.specials)
+    for _ in range(2):
+        tokenize("(a), b. [c]! d.,", rules)
+    assert rules._splitter.split.cache_info().misses == 0
