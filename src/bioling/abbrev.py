@@ -6,11 +6,11 @@ preceding window moving leftward, and the first character must start a
 word. The long form is the shortest window suffix satisfying the match.
 
 Candidates are the innermost parentheticals of each sentence, found by
-one regex, `\(\s*([^()]*?)\s*\)`: a match is a pair with no parenthesis
-between its ends, and its group is the content stripped of whitespace.
-The words before each nonempty parenthetical are listed once, and both
-the "long form (SF)" and the mirrored "SF (long form)" patterns read
-that one list.
+one regex, `\(([^()]*)\)`: a match is a pair with no parenthesis between
+its ends, and its content is stripped of whitespace in Python. The
+sentence's words are read once, left to right, up to each parenthetical
+in turn (the last one cut at the parenthesis), and both the "long form
+(SF)" and the mirrored "SF (long form)" patterns read them.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Iterable
 from .doc import AbbreviationPair, Document, MentionSpan
 
 _WORD_RE = re.compile(r"\S+")
-_PAREN_RE = re.compile(r"\(\s*([^()]*?)\s*\)")
+_PAREN_RE = re.compile(r"\(([^()]*)\)")
 
 _MIN_SF_LEN = 2
 _MAX_SF_LEN = 10
@@ -109,28 +109,35 @@ def find_abbreviations(doc: Document) -> list[AbbreviationPair]:
     text = doc.text
     pairs: list[AbbreviationPair] = []
     for region_start, region_end in regions:
+        # the region's words that start before the current "(", each read
+        # once; the next may start at `pos`
+        words: list[re.Match] = []
+        pos = region_start
         for m in _PAREN_RE.finditer(text, region_start, region_end):
             content = m.group(1)
+            c_start = m.start(1) + len(content) - len(content.lstrip())
+            content = content.strip()
             if not content:
                 continue
+            c_end = c_start + len(content)
             lp = m.start()
-            words = list(_WORD_RE.finditer(text, region_start, lp))
+            if pos < lp:
+                words += _WORD_RE.finditer(text, pos, lp)
+                # a word cut at the parenthesis goes on past it
+                pos = lp if text[lp - 1].isspace() else _WORD_RE.match(text, lp, region_end).end()
             if not words:
                 continue
-            c_start, c_end = m.span(1)
             if _is_valid_short_form(content):
                 wstart = words[max(0, len(words) - _max_long_form_words(content))].start()
                 pair = _extract_pair(text, c_start, c_end, wstart, lp)
             else:
                 # mirrored pattern: the word before the parenthesis is the
                 # short form, the parenthetical holds the definition
-                prev = words[-1]
-                candidate = prev.group().rstrip(".,;:")
+                prev = words[-1].start()
+                candidate = text[prev:lp].rstrip().rstrip(".,;:")
                 if not _is_valid_short_form(candidate):
                     continue
-                pair = _extract_pair(
-                    text, prev.start(), prev.start() + len(candidate), c_start, c_end
-                )
+                pair = _extract_pair(text, prev, prev + len(candidate), c_start, c_end)
             if pair is not None:
                 pairs.append(pair)
     return pairs

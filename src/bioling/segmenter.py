@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .doc import Document, SentenceSpan
 from .lines import Lines, open_lines
-from .tokenizer import RulesFileError, _directives, default_biomedical_rules, tokenize
+from .tokenizer import RulesFileError, _directives, _literal_fault, default_biomedical_rules, tokenize
 
 _TERMINALS = frozenset(".!?")
 _OPENERS = frozenset("([{")
@@ -41,9 +41,10 @@ class SegmenterConfig:
     cite_author_year: bool = False
 
     def __post_init__(self):
+        # a token surface is never empty and holds no whitespace
         for entry in self.stoplist:
-            if not entry:
-                raise ValueError("empty stoplist entry")
+            if fault := _literal_fault("stoplist", entry):
+                raise ValueError(fault)
 
 
 # directive -> whether it takes an argument
@@ -57,8 +58,10 @@ def parse_segmenter_config(source: str | Lines) -> SegmenterConfig:
     stoplist: set[str] = set()
     flags: set[str] = set()
     lines = source if isinstance(source, Lines) else Lines(source, error=RulesFileError)
-    for _, directive, arg in _directives(lines, _SEGMENTER_DIRECTIVES):
+    for lineno, directive, arg in _directives(lines, _SEGMENTER_DIRECTIVES):
         if directive == "NOSPLIT":
+            if fault := _literal_fault("stoplist", arg):
+                raise lines.error(lineno, fault)
             stoplist.add(arg.lower())
         else:
             flags.add(directive)

@@ -26,17 +26,18 @@ special case or, with affixes, the core of a protected or special
 literal that the peeling might meet. That is 95.6% of the chunks of
 diverse perfbench abstracts (81.7% with bare cores only) and 99.2% of
 repetitive ones; the rest, mostly infix units like "mg/kg" and
-"p<0.05", goes through the rules. Prefixes and infixes each become one
-regex alternation, which tries alternatives in list order; the infix
-one is scanned with `finditer`. Suffixes become a dict from suffix to
-its first list index, looked up once per distinct suffix length. Each
-rules object also memoizes what the rules make of each chunk, keeping
-the 4,096 most recently used chunks. The chunks come from one
-`findall`: after the leading whitespace its matches are contiguous,
-each a chunk and the whitespace after it, so a running offset places
-every token without a match object, and tokens are built with
-`tuple.__new__`, without `Token`'s Python-level constructor. None of
-this changes an output; tokens are still built per occurrence, with
+"p<0.05", goes through the rules. Prefixes, suffixes and infixes each
+become one regex alternation, which tries alternatives in list order;
+suffixes are reversed and matched on the chunk reversed once. A piece is
+looked up in the protected and special literals only when it is no
+longer than the longest of them, so a run of affixes is peeled in linear
+time. Each rules object also memoizes what the rules make of each chunk
+of up to 32 characters, keeping the 4,096 most recently used. The
+chunks come from one `findall`: after the leading whitespace its matches
+are contiguous, each a chunk and the whitespace after it, so a running
+offset places every token without a match object, and tokens are built
+with `tuple.__new__`, without `Token`'s Python-level constructor. None
+of this changes an output; tokens are still built per occurrence, with
 absolute offsets.
 
 The tokenizer is lossless: detokenize(tokenize(s)) == s for any input.
@@ -57,6 +58,9 @@ _SPACE_RE = re.compile(r"\s*")
 _WS_RE = re.compile(r"\s")
 # chunks memoized per rules object, the most recently used kept
 _MEMO_MAX = 4096
+# a longer chunk is split without the memo, which would pin its split: over
+# four times the longest chunk the memo meets again in perfbench abstracts
+_MEMO_CHUNK_MAX = 32
 _RULE_KINDS = {"PREFIX": "prefixes", "SUFFIX": "suffixes", "INFIX": "infixes",
                "PROTECT": "protected", "SPECIAL": "specials"}
 
@@ -195,12 +199,9 @@ class _Splitter:
         self.protected = rules.protected
         self.specials = rules.specials
         self.prefix = _alternation(rules.prefixes)
+        # matched on the reversed chunk, ending where the piece ends
+        self.suffix = _alternation(tuple(suf[::-1] for suf in rules.suffixes))
         self.infix = _alternation(rules.infixes)
-        self.n_suffixes = len(rules.suffixes)
-        self.suffix_rank: dict[str, int] = {}
-        for rank, suf in enumerate(rules.suffixes):
-            self.suffix_rank.setdefault(suf, rank)
-        self.suffix_lens = sorted({len(suf) for suf in rules.suffixes})
         # groups: an optional lone prefix, a core no rule can touch (one
         # character long, it avoids all three classes), up to two lone
         # suffixes; else any other chunk; then the whitespace after it
@@ -217,63 +218,53 @@ class _Splitter:
         # of a protected or special literal, which peeling it may meet.
         literals = (*rules.protected, *rules.specials)
         self.risky = {self.chunk.match(lit)[2] for lit in literals} - {None}
+        # a longer piece is never sliced to be looked up
+        self.longest = max(map(len, literals), default=0)
         self.split = lru_cache(maxsize=_MEMO_MAX)(self._pieces)
 
     def _pieces(self, chunk: str) -> tuple[tuple[str, int, int], ...]:
         """(surface, start, end) per token of one whitespace-free chunk,
         offsets relative to the chunk."""
-        return tuple((chunk[s:e], s, e) for s, e in self._spans(chunk))
-
-    def _suffix_len(self, piece: str) -> int:
-        """Length of the first listed suffix `piece` ends with; 0 if none."""
-        rank, found = self.n_suffixes, 0
-        for n in self.suffix_lens:
-            if n > len(piece):
-                break
-            r = self.suffix_rank.get(piece[-n:], rank)
-            if r < rank:
-                rank, found = r, n
-        return found
-
-    def _spans(self, chunk: str) -> list[tuple[int, int]]:
-        spans: list[tuple[int, int]] = []
-        end_spans: list[tuple[int, int]] = []
-        start, end = 0, len(chunk)
-        while start < end:
-            piece = chunk[start:end]
+        protected, specials = self.protected, self.specials
+        pieces: list[tuple[str, int, int]] = []
+        end_pieces: list[tuple[str, int, int]] = []
+        rev, n = chunk[::-1], len(chunk)
+        start, end = 0, n
+        while True:
+            piece = chunk[start:end] if end - start <= self.longest else ""
             # protected tokens and special cases beat every split rule
-            if piece in self.protected or piece in self.specials:
+            if piece in protected or piece in specials:
                 break
             m = self.prefix.match(chunk, start, end)
             if m:
-                spans.append((start, m.end()))
+                pieces.append((m.group(), start, m.end()))
                 start = m.end()
                 continue
-            n = self._suffix_len(piece)
+            m = self.suffix.match(rev, n - end, n - start)
             # a suffix that is the whole piece stops peeling
-            if 0 < n < len(piece):
-                end_spans.append((end - n, end))
-                end -= n
+            if m and m.end() < n - start:
+                cut = end - len(m.group())
+                end_pieces.append((chunk[cut:end], cut, end))
+                end = cut
                 continue
             break
-        piece = chunk[start:end]
-        if piece in self.specials:
-            for part in self.specials[piece]:
-                spans.append((start, start + len(part)))
+        if piece in specials:
+            for part in specials[piece]:
+                pieces.append((part, start, start + len(part)))
                 start += len(part)
-        elif piece in self.protected:
-            spans.append((start, end))
+        elif piece in protected:
+            pieces.append((piece, start, end))
         else:
             # leftmost infix first; at one position the first listed wins
             for m in self.infix.finditer(chunk, start, end):
                 if m.start() > start:
-                    spans.append((start, m.start()))
-                spans.append(m.span())
+                    pieces.append((chunk[start:m.start()], start, m.start()))
+                pieces.append((m.group(), *m.span()))
                 start = m.end()
             if start < end:
-                spans.append((start, end))
-        spans.extend(reversed(end_spans))
-        return spans
+                pieces.append((chunk[start:end], start, end))
+        pieces.extend(reversed(end_pieces))
+        return tuple(pieces)
 
 
 def tokenize(text: str, rules: TokenizerRules | None = None) -> Document:
@@ -309,7 +300,7 @@ def tokenize(text: str, rules: TokenizerRules | None = None) -> Document:
             pos = end + len(ws)
             continue
         chunk = chunk or pre + core + suf
-        pieces = split(chunk)
+        pieces = split(chunk) if len(chunk) <= _MEMO_CHUNK_MAX else splitter._pieces(chunk)
         for surface, s, e in pieces[:-1]:
             append(new(Token, (surface, pos + s, pos + e, "")))
         surface, s, e = pieces[-1]

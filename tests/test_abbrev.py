@@ -1,5 +1,6 @@
 import json
 import pathlib
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -151,7 +152,51 @@ _ABBREV_ALPHABET = "()().,;:aAbBtTnNİΣσς12 \t\n\x1c\u3000"
 @example("An unclosed (tumor necrosis factor (TNF) rose.")
 @example("A stray ) then tumor necrosis factor (TNF).")
 @example("It rose: TNF; (tumor necrosis factor) and IL.,;: (inter leukin).")
+# a word cut at "(" is one word to a later parenthetical's window
+@example("Alpha beta(x) c (y) (AB) rose.")
 def test_find_abbreviations_equals_reference(text):
+    doc = tokenize(text)
+    assert find_abbreviations(doc) == reference_find_abbreviations(doc)
+    doc = segment(doc)
+    assert find_abbreviations(doc) == reference_find_abbreviations(doc)
+
+
+# -- linear time: long lines ------------------------------------------------
+# The earlier candidate search took over 10 s on each: its regex backtracked
+# through a run of whitespace after "(", and it listed the words from the
+# sentence start again for every parenthetical.
+
+@pytest.mark.parametrize("text, n_pairs", [
+    ("Levels rose (" + " " * 3_000 + "x", 0),
+    ("a (b) " * 6_000, 0),
+    ("tumor necrosis factor (TNF) " * 4_000, 4_000),
+], ids=["unclosed parenthesis", "short parentheticals", "definitions"])
+def test_long_line_takes_linear_time(text, n_pairs):
+    doc = tokenize(text)
+    t0 = time.perf_counter()
+    pairs = find_abbreviations(doc)
+    assert time.perf_counter() - t0 < 5.0
+    assert len(pairs) == n_pairs
+
+
+@st.composite
+def repeated_text(draw):
+    """A short unit repeated up to a thousand times, between two short
+    pieces of text: many parentheticals in one sentence, or long runs. The
+    reference lists the words again for every parenthetical, so more
+    repeats would make it, not the code under test, the slow part."""
+    piece = st.text(alphabet=_ABBREV_ALPHABET, max_size=6)
+    unit = draw(st.one_of(
+        st.sampled_from(["a (b) ", "heat shock (HS) ", "HS (heat shock) ", "x(AB)", "( ", " "]),
+        piece.filter(bool)))
+    return draw(piece) + unit * draw(st.integers(1, 1000)) + draw(piece)
+
+
+@given(repeated_text())
+@settings(max_examples=20, deadline=None)
+@example("(" + "a (b) " * 1000)
+@example("x (TNF" + " " * 2000 + ") " + "tumor necrosis factor (TNF) " * 200)
+def test_repeated_unit_equals_reference(text):
     doc = tokenize(text)
     assert find_abbreviations(doc) == reference_find_abbreviations(doc)
     doc = segment(doc)

@@ -563,6 +563,15 @@ def test_rules_literal_with_whitespace_exits_2(run, tmp_path):
     assert "line 2: whitespace in protected literal 'e. g.'" in err
 
 
+def test_seg_config_stoplist_with_whitespace_exits_2(run, tmp_path):
+    config = tmp_path / "seg.txt"
+    config.write_text("NOSPLIT al.\nNOSPLIT e. g.\n")
+    code, out, err = run(["segment", "--seg-config", str(config)], stdin="See e. g. this.\n")
+    assert code == 2
+    assert out == ""
+    assert "line 2: whitespace in stoplist literal 'e. g.'" in err
+
+
 @pytest.mark.parametrize("command, flag", [("tokenize", "--rules"),
                                            ("segment", "--seg-config")])
 @pytest.mark.parametrize("kind", ["not UTF-8", "directory"])

@@ -136,8 +136,16 @@ def test_config_rejects_unknown_directive():
 
 
 def test_config_rejects_empty_stoplist_entry():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty string in stoplist"):
         SegmenterConfig(stoplist=frozenset({""}))
+
+
+# a token surface holds no whitespace, so such an entry could never apply
+def test_config_rejects_stoplist_entry_with_whitespace():
+    with pytest.raises(RulesFileError, match="line 2: whitespace in stoplist literal 'e. g.'"):
+        parse_segmenter_config("NOSPLIT al.\nNOSPLIT e. g.\n")
+    with pytest.raises(ValueError, match="whitespace in stoplist literal"):
+        SegmenterConfig(stoplist=frozenset({"al.", "e.\u00a0g."}))
 
 
 def test_citation_split_rate_single_correct():

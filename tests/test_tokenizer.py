@@ -418,3 +418,46 @@ def test_fast_shape_skips_the_rules():
     for _ in range(2):
         tokenize("(a), b. [c]! d.,", rules)
     assert rules._splitter.split.cache_info().misses == 0
+
+
+# -- linear time: long runs of affixes -------------------------------------
+
+def test_long_chunk_skips_the_memo():
+    d = default_biomedical_rules()
+    rules = TokenizerRules(d.prefixes, d.suffixes, d.infixes, d.protected, d.specials)
+    text = "(a/b" + "." * 1000
+    doc = tokenize(text, rules)
+    assert rules._splitter.split.cache_info().currsize == 0
+    assert doc == oracle_tokenize(text, rules)
+
+
+# each chunk is one run of affixes; a loop that slices the rest of the
+# chunk on every peel took over 10 s at this size
+@pytest.mark.parametrize("text", ["a" + "." * 300_000, "(" * 300_000 + "a"],
+                         ids=["suffix run", "prefix run"])
+def test_affix_run_takes_linear_time(text):
+    t0 = time.perf_counter()
+    doc = tokenize(text)
+    assert time.perf_counter() - t0 < 5.0
+    assert len(doc.tokens) == len(text)
+    assert detokenize(doc) == text
+
+
+@st.composite
+def rules_and_repeated_text(draw):
+    """A short unit repeated up to a few thousand times, so one chunk can
+    hold thousands of affixes, between two short pieces of text."""
+    rules = draw(rule_sets())
+    literals = sorted(rules.protected | set(rules.specials)) or ["a"]
+    piece = st.one_of(st.text(_TEXT_CHARS, max_size=4), st.sampled_from(literals))
+    unit = draw(st.one_of(st.text(_RULE_CHARS, min_size=1, max_size=3), piece))
+    return rules, draw(piece) + unit * draw(st.integers(1, 3000)) + draw(piece)
+
+
+@given(rules_and_repeated_text())
+@settings(max_examples=60, deadline=None)
+@example((TokenizerRules(prefixes=("(",), suffixes=(")", "."), protected=frozenset({"a)."})),
+          "(" * 2000 + "a" + ")." * 2000))
+def test_repeated_unit_equals_loop_oracle(case):
+    rules, text = case
+    assert tokenize(text, rules) == oracle_tokenize(text, rules)
