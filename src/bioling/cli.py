@@ -5,6 +5,7 @@ compose via pipes. Exit codes: 0 success, 1 usage error, 2 data error.
 Environment: BIOLING_RULES and BIOLING_SEG_CONFIG supply default paths
 for --rules / --seg-config. tokenize, segment, abbrev and link share one
 document stream and differ only in what they write for each document.
+`bioling link` detects abbreviations only in documents that have mentions.
 
 Input is checked where it enters: each flag value as it is parsed, a bad
 one exiting 1 before any file is read ("argument --k: must be an integer
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import json
 import os
@@ -158,13 +160,7 @@ def _cmd_kb(args) -> int:
     if args.kb_cmd == "validate":
         print(f"OK: {len(kb.concepts)} concepts, {len(kb.alias_table)} aliases")
         return 0
-    stats = kb_stats(kb)
-    print(json.dumps({
-        "n_concepts": stats.n_concepts,
-        "n_aliases": stats.n_aliases,
-        "n_shared_aliases": stats.n_shared_aliases,
-        "bytes_on_disk": stats.bytes_on_disk,
-    }))
+    print(json.dumps(dataclasses.asdict(kb_stats(kb))))
     return 0
 
 

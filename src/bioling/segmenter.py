@@ -10,7 +10,6 @@ Only a token whose surface ends in terminal punctuation or a bracket can
 change the bracket depth or end a sentence, so one comprehension picks
 those out and the loop visits them alone; the tokens of an attached
 citation are skipped, as they are consumed with the sentence they end.
-`bioling link` detects abbreviations only in documents that have mentions.
 """
 
 from __future__ import annotations

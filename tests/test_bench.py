@@ -1,8 +1,9 @@
 import statistics
+from collections import Counter
 
 import pytest
 
-from bioling import abbrev
+from bioling import abbrev, bench, segmenter, tokenizer
 from bioling.bench import STAGES, _LINK_K, _bench_mentions, run_bench
 from bioling.linker import REASON_OUT_OF_VOCABULARY, generate_candidates
 from bioling.segmenter import segment
@@ -81,13 +82,51 @@ def test_stage_times_within_each_rep(toy_index, stages, ran):
             pytest.approx(sorted(times)[1] * 1000 / report.n_docs)
 
 
-def test_setup_excludes_corpus_pass():
-    # rule loading alone: the sentence-count pass over the corpus, as long
-    # as a tokenize-and-segment repetition, runs outside setup_s
-    small = run_bench(CORPUS, ["tokenize"], reps=1)  # the rules are loaded now
+def test_setup_excludes_the_repetitions():
+    # the rule parse alone: a 1,000-document repetition runs outside setup_s
+    small = run_bench(CORPUS, ["tokenize", "segment"], reps=1)
     report = run_bench(CORPUS * 500, ["tokenize", "segment"], reps=1, warmup=0)
     assert report.n_sentences == 500 * small.n_sentences
     assert report.setup_s < report.per_rep_total_s[0] / 10
+
+
+def _count_calls(monkeypatch, *targets) -> Counter:
+    """Wrap each (module, name) so that its calls are counted by name."""
+    calls = Counter()
+    for module, name in targets:
+        def counted(*args, fn=getattr(module, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_setup_parses_the_rules_on_every_call(monkeypatch):
+    # not a hit in the process-wide caches of the parsed files
+    calls = _count_calls(monkeypatch, (tokenizer, "parse_rules"),
+                         (segmenter, "parse_segmenter_config"))
+    for n in (1, 2):
+        run_bench(CORPUS, ["tokenize"], reps=1, warmup=0)
+        assert calls == {"parse_rules": n, "parse_segmenter_config": n}
+
+
+def test_each_stage_runs_once_per_document_and_repetition(monkeypatch, toy_index):
+    calls = _count_calls(monkeypatch, (bench, "tokenize"), (bench, "segment"),
+                         (abbrev, "find_abbreviations"), (bench, "_bench_mentions"),
+                         (bench, "generate_candidates"))
+    corpus = CORPUS * 5
+    report = run_bench(corpus, STAGES, reps=3, warmup=1, index=toy_index)
+    runs = (3 + 1) * len(corpus)
+    assert calls == {"tokenize": runs, "segment": runs, "find_abbreviations": runs,
+                     "_bench_mentions": runs,
+                     "generate_candidates": (3 + 1) * report.n_mentions}
+
+
+def test_counts_come_from_the_stages_that_ran():
+    tokenized = run_bench(CORPUS, ["tokenize"], reps=1, warmup=0)
+    assert tokenized.n_sentences == 0 and tokenized.ms_per_sentence_median == 0.0
+    segmented = run_bench(CORPUS, ["segment"], reps=1, warmup=0)
+    assert segmented.n_sentences == sum(len(segment(tokenize(t)).sentences) for t in CORPUS)
 
 
 def test_link_counters(toy_index):

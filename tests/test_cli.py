@@ -104,6 +104,9 @@ def test_kb_stats_of_stdin_sizes_no_file(run, toy_kb_path, tmp_path, monkeypatch
     assert code == 0
     stats = json.loads(out)
     assert stats["n_concepts"] == 5 and stats["bytes_on_disk"] == 0
+    # the fields of `KBStats`, in order, on one line
+    assert out == ('{"n_concepts": 5, "n_aliases": 14, "n_shared_aliases": 1, '
+                   '"bytes_on_disk": 0}\n')
 
 
 def test_kb_validate_bad_file_exits_2(run, tmp_path):
