@@ -1,24 +1,29 @@
 """Wall-clock throughput harness.
 
-Times the requested pipeline stages over a corpus of raw abstracts:
-warmup repetitions run untimed, then each timed repetition processes the
-whole corpus. `setup_s` times the parse of the shipped rule files; the
-caller loads the index. The headline number is the median per-abstract
-time over repetitions; each stage that runs is also timed on its own, so
-the stage times of a repetition add up to at most its total. Counts are
-read off the timed runs, outside the stage clocks, and come only from the
-stages that ran: sentences from segment (0 for tokenize alone), and from
-link mentions, out-of-vocabulary mentions and perfbench-named counters.
+Times the pipeline over a corpus of raw abstracts: the text stages
+(tokenize, segment, abbrev) always run, and link runs when an index is
+given. Warmup repetitions run untimed, then each timed repetition
+processes the whole corpus. `setup_s` times the parse of the shipped rule
+files; the caller loads the index. The headline number is the median
+per-abstract time over repetitions; each stage is also timed on its own,
+so the stage times of a repetition add up to at most its total. Counts are
+read off the timed runs, outside the stage clocks: tokens, sentences and
+abbreviation pairs, and with link mentions, out-of-vocabulary mentions and
+perfbench-named counters. `bioling bench` prints the report as one JSON
+object.
 """
 
 from __future__ import annotations
 
+import os
 import platform
 import statistics
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Sequence
+
+import numpy as np
 
 from . import abbrev as abbrev_mod
 from .index import AliasIndex
@@ -48,7 +53,7 @@ class BenchReport:
     hardware_note: str
     cpu_total_s: float = 0.0
     per_rep_total_s: tuple[float, ...] = ()
-    # per stage that ran, including those a requested stage needs as input
+    # per stage that ran, in the order of `stages`
     stage_ms_per_abstract_median: dict[str, float] = field(default_factory=dict)
     per_rep_stage_s: dict[str, tuple[float, ...]] = field(default_factory=dict)
     # with the link stage: mentions linked per pass, those out of
@@ -57,11 +62,9 @@ class BenchReport:
     n_mentions: int = 0
     n_oov_mentions: int = 0
     link_counters: dict[str, float] = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {**asdict(self), "stages": list(self.stages),
-                "per_rep_total_s": list(self.per_rep_total_s),
-                "per_rep_stage_s": {s: list(t) for s, t in self.per_rep_stage_s.items()}}
+    # tokens and abbreviation pairs per pass
+    n_tokens: int = 0
+    n_abbreviation_pairs: int = 0
 
 
 def _bench_mentions(doc) -> list[str]:
@@ -75,63 +78,53 @@ def _bench_mentions(doc) -> list[str]:
 
 def _process(
     text: str,
-    depth: int,
     rules: TokenizerRules,
     seg_cfg: SegmenterConfig,
     index: AliasIndex | None,
     stage_ns: list[int],
     counts: Counter,
 ) -> None:
-    """Run the first `depth` of `STAGES` on one abstract, adding each
-    stage's nanoseconds to `stage_ns` (indexed as `STAGES`), then, outside
-    the clocks, the abstract's counts to `counts`."""
+    """Run one abstract through `STAGES`, link only with an `index`, adding
+    each stage's nanoseconds to `stage_ns` (indexed as `STAGES`), then,
+    outside the clocks, the abstract's counts to `counts`."""
     clock = time.perf_counter_ns
     t0 = clock()
     doc = tokenize(text, rules)
     t1 = clock()
-    stage_ns[0] += t1 - t0
-    if depth > 1:
-        doc = segment(doc, seg_cfg)
-        t0, t1 = t1, clock()
-        stage_ns[1] += t1 - t0
-    if depth > 2:
-        expansion = abbrev_mod.expansion_map(abbrev_mod.find_abbreviations(doc))
-        t0, t1 = t1, clock()
-        stage_ns[2] += t1 - t0
-    if depth > 3:
+    doc = segment(doc, seg_cfg)
+    t2 = clock()
+    pairs = abbrev_mod.find_abbreviations(doc)
+    expansion = abbrev_mod.expansion_map(pairs)
+    t3 = clock()
+    if index is not None:
         sets = [generate_candidates(index, index.alias_table, mention, _LINK_K, expansion)
                 for mention in _bench_mentions(doc)]
-        stage_ns[3] += clock() - t1
+        stage_ns[3] += clock() - t3
         for cs in sets:
             counts["mentions"] += 1
             counts["oov"] += cs.reason == REASON_OUT_OF_VOCABULARY
             counts["candidates"] += len(cs.candidates)
             counts["candidates_max"] = max(counts["candidates_max"], len(cs.candidates))
-    # a document that was not segmented has no sentences
+    stage_ns[0] += t1 - t0
+    stage_ns[1] += t2 - t1
+    stage_ns[2] += t3 - t2
+    counts["tokens"] += len(doc.tokens)
     counts["sentences"] += len(doc.sentences)
+    counts["pairs"] += len(pairs)
 
 
 def run_bench(
     corpus: Sequence[str],
-    stages: Sequence[str],
     reps: int = 3,
     warmup: int = 1,
     index: AliasIndex | None = None,
 ) -> BenchReport:
     if not corpus:
         raise ValueError("empty corpus")
-    if not stages:
-        raise ValueError("no stages")
     if reps < 1:
         raise ValueError("reps must be >= 1")
     if warmup < 0:
         raise ValueError("warmup must be >= 0")
-    stage_set = frozenset(stages)
-    unknown = stage_set - set(STAGES)
-    if unknown:
-        raise ValueError(f"unknown stages: {sorted(unknown)}")
-    if "link" in stage_set and index is None:
-        raise ValueError("link stage requested without an index")
 
     # the parse itself, not the process-wide cache of its result
     setup_start = time.perf_counter()
@@ -139,13 +132,11 @@ def run_bench(
     seg_config = default_segmenter_config.__wrapped__()
     setup_s = time.perf_counter() - setup_start
 
-    # every stage up to the last one asked for runs, as its input
-    depth = 1 + max(STAGES.index(s) for s in stage_set)
-    ran = STAGES[:depth]
+    ran = STAGES if index is not None else STAGES[:3]
 
     def one_pass(stage_ns, counts):
         for text in corpus:
-            _process(text, depth, rules, seg_config, index, stage_ns, counts)
+            _process(text, rules, seg_config, index, stage_ns, counts)
 
     for _ in range(warmup):
         one_pass([0] * len(STAGES), Counter())
@@ -164,12 +155,13 @@ def run_bench(
     cpu_total = time.process_time() - cpu0
 
     n_sentences, n_mentions = counts["sentences"], counts["mentions"]
+    n_cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     per_abstract_ms = [t * 1000.0 / len(corpus) for t in per_rep]
     per_sentence_ms = [
         t * 1000.0 / n_sentences if n_sentences else 0.0 for t in per_rep
     ]
     return BenchReport(
-        stages=tuple(s for s in STAGES if s in stage_set),
+        stages=ran,
         n_docs=len(corpus),
         n_sentences=n_sentences,
         reps=reps,
@@ -179,8 +171,8 @@ def run_bench(
         ms_per_abstract_mean=statistics.fmean(per_abstract_ms),
         ms_per_sentence_median=statistics.median(per_sentence_ms),
         setup_s=setup_s,
-        hardware_note=f"{platform.processor() or platform.machine()}, "
-                      f"python {platform.python_version()}",
+        hardware_note=f"{platform.processor() or platform.machine()}, {n_cpus} cpus, "
+                      f"python {platform.python_version()}, numpy {np.__version__}",
         cpu_total_s=cpu_total,
         per_rep_total_s=tuple(per_rep),
         stage_ms_per_abstract_median={
@@ -194,4 +186,6 @@ def run_bench(
             "linker.candidates_max": counts["candidates_max"],
             "vectorizer.oov_share": counts["oov"] / n_mentions,
         } if n_mentions else {},
+        n_tokens=counts["tokens"],
+        n_abbreviation_pairs=counts["pairs"],
     )

@@ -25,7 +25,7 @@ import sys
 
 from . import __version__
 from .abbrev import expansion_map, find_abbreviations
-from .bench import STAGES, run_bench
+from .bench import run_bench
 from .doc import Document, from_json_obj, to_json_obj
 from .evals import (
     GoldMention, make_citation_corpus, recall_at_k, segmentation_accuracy,
@@ -293,24 +293,10 @@ def _cmd_eval_citations(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if "link" in args.stages and not args.index:
-        raise UsageError("--stages link needs --index")
     index = _load_file(args.index, load_index, "index file") if args.index else None
     corpus = _nonempty_lines(args.input)
-    report = run_bench(corpus, args.stages, reps=args.reps, warmup=args.warmup, index=index)
-    if args.json:
-        print(json.dumps(report.as_dict()))
-    else:
-        d = report.as_dict()
-        width = max(len(k) for k in d)
-        for key, value in d.items():
-            if key == "per_rep_total_s":
-                value = ", ".join(f"{v:.4f}" for v in report.per_rep_total_s)
-            elif isinstance(value, dict):
-                value = json.dumps(value)
-            elif isinstance(value, float):
-                value = f"{value:.4f}"
-            print(f"{key:<{width}}  {value}")
+    report = run_bench(corpus, reps=args.reps, warmup=args.warmup, index=index)
+    print(json.dumps(dataclasses.asdict(report)))
     return 0
 
 
@@ -330,9 +316,6 @@ _POSITIVE = _checked(int, lambda n: n >= 1, "an integer >= 1")
 _K_LIST = _checked(lambda text: [int(k) for k in text.split(",") if k],
                    lambda ks: ks and ks[0] >= 1 and all(a < b for a, b in zip(ks, ks[1:])),
                    "integers, increasing from 1 or more")
-_STAGES = _checked(lambda text: [s for s in text.split(",") if s],
-                   lambda stages: stages and set(stages) <= set(STAGES),
-                   "a list of stages among " + ", ".join(STAGES))
 
 
 def _build_parser() -> _Parser:
@@ -400,12 +383,10 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("bench", help="throughput benchmark")
     p.add_argument("--input", required=True, metavar="FILE")
-    p.add_argument("--stages", type=_STAGES, default=",".join(STAGES))
     p.add_argument("--index", metavar="FILE")
     p.add_argument("--reps", type=_POSITIVE, default=3)
     p.add_argument("--warmup", type=_checked(int, lambda n: n >= 0, "an integer >= 0"),
                    default=1)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_bench)
 
     return parser

@@ -266,10 +266,7 @@ def test_throughput(capsys, synth_index):
     rng = random.Random(0xBE0C)
     corpus = [make_abstract(rng) for _ in range(1000)]
     mean_len = sum(map(len, corpus)) / len(corpus)
-    report_obj = run_bench(
-        corpus, ("tokenize", "segment", "abbrev", "link"),
-        reps=3, warmup=1, index=synth_index,
-    )
+    report_obj = run_bench(corpus, reps=3, warmup=1, index=synth_index)
     med = report_obj.ms_per_abstract_median
     ok = med < 50.0
     report(capsys, "throughput sanity", ok,

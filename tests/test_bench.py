@@ -1,6 +1,11 @@
+import dataclasses
+import json
+import os
+import platform
 import statistics
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from bioling import abbrev, bench, segmenter, tokenizer
@@ -18,7 +23,7 @@ CORPUS = [
 
 
 def test_smoke_all_stages(toy_index):
-    report = run_bench(CORPUS, STAGES, reps=2, warmup=1, index=toy_index)
+    report = run_bench(CORPUS, reps=2, warmup=1, index=toy_index)
     assert report.n_docs == 2
     assert report.n_sentences >= 4
     assert report.reps == 2 and report.warmup == 1
@@ -27,53 +32,42 @@ def test_smoke_all_stages(toy_index):
     assert report.ms_per_sentence_median > 0
     assert report.total_wall_s == pytest.approx(sum(report.per_rep_total_s))
     assert report.setup_s >= 0
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert report.hardware_note.endswith(
+        f", {cpus} cpus, python {platform.python_version()}, numpy {np.__version__}")
 
 
 def test_median_and_mean_consistent(toy_index):
-    report = run_bench(CORPUS, ["tokenize"], reps=3, warmup=0)
+    report = run_bench(CORPUS, reps=3, warmup=0)
     per_abs = [t * 1000 / report.n_docs for t in report.per_rep_total_s]
     assert report.ms_per_abstract_median == pytest.approx(sorted(per_abs)[1])
     assert report.ms_per_abstract_mean == pytest.approx(sum(per_abs) / 3)
 
 
-def test_stage_subsets():
-    report = run_bench(CORPUS, ["segment", "tokenize"], reps=1, warmup=0)
-    assert report.stages == ("tokenize", "segment")
-
-
-def test_as_dict_round_trips_fields(toy_index):
-    report = run_bench(CORPUS, ["tokenize"], reps=1, warmup=0)
-    d = report.as_dict()
+def test_as_dict_round_trips_fields():
+    # as `bioling bench` prints it
+    d = json.loads(json.dumps(dataclasses.asdict(run_bench(CORPUS, reps=1, warmup=0))))
     assert d["n_docs"] == 2
-    assert d["stages"] == ["tokenize"]
+    assert d["stages"] == ["tokenize", "segment", "abbrev"]
     assert isinstance(d["per_rep_total_s"], list)
 
 
 def test_errors():
     with pytest.raises(ValueError, match="empty corpus"):
-        run_bench([], ["tokenize"])
-    with pytest.raises(ValueError, match="unknown stages"):
-        run_bench(CORPUS, ["tokenize", "frobnicate"])
-    with pytest.raises(ValueError, match="without an index"):
-        run_bench(CORPUS, ["tokenize", "link"])
+        run_bench([])
     with pytest.raises(ValueError, match="reps"):
-        run_bench(CORPUS, ["tokenize"], reps=0)
-    with pytest.raises(ValueError, match="no stages"):
-        run_bench(CORPUS, [])
+        run_bench(CORPUS, reps=0)
     with pytest.raises(ValueError, match="warmup must be >= 0"):
-        run_bench(CORPUS, ["tokenize"], warmup=-1)
+        run_bench(CORPUS, warmup=-1)
 
 
-@pytest.mark.parametrize("stages,ran", [
-    (["tokenize"], ["tokenize"]),
-    (["tokenize", "abbrev"], ["tokenize", "segment", "abbrev"]),
-    (list(STAGES), list(STAGES)),
-])
-def test_stage_times_within_each_rep(toy_index, stages, ran):
-    report = run_bench(CORPUS, stages, reps=3, warmup=0, index=toy_index)
-    # every stage that ran is timed, including one only needed as input
-    assert list(report.per_rep_stage_s) == ran
-    assert list(report.stage_ms_per_abstract_median) == ran
+@pytest.mark.parametrize("with_index", [False, True], ids=["no index", "index"])
+def test_stage_times_within_each_rep(toy_index, with_index):
+    report = run_bench(CORPUS, reps=3, warmup=0, index=toy_index if with_index else None)
+    # the text stages always run, link only with an index; each is timed
+    assert report.stages == (STAGES if with_index else STAGES[:3])
+    assert report.stages == tuple(report.stage_ms_per_abstract_median)
+    assert report.stages == tuple(report.per_rep_stage_s)
     for rep, total in enumerate(report.per_rep_total_s):
         stage_sum = sum(times[rep] for times in report.per_rep_stage_s.values())
         assert 0 < stage_sum <= total
@@ -84,8 +78,8 @@ def test_stage_times_within_each_rep(toy_index, stages, ran):
 
 def test_setup_excludes_the_repetitions():
     # the rule parse alone: a 1,000-document repetition runs outside setup_s
-    small = run_bench(CORPUS, ["tokenize", "segment"], reps=1)
-    report = run_bench(CORPUS * 500, ["tokenize", "segment"], reps=1, warmup=0)
+    small = run_bench(CORPUS, reps=1)
+    report = run_bench(CORPUS * 500, reps=1, warmup=0)
     assert report.n_sentences == 500 * small.n_sentences
     assert report.setup_s < report.per_rep_total_s[0] / 10
 
@@ -106,7 +100,7 @@ def test_setup_parses_the_rules_on_every_call(monkeypatch):
     calls = _count_calls(monkeypatch, (tokenizer, "parse_rules"),
                          (segmenter, "parse_segmenter_config"))
     for n in (1, 2):
-        run_bench(CORPUS, ["tokenize"], reps=1, warmup=0)
+        run_bench(CORPUS, reps=1, warmup=0)
         assert calls == {"parse_rules": n, "parse_segmenter_config": n}
 
 
@@ -115,7 +109,7 @@ def test_each_stage_runs_once_per_document_and_repetition(monkeypatch, toy_index
                          (abbrev, "find_abbreviations"), (bench, "_bench_mentions"),
                          (bench, "generate_candidates"))
     corpus = CORPUS * 5
-    report = run_bench(corpus, STAGES, reps=3, warmup=1, index=toy_index)
+    report = run_bench(corpus, reps=3, warmup=1, index=toy_index)
     runs = (3 + 1) * len(corpus)
     assert calls == {"tokenize": runs, "segment": runs, "find_abbreviations": runs,
                      "_bench_mentions": runs,
@@ -123,10 +117,21 @@ def test_each_stage_runs_once_per_document_and_repetition(monkeypatch, toy_index
 
 
 def test_counts_come_from_the_stages_that_ran():
-    tokenized = run_bench(CORPUS, ["tokenize"], reps=1, warmup=0)
-    assert tokenized.n_sentences == 0 and tokenized.ms_per_sentence_median == 0.0
-    segmented = run_bench(CORPUS, ["segment"], reps=1, warmup=0)
-    assert segmented.n_sentences == sum(len(segment(tokenize(t)).sentences) for t in CORPUS)
+    report = run_bench(CORPUS, reps=1, warmup=0)
+    assert report.n_sentences == sum(len(segment(tokenize(t)).sentences) for t in CORPUS)
+    assert report.ms_per_sentence_median > 0
+
+
+@pytest.mark.parametrize("reps", [1, 2])
+def test_token_and_abbreviation_pair_counts(reps):
+    """Tokens and abbreviation pairs of one pass, as an independent chain
+    over the corpus counts them."""
+    docs = [segment(tokenize(t)) for t in CORPUS]
+    n_pairs = sum(len(abbrev.find_abbreviations(doc)) for doc in docs)
+    assert n_pairs > 0
+    report = run_bench(CORPUS, reps=reps, warmup=0)
+    assert report.n_tokens == sum(len(doc.tokens) for doc in docs)
+    assert report.n_abbreviation_pairs == n_pairs
 
 
 def test_link_counters(toy_index):
@@ -143,7 +148,7 @@ def test_link_counters(toy_index):
     n_oov = sum(cs.reason == REASON_OUT_OF_VOCABULARY for cs in sets)
     assert 0 < n_oov < len(sets) and max(sizes) > 1
     for reps in (1, 2):
-        report = run_bench(corpus, STAGES, reps=reps, warmup=0, index=toy_index)
+        report = run_bench(corpus, reps=reps, warmup=0, index=toy_index)
         assert report.n_mentions == len(sets)
         assert report.n_oov_mentions == n_oov
         assert report.link_counters == {
@@ -151,10 +156,10 @@ def test_link_counters(toy_index):
             "linker.candidates_max": max(sizes),
             "vectorizer.oov_share": n_oov / len(sets),
         }
-        assert report.as_dict()["link_counters"] == report.link_counters
+        assert dataclasses.asdict(report)["link_counters"] == report.link_counters
 
 
-def test_no_link_counters_without_the_link_stage(toy_index):
-    report = run_bench(CORPUS, ["tokenize", "abbrev"], reps=1, warmup=0, index=toy_index)
+def test_no_link_counters_without_the_link_stage():
+    report = run_bench(CORPUS, reps=1, warmup=0)
     assert report.n_mentions == report.n_oov_mentions == 0
     assert report.link_counters == {}

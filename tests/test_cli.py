@@ -372,10 +372,8 @@ def test_eval_citations_one_word_base_sentence(run):
 @pytest.mark.parametrize("argv, flag", [
     (["eval", "citations", "--base", "{missing}", "--n", "0"], "--n"),
     (["eval", "citations", "--base", "{missing}", "--n", "-5"], "--n"),
-    (["bench", "--input", "{missing}", "--stages", ","], "--stages"),
     (["eval", "recall", "--index", "{missing}", "--gold", "{missing}", "--k-list", "5,x"],
      "--k-list"),
-    (["bench", "--input", "{missing}", "--stages", "tokenize,frob"], "--stages"),
     (["bench", "--input", "{missing}", "--reps", "0"], "--reps"),
     (["bench", "--input", "{missing}", "--warmup", "-3"], "--warmup"),
     (["eval", "recall", "--index", "{missing}", "--gold", "{missing}", "--k-list", "0,5"],
@@ -388,14 +386,17 @@ def test_eval_citations_one_word_base_sentence(run):
     (["index", "build", "--kb", "{missing}", "--min-df", "1.5", "--output", "{missing}"],
      "--min-df"),
     (["bench", "--input", "{missing}", "--reps", ""], "--reps"),
+    # bench runs every stage its inputs allow and prints only JSON
+    (["bench", "--input", "{missing}", "--stages", "tokenize"], "--stages"),
+    (["bench", "--input", "{missing}", "--json"], "--json"),
     # the lowest accepted values: no flag is named and the command runs
     (["link", "--index", "{index}", "--k", "1"], None),
-    (["bench", "--input", "{text}", "--stages", "tokenize", "--reps", "1", "--warmup", "0"],
-     None),
+    (["bench", "--input", "{text}", "--reps", "1", "--warmup", "0"], None),
     (["eval", "citations", "--base", "{text}", "--n", "1"], None),
-], ids=["n 0", "n -5", "no stages", "k-list", "unknown stage", "reps 0", "warmup -3",
+], ids=["n 0", "n -5", "k-list", "reps 0", "warmup -3",
         "k-list 0", "k-list decreasing", "k-list repeated", "k not an integer",
-        "min-df not an integer", "reps empty", "k 1", "warmup 0", "n 1"])
+        "min-df not an integer", "reps empty", "no --stages", "no --json", "k 1", "warmup 0",
+        "n 1"])
 def test_bad_flag_value_exits_1(run, tmp_path, index_path, argv, flag):
     # checked before any file is read, so the missing file is not reported
     missing = str(tmp_path / "missing.txt")
@@ -411,7 +412,7 @@ def test_bad_flag_value_exits_1(run, tmp_path, index_path, argv, flag):
 
 
 @pytest.mark.parametrize("argv", [["eval", "citations", "--base"],
-                                  ["bench", "--stages", "tokenize", "--input"]],
+                                  ["bench", "--input"]],
                          ids=["base sentences", "bench corpus"])
 def test_file_of_blank_lines_exits_2(run, tmp_path, argv):
     path = tmp_path / "blank.txt"
@@ -453,7 +454,7 @@ def test_bench_json(run, index_path, tmp_path):
     corpus.write_text("Tumor growth was reduced. HSP levels rose [1].\n" * 3)
     code, out, _ = run([
         "bench", "--input", str(corpus), "--index", index_path,
-        "--reps", "1", "--warmup", "0", "--json",
+        "--reps", "1", "--warmup", "0",
     ])
     assert code == 0
     report = json.loads(out)
@@ -461,23 +462,18 @@ def test_bench_json(run, index_path, tmp_path):
     assert report["stages"] == ["tokenize", "segment", "abbrev", "link"]
     assert list(report["stage_ms_per_abstract_median"]) == report["stages"]
     assert [len(t) for t in report["per_rep_stage_s"].values()] == [1] * 4
+    assert list(report)[-2:] == ["n_tokens", "n_abbreviation_pairs"]
 
 
-def test_bench_text_report(run, tmp_path):
-    corpus = tmp_path / "corpus.txt"
-    corpus.write_text("Tumor growth was reduced. HSP levels rose [1].\n")
-    code, out, _ = run(["bench", "--input", str(corpus), "--stages", "segment"])
-    assert code == 0
-    lines = dict(line.split(None, 1) for line in out.splitlines())
-    assert list(json.loads(lines["stage_ms_per_abstract_median"])) == \
-        ["tokenize", "segment"]
-
-
-def test_bench_link_without_index_exits_1(run, tmp_path):
+def test_bench_without_index_runs_the_text_stages(run, tmp_path):
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("A sentence.\n")
-    code, _, err = run(["bench", "--input", str(corpus), "--stages", "link"])
-    assert code == 1
+    code, out, err = run(["bench", "--input", str(corpus), "--reps", "1", "--warmup", "0"])
+    assert code == 0, err
+    [line] = out.splitlines()
+    report = json.loads(line)
+    assert report["stages"] == ["tokenize", "segment", "abbrev"]
+    assert report["n_mentions"] == 0 and report["link_counters"] == {}
 
 
 def test_unknown_command_exits_1(run):
@@ -624,8 +620,8 @@ _LINE_INPUTS = {
                          b"NOSPLIT al.", b"CITE_BRACKET yes"),
     "base sentences": (["eval", "citations", "--base", "{path}", "--n", "8"],
                        b"Mice were treated.", None),
-    "bench corpus": (["bench", "--input", "{path}", "--stages", "tokenize", "--reps", "1",
-                      "--warmup", "0"], b"Mice were treated.", None),
+    "bench corpus": (["bench", "--input", "{path}", "--reps", "1", "--warmup", "0"],
+                     b"Mice were treated.", None),
 }  # any line that decodes is a valid base sentence or bench abstract
 
 
@@ -746,8 +742,7 @@ def _fuzz_commands(path, text):
             ["kb", "validate", "--input", path],
             ["tokenize", "--rules", path, "--input", text],
             ["segment", "--seg-config", path, "--input", text],
-            ["bench", "--input", path, "--stages", "tokenize,segment,abbrev",
-             "--reps", "1", "--warmup", "0"],
+            ["bench", "--input", path, "--reps", "1", "--warmup", "0"],
             ["eval", "citations", "--base", path, "--n", "8"]]
 
 
