@@ -1,16 +1,17 @@
 """Wall-clock throughput harness.
 
-Times the pipeline over a corpus of raw abstracts: the text stages
-(tokenize, segment, abbrev) always run, and link runs when an index is
-given. Warmup repetitions run untimed, then each timed repetition
-processes the whole corpus. `setup_s` times the parse of the shipped rule
-files; the caller loads the index. The headline number is the median
-per-abstract time over repetitions; each stage is also timed on its own,
-so the stage times of a repetition add up to at most its total. Counts are
-read off the timed runs, outside the stage clocks: tokens, sentences and
-abbreviation pairs, and with link mentions, out-of-vocabulary mentions and
-perfbench-named counters. `bioling bench` prints the report as one JSON
-object.
+Times the pipeline over a corpus of documents, each a text and its
+mention spans: the text stages (tokenize, segment, abbrev) always run,
+and link runs when an index is given, querying each span with the
+document's own abbreviation expansions, as `bioling link` does. Warmup
+repetitions run untimed, then each timed repetition processes the whole
+corpus. `setup_s` times the parse of the shipped rule files; the caller
+loads the index. The headline number is the median per-abstract time over
+repetitions; each stage is also timed on its own, so the stage times of a
+repetition add up to at most its total. Counts are read off the timed
+runs, outside the stage clocks: tokens, sentences and abbreviation pairs,
+and with link mentions, out-of-vocabulary mentions and perfbench-named
+counters. `bioling bench` prints the report as one JSON object.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ from .tokenizer import TokenizerRules, default_biomedical_rules, tokenize
 
 STAGES = ("tokenize", "segment", "abbrev", "link")
 
-# how many mentions the link stage queries per document
-_LINK_MENTIONS_PER_DOC = 5
 _LINK_K = 25
 
 
@@ -45,10 +44,7 @@ class BenchReport:
     n_sentences: int
     reps: int
     warmup: int
-    total_wall_s: float
     ms_per_abstract_median: float
-    ms_per_abstract_mean: float
-    ms_per_sentence_median: float
     setup_s: float
     hardware_note: str
     cpu_total_s: float = 0.0
@@ -67,26 +63,18 @@ class BenchReport:
     n_abbreviation_pairs: int = 0
 
 
-def _bench_mentions(doc) -> list[str]:
-    """Deterministic mention sample: the longest alphabetic token surfaces."""
-    words = sorted(
-        {t.surface for t in doc.tokens if t.surface.isalpha() and len(t.surface) > 3},
-        key=lambda w: (-len(w), w),
-    )
-    return words[:_LINK_MENTIONS_PER_DOC]
-
-
 def _process(
     text: str,
+    spans: Sequence[tuple[int, int]],
     rules: TokenizerRules,
     seg_cfg: SegmenterConfig,
     index: AliasIndex | None,
     stage_ns: list[int],
     counts: Counter,
 ) -> None:
-    """Run one abstract through `STAGES`, link only with an `index`, adding
-    each stage's nanoseconds to `stage_ns` (indexed as `STAGES`), then,
-    outside the clocks, the abstract's counts to `counts`."""
+    """Run one document through `STAGES`, linking its `spans` only with an
+    `index`, adding each stage's nanoseconds to `stage_ns` (indexed as
+    `STAGES`), then, outside the clocks, the document's counts to `counts`."""
     clock = time.perf_counter_ns
     t0 = clock()
     doc = tokenize(text, rules)
@@ -97,8 +85,9 @@ def _process(
     expansion = abbrev_mod.expansion_map(pairs)
     t3 = clock()
     if index is not None:
-        sets = [generate_candidates(index, index.alias_table, mention, _LINK_K, expansion)
-                for mention in _bench_mentions(doc)]
+        sets = [generate_candidates(index, index.alias_table, text[start:end], _LINK_K,
+                                    expansion, start, end)
+                for start, end in spans]
         stage_ns[3] += clock() - t3
         for cs in sets:
             counts["mentions"] += 1
@@ -114,7 +103,7 @@ def _process(
 
 
 def run_bench(
-    corpus: Sequence[str],
+    corpus: Sequence[tuple[str, Sequence[tuple[int, int]]]],
     reps: int = 3,
     warmup: int = 1,
     index: AliasIndex | None = None,
@@ -135,8 +124,8 @@ def run_bench(
     ran = STAGES if index is not None else STAGES[:3]
 
     def one_pass(stage_ns, counts):
-        for text in corpus:
-            _process(text, rules, seg_config, index, stage_ns, counts)
+        for text, spans in corpus:
+            _process(text, spans, rules, seg_config, index, stage_ns, counts)
 
     for _ in range(warmup):
         one_pass([0] * len(STAGES), Counter())
@@ -154,22 +143,15 @@ def run_bench(
             per_rep_stage[s].append(ns / 1e9)
     cpu_total = time.process_time() - cpu0
 
-    n_sentences, n_mentions = counts["sentences"], counts["mentions"]
+    n_mentions = counts["mentions"]
     n_cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    per_abstract_ms = [t * 1000.0 / len(corpus) for t in per_rep]
-    per_sentence_ms = [
-        t * 1000.0 / n_sentences if n_sentences else 0.0 for t in per_rep
-    ]
     return BenchReport(
         stages=ran,
         n_docs=len(corpus),
-        n_sentences=n_sentences,
+        n_sentences=counts["sentences"],
         reps=reps,
         warmup=warmup,
-        total_wall_s=sum(per_rep),
-        ms_per_abstract_median=statistics.median(per_abstract_ms),
-        ms_per_abstract_mean=statistics.fmean(per_abstract_ms),
-        ms_per_sentence_median=statistics.median(per_sentence_ms),
+        ms_per_abstract_median=statistics.median(per_rep) * 1000.0 / len(corpus),
         setup_s=setup_s,
         hardware_note=f"{platform.processor() or platform.machine()}, {n_cpus} cpus, "
                       f"python {platform.python_version()}, numpy {np.__version__}",

@@ -6,6 +6,8 @@ Environment: BIOLING_RULES and BIOLING_SEG_CONFIG supply default paths
 for --rules / --seg-config. tokenize, segment, abbrev and link share one
 document stream and differ only in what they write for each document.
 `bioling link` detects abbreviations only in documents that have mentions.
+`bioling bench` reads the same documents, untokenized, since it times
+tokenize itself, and links their mentions as `link` does.
 
 Input is checked where it enters: each flag value as it is parsed, a bad
 one exiting 1 before any file is read ("argument --k: must be an integer
@@ -107,21 +109,21 @@ def _iter_doc_lines(lines: Lines, rules=None):
     """Yield (lineno, doc, obj) per nonempty input line: a JSON object with
     a "text" field is a core_text document, any other line raw text (`obj`
     {}). With `rules`, raw text and a document with text but no tokens are
-    tokenized with them; without, raw text yields `doc` None."""
+    tokenized with them."""
     for lineno, line in lines:
         line = line.rstrip("\n")
         if not line.strip():
             continue
-        if not line.lstrip().startswith("{"):
-            yield lineno, None if rules is None else tokenize(line, rules), {}
-            continue
-        obj = lines.json_object(lineno, line)
-        if "text" not in obj:
-            raise lines.error(lineno, "document object needs a 'text' field")
-        try:
-            doc = from_json_obj(obj)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise lines.error(lineno, f"malformed document: {exc}") from None
+        if line.lstrip().startswith("{"):
+            obj = lines.json_object(lineno, line)
+            if "text" not in obj:
+                raise lines.error(lineno, "document object needs a 'text' field")
+            try:
+                doc = from_json_obj(obj)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise lines.error(lineno, f"malformed document: {exc}") from None
+        else:
+            doc, obj = Document(line), {}
         if rules is not None and not doc.tokens and doc.text.strip():
             doc = tokenize(doc.text, rules)
         yield lineno, doc, obj
@@ -252,8 +254,8 @@ def _cmd_eval_recall(args) -> int:
 def _read_docs_jsonl(path: str):
     docs = []
     with _open_in(path) as lines:
-        for lineno, doc, _ in _iter_doc_lines(lines):
-            if doc is None:
+        for lineno, doc, obj in _iter_doc_lines(lines):
+            if not obj:
                 raise lines.error(lineno, "expected core_text JSONL documents")
             docs.append(doc)
     return docs
@@ -294,7 +296,11 @@ def _cmd_eval_citations(args) -> int:
 
 def _cmd_bench(args) -> int:
     index = _load_file(args.index, load_index, "index file") if args.index else None
-    corpus = _nonempty_lines(args.input)
+    with _open_in(args.input) as fin:
+        corpus = [(doc.text, _mention_spans(doc, obj, functools.partial(fin.error, lineno)))
+                  for lineno, doc, obj in _iter_doc_lines(fin)]
+        if not corpus:
+            raise DataError(f"{fin.name}: no nonempty lines")
     report = run_bench(corpus, reps=args.reps, warmup=args.warmup, index=index)
     print(json.dumps(dataclasses.asdict(report)))
     return 0

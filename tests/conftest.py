@@ -18,6 +18,7 @@ from bioling.index import AliasIndex, build_index, save_index
 from bioling.kb import KnowledgeBase, load_kb, normalize_alias
 from bioling.linker import Candidate
 from bioling.segmenter import SegmenterConfig
+from bioling.tokenizer import tokenize
 from bioling.vectorizer import NgramVectorizer, SparseVector, zero_vector
 
 # citation families a segmenter without citation handling tends to split
@@ -54,6 +55,17 @@ def synth_alias(rng: random.Random) -> str:
     if rng.random() < 0.3:
         parts.append(synth_word(rng))
     return " ".join(parts)
+
+
+def longest_word_mentions(text: str) -> tuple[str, list[tuple[int, int]]]:
+    """`text` and mention spans on its five longest distinct alphabetic
+    token surfaces over 3 characters, ties in surface order, each at its
+    first occurrence: a deterministic stand-in for gold mentions."""
+    first: dict[str, tuple[int, int]] = {}
+    for t in tokenize(text).tokens:
+        if t.surface.isalpha() and len(t.surface) > 3:
+            first.setdefault(t.surface, (t.start, t.end))
+    return text, [first[w] for w in sorted(first, key=lambda w: (-len(w), w))[:5]]
 
 
 def make_synthetic_kb(

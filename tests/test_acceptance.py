@@ -26,7 +26,9 @@ from bioling.segmenter import (
 from bioling.tokenizer import tokenize
 from bioling.vectorizer import NgramVectorizer, SparseVector, extract_3grams
 
-from conftest import ADVERSARIAL_FAMILIES, BruteForceOracle, dot, index_row, synth_alias
+from conftest import (
+    ADVERSARIAL_FAMILIES, BruteForceOracle, dot, index_row, longest_word_mentions, synth_alias,
+)
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -264,15 +266,16 @@ def make_abstract(rng):
 
 def test_throughput(capsys, synth_index):
     rng = random.Random(0xBE0C)
-    corpus = [make_abstract(rng) for _ in range(1000)]
-    mean_len = sum(map(len, corpus)) / len(corpus)
+    corpus = [longest_word_mentions(make_abstract(rng)) for _ in range(1000)]
+    mean_len = sum(len(text) for text, _ in corpus) / len(corpus)
     report_obj = run_bench(corpus, reps=3, warmup=1, index=synth_index)
     med = report_obj.ms_per_abstract_median
     ok = med < 50.0
     report(capsys, "throughput sanity", ok,
            f"median {med:.2f} ms/abstract over 1000 x ~{mean_len:.0f}B "
-           f"abstracts ({report_obj.ms_per_sentence_median:.2f} ms/sentence)")
+           f"abstracts, {report_obj.n_mentions} mentions linked")
     assert ok
+    assert report_obj.n_mentions == 5 * len(corpus)
 
 
 def test_persistence_fixed_point(capsys, synth_index, tmp_path):

@@ -476,6 +476,31 @@ def test_bench_without_index_runs_the_text_stages(run, tmp_path):
     assert report["n_mentions"] == 0 and report["link_counters"] == {}
 
 
+def test_bench_links_the_mentions_link_does(run, index_path, tmp_path):
+    """On one file of documents with and without mentions and of raw text,
+    bench links one mention per line that `bioling link` writes."""
+    docs = tmp_path / "docs.jsonl"
+    docs.write_text("\n".join([
+        json.dumps({"text": "Heat shock protein (HSP) rose. HSP fell.",
+                    "mentions": [{"start": 0, "end": 18}, {"start": 31, "end": 34}]}),
+        json.dumps({"text": "Lung carcinoma and a tumor in xyzzyq mice.",
+                    "mentions": [{"start": 0, "end": 14}, {"start": 21, "end": 26},
+                                 {"start": 30, "end": 36}]}),
+        json.dumps({"text": "Interleukin-2 levels were unchanged."}),
+        "Expression of interleukin-2 (IL-2) was measured in mammary carcinoma.",
+    ]) + "\n")
+    code, out, err = run(["link", "--index", index_path, "--input", str(docs)])
+    assert code == 0, err
+    n_lines = len(out.splitlines())
+    assert n_lines == 5
+    code, out, err = run(["bench", "--index", index_path, "--input", str(docs),
+                          "--reps", "1", "--warmup", "0"])
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["n_docs"] == 4
+    assert report["n_mentions"] == n_lines and report["n_oov_mentions"] == 1
+
+
 def test_unknown_command_exits_1(run):
     assert run(["frobnicate"])[0] == 1
 
@@ -620,9 +645,11 @@ _LINE_INPUTS = {
                          b"NOSPLIT al.", b"CITE_BRACKET yes"),
     "base sentences": (["eval", "citations", "--base", "{path}", "--n", "8"],
                        b"Mice were treated.", None),
+    # a bench corpus is read as documents, mention spans checked as for link
     "bench corpus": (["bench", "--input", "{path}", "--reps", "1", "--warmup", "0"],
-                     b"Mice were treated.", None),
-}  # any line that decodes is a valid base sentence or bench abstract
+                     b"Mice were treated.",
+                     b'{"text": "A", "mentions": [{"start": 0, "end": 5}]}'),
+}  # any line that decodes is a valid base sentence
 
 
 @pytest.mark.parametrize("kind, bad", [
