@@ -43,16 +43,24 @@ def _max_long_form_words(short_form: str) -> int:
 
 
 def _best_long_form_start(short_form: str, window: str) -> int | None:
-    """Start index in `window` of the shortest matching suffix, or None."""
+    """Start index in `window` of the shortest matching suffix, or None.
+
+    Characters compare lowered one at a time. ASCII strings are lowered
+    whole, which is the same; other strings are not, since "İ" lowers to
+    two code points and a word-final "Σ" to "ς", not "σ"."""
+    if short_form.isascii() and window.isascii():
+        sf, lowered = short_form.lower(), window.lower()
+    else:
+        sf, lowered = [c.lower() for c in short_form], [c.lower() for c in window]
     s = len(short_form) - 1
     l = len(window) - 1
     while s >= 0:
-        c = short_form[s].lower()
+        c = sf[s]
         if not c.isalnum():
             s -= 1
             continue
         while l >= 0 and (
-            window[l].lower() != c
+            lowered[l] != c
             or (s == 0 and l > 0 and window[l - 1].isalnum())
         ):
             l -= 1

@@ -2,10 +2,9 @@
 
 Alias vectors are kept as one posting list per gram id (`AliasIndex`),
 the CSC form of the alias-by-gram matrix and the arrays a `.blix` file
-stores: `build_index` transposes `encode_csr`'s rows into it once, with a
-stable argsort of the gram ids cast to the smallest unsigned type that
-holds them (`uint16` up to 65,536 grams, which numpy radix-sorts), and
-loading reads it as stored. A query's score against every alias is
+stores: `build_index` takes them from `NgramVectorizer.encode_csc`, which
+fills each posting list in place, chunk by chunk, and loading reads them
+as stored. A query's score against every alias is
 accumulated from the posting lists of its grams. Since all weights are
 non-negative and vectors unit-normalized, scores are cosines in [0, 1].
 Rows are stored in alias order, so the row number is the tie-break: ties
@@ -39,8 +38,9 @@ version 4 (see docs/index-format.md): a header, flat typed arrays and a
 CRC-32 trailer. `save_index` replaces the target atomically;
 `load_index` raises `IndexFormatError` on any damaged, malformed or
 older file. It reads each array straight into the buffer the index
-keeps, widening only the int32 posting rows, and carries the CRC over
-the arrays as it reads them; the file is never held whole (a pipe or
+keeps, except the int32 posting rows, which it widens into theirs a block
+of `_BLOCK` rows at a time (as `save_index` narrows them), and carries the
+CRC over the arrays as it reads them; the file is never held whole (a pipe or
 FIFO, which cannot seek, is read into one `io.BytesIO` first). Every
 byte is checked against the CRC before any field, so a damaged file is
 reported as such whatever its counts say, and a count that runs past the
@@ -74,6 +74,9 @@ _ARRAYS = ("<i8", "<i8", "<i8", "u1", "<i8", "<i8", "u1", "<i8", "<i4", "<f8")
 # added to a column of gram ids: the `post_ptr` entries of each one's posting
 # list's start and end
 _LO_HI = np.array([0, 1])
+# elements per block when `save_index` converts and `load_index` widens the
+# posting rows; it bounds the int32 copy either makes
+_BLOCK = 1 << 16
 
 
 class IndexFormatError(ValueError):
@@ -165,8 +168,7 @@ def build_index(kb: KnowledgeBase, vectorizer: NgramVectorizer) -> AliasIndex:
     """Index one row per alias key of the KB, in alias order: the smallest
     surface of the key, with the key's concept ids, sorted. One pass over
     the KB's (concept, alias) pairs normalizes each pair once, without
-    `kb.alias_table`; the transpose sorts the gram ids as the smallest
-    unsigned type that holds them."""
+    `kb.alias_table`; `encode_csc` makes the posting lists."""
     # key -> (smallest surface, concept id of each pair): tuples of strings,
     # which the garbage collector stops tracking; lists, which it tracks to
     # the end, took ~0.15 s longer on a 100k-alias KB (2-core VM)
@@ -185,21 +187,7 @@ def build_index(kb: KnowledgeBase, vectorizer: NgramVectorizer) -> AliasIndex:
     del by_key
     alias_table = {row[0]: tuple(sorted(set(row[1:]))) for row in rows}
     del rows
-    indptr, indices, weights = vectorizer.encode_csr(list(alias_table))
-    vocab_size = vectorizer.vocab_size
-    post_ptr = np.zeros(vocab_size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(indices, minlength=vocab_size), out=post_ptr[1:])
-    # the stable sort keeps each gram's rows ascending, the order in which
-    # their scores accumulate
-    by_gram = np.argsort(indices.astype(np.min_scalar_type(vocab_size - 1)), kind="stable")
-    del indices
-    post_weights = weights[by_gram]
-    del weights
-    # each entry's row, gathered as int32 (a `.blix` stores rows so) to
-    # halve two temporaries, then widened as `load_index` widens it
-    row_of = np.repeat(np.arange(len(alias_table), dtype=np.int32), np.diff(indptr))[by_gram]
-    del by_gram
-    post_rows = row_of.astype(np.int64)
+    post_ptr, post_rows, post_weights = vectorizer.encode_csc(list(alias_table))
     return AliasIndex(alias_table, post_ptr, post_rows, post_weights, vectorizer)
 
 
@@ -225,12 +213,15 @@ def _write_index(fp: BinaryIO, index: AliasIndex) -> None:
     fp.write(header)
     crc = zlib.crc32(header)
     for arr, dtype in zip(arrays, _ARRAYS):
-        # an array[T]: u64 element count, then the raw elements
-        arr = np.ascontiguousarray(arr, dtype=dtype)
+        # an array[T]: u64 element count, then the raw elements, converted
+        # to T a block at a time (only the int64 rows need it)
         count = struct.pack("<Q", len(arr))
         fp.write(count)
-        fp.write(arr)
-        crc = zlib.crc32(arr, zlib.crc32(count, crc))
+        crc = zlib.crc32(count, crc)
+        for lo in range(0, len(arr), _BLOCK):
+            block = np.ascontiguousarray(arr[lo:lo + _BLOCK], dtype=dtype)
+            fp.write(block)
+            crc = zlib.crc32(block, crc)
     fp.write(struct.pack("<I", crc))
 
 
@@ -264,9 +255,10 @@ def _read_arrays(fp: BinaryIO, end: int, crc: int) -> list[np.ndarray]:
     """The arrays after the header, which `fp` is positioned at; `end` is where
     the CRC-32 trailer starts and `crc` the CRC-32 of the header.
 
-    Each array is read into a buffer of its own, the one the index keeps
-    (only the int32 rows are then widened, to int64: `np.add.at` would
-    convert them on every query), and the CRC is carried over it. A count
+    Each array is read into a buffer of its own, the one the index keeps,
+    and the CRC is carried over it. The int32 rows are read a block at a
+    time and widened into an int64 buffer (`np.add.at` would convert them
+    on every query), so no whole int32 copy is ever held. A count
     that runs past `end` stops the reading before anything is allocated;
     the rest of the bytes are still checked against the trailer first, so
     damage reads as damage whatever the counts say."""
@@ -279,12 +271,21 @@ def _read_arrays(fp: BinaryIO, end: int, crc: int) -> list[np.ndarray]:
             problem = "unexpected end of file"
             fp.seek(pos)
             break
-        arr = np.empty(n, dtype=dtype)
-        if fp.readinto(arr) != arr.nbytes:
-            raise IndexFormatError("unexpected end of file")
-        crc = zlib.crc32(arr, zlib.crc32(count, crc))
-        arrays.append(arr.astype(np.int64 if dtype.kind == "i" else dtype, copy=False))
-        pos += 8 + arr.nbytes
+        arr = np.empty(n, dtype=np.int64 if dtype.kind == "i" else dtype)
+        # the int32 rows are read a block at a time into `buf` and widened
+        # into `arr`; every other array is read in place
+        buf = None if arr.dtype == dtype else np.empty(min(n, _BLOCK), dtype)
+        crc = zlib.crc32(count, crc)
+        for lo in range(0, n, _BLOCK):
+            dst = arr[lo:lo + _BLOCK]
+            block = dst if buf is None else buf[:len(dst)]
+            if fp.readinto(block) != block.nbytes:
+                raise IndexFormatError("unexpected end of file")
+            crc = zlib.crc32(block, crc)
+            if buf is not None:
+                dst[:] = block
+        arrays.append(arr)
+        pos += 8 + n * dtype.itemsize
     else:
         if pos != end:
             problem = f"{end - pos} trailing bytes after the postings"
@@ -336,7 +337,7 @@ def _check_postings(n_aliases: int, vocab_size: int, ptr: np.ndarray,
     if len(rows) and (rows.min() < 0 or rows.max() >= n_aliases):
         raise IndexFormatError(f"posting row outside [0, {n_aliases})")
     # a repeated row in a posting list would be scored twice
-    unordered = np.diff(rows) <= 0
+    unordered = rows[1:] <= rows[:-1]
     list_starts = ptr[1:-1]
     unordered[list_starts[(list_starts > 0) & (list_starts < len(rows))] - 1] = False
     if unordered.any():

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from bioling import segmenter
-from bioling.abbrev import _extract_pair, _is_valid_short_form, _max_long_form_words
-from bioling.doc import AbbreviationPair, Document, SentenceSpan
+from bioling.abbrev import _is_valid_short_form, _max_long_form_words, _validate_pair
+from bioling.doc import AbbreviationPair, Document, MentionSpan, SentenceSpan
 from bioling.index import AliasIndex, build_index, save_index
-from bioling.kb import KnowledgeBase, load_kb, normalize_alias
+from bioling.kb import Concept, KnowledgeBase, load_kb, normalize_alias
 from bioling.linker import Candidate
 from bioling.segmenter import SegmenterConfig
 from bioling.tokenizer import tokenize
@@ -254,6 +254,44 @@ def _window_before(text: str, region_start: int, lp: int, max_words: int) -> int
     return words[max(0, len(words) - max_words)].start()
 
 
+def reference_best_long_form_start(short_form: str, window: str) -> int | None:
+    """`abbrev._best_long_form_start` by its earlier loop, which lowers each
+    character as it compares it."""
+    s = len(short_form) - 1
+    l = len(window) - 1
+    while s >= 0:
+        c = short_form[s].lower()
+        if not c.isalnum():
+            s -= 1
+            continue
+        while l >= 0 and (
+            window[l].lower() != c
+            or (s == 0 and l > 0 and window[l - 1].isalnum())
+        ):
+            l -= 1
+        if l < 0:
+            return None
+        s -= 1
+        l -= 1
+    return l + 1
+
+
+def _extract_pair(text: str, sf_start: int, sf_end: int,
+                  window_start: int, window_end: int) -> AbbreviationPair | None:
+    """`abbrev._extract_pair` with `reference_best_long_form_start`."""
+    short_form = text[sf_start:sf_end]
+    window = text[window_start:window_end].rstrip()
+    lf_rel = reference_best_long_form_start(short_form, window)
+    if lf_rel is None:
+        return None
+    long_form = window[lf_rel:]
+    if not _validate_pair(short_form, long_form):
+        return None
+    lf_start = window_start + lf_rel
+    return AbbreviationPair(MentionSpan(sf_start, sf_end, short_form),
+                            MentionSpan(lf_start, lf_start + len(long_form), long_form))
+
+
 def reference_find_abbreviations(doc: Document) -> list[AbbreviationPair]:
     """`abbrev.find_abbreviations` by its earlier candidate search: a
     parenthesis stack, each content stripped and located by slicing, and
@@ -440,15 +478,36 @@ def index_row(index, i: int) -> SparseVector:
     return SparseVector(grams.astype(np.int32), index.post_weights[at])
 
 
+def reference_csr(vec: NgramVectorizer, texts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`encode` of every text as one CSR matrix (`indptr`, `indices`,
+    `weights`), one `encode` call per row."""
+    vectors = [vec.encode(t) for t in texts]
+    indptr = np.zeros(len(vectors) + 1, dtype=np.int64)
+    np.cumsum([len(v.indices) for v in vectors], dtype=np.int64, out=indptr[1:])
+    indices = np.concatenate([np.empty(0, np.int32)] + [v.indices for v in vectors])
+    weights = np.concatenate([np.empty(0)] + [v.weights for v in vectors])
+    return indptr, indices, weights
+
+
+def cjk_kb(n_aliases: int = 17_000) -> KnowledgeBase:
+    """Aliases of one 4-character CJK word, each position a different
+    permutation of 20,992 code points, so that nearly every gram is new:
+    over 65,536 grams at min_df=1."""
+    words = ["".join(chr(0x4E00 + m * i % 20_992) for m in (1, 7, 11, 13))
+             for i in range(n_aliases)]
+    return KnowledgeBase({f"J{i}": Concept(f"J{i}", w, (w,)) for i, w in enumerate(words)})
+
+
 def reference_build_index(kb: KnowledgeBase, vectorizer: NgramVectorizer) -> AliasIndex:
     """`build_index` by its earlier rules: each key's smallest surface from
     a sort of every surface, the key's ids from `kb.alias_table`, and the
-    transpose from a stable argsort of the `int32` gram ids."""
+    postings from `encode`'s rows by a stable argsort of the `int32` gram
+    ids."""
     smallest: dict[str, str] = {}
     for alias in sorted(kb.alias_surfaces()):
         smallest.setdefault(normalize_alias(alias), alias)
     alias_table = {alias: tuple(sorted(kb.alias_table[key])) for key, alias in smallest.items()}
-    indptr, indices, weights = vectorizer.encode_csr(list(alias_table))
+    indptr, indices, weights = reference_csr(vectorizer, alias_table)
     by_gram = np.argsort(indices, kind="stable")
     post_rows = np.repeat(np.arange(len(alias_table)), np.diff(indptr))[by_gram]
     post_ptr = np.zeros(vectorizer.vocab_size + 1, dtype=np.int64)

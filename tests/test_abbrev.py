@@ -14,7 +14,8 @@ from bioling.segmenter import segment
 from bioling.tokenizer import tokenize
 
 from conftest import (
-    check_match, reference_find_abbreviations, reference_innermost_parens,
+    check_match, reference_best_long_form_start, reference_find_abbreviations,
+    reference_innermost_parens,
 )
 
 CASES_PATH = pathlib.Path(__file__).parent / "data" / "abbrev_cases.jsonl"
@@ -154,11 +155,25 @@ _ABBREV_ALPHABET = "()().,;:aAbBtTnNİΣσς12 \t\n\x1c\u3000"
 @example("It rose: TNF; (tumor necrosis factor) and IL.,;: (inter leukin).")
 # a word cut at "(" is one word to a later parenthetical's window
 @example("Alpha beta(x) c (y) (AB) rose.")
+# windows that are not ASCII: "İ" lowers to two code points, and a
+# word-final "Σ" lowers to "ς" in a whole string but to "σ" alone
+@example("İnterleukin beta (İB) and İ beta (IB) rose.")
+@example("ΣΑΣ alpha (Σ A) and ΣΑΣ (σα) and alphaΣ (AΣ) and alphaΣ (aς) rose.")
 def test_find_abbreviations_equals_reference(text):
     doc = tokenize(text)
     assert find_abbreviations(doc) == reference_find_abbreviations(doc)
     doc = segment(doc)
     assert find_abbreviations(doc) == reference_find_abbreviations(doc)
+
+
+@given(st.text(alphabet="aAbBİΣσς1 -", max_size=6), st.text(alphabet="aAbBİΣσς1 -", max_size=30))
+@settings(max_examples=400, deadline=None)
+@example("aς", "alphaΣ")
+@example("ib", "İ b")
+@example("AB", "alpha beta")
+def test_best_long_form_start_equals_reference(short_form, window):
+    assert _best_long_form_start(short_form, window) \
+        == reference_best_long_form_start(short_form, window)
 
 
 # -- linear time: long lines ------------------------------------------------

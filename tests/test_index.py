@@ -6,12 +6,15 @@ import tempfile
 import threading
 import tracemalloc
 import warnings
+import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bioling import index as index_module, vectorizer
 from bioling.index import (
     FORMAT_VERSION, IndexFormatError, MAGIC, build_index, load_index, save_index,
 )
@@ -19,7 +22,7 @@ from bioling.kb import Concept, KnowledgeBase, normalize_alias
 from bioling.vectorizer import NgramVectorizer, SparseVector, zero_vector
 
 from conftest import (
-    BLIX_CORRUPTIONS, BruteForceOracle, blix_array_starts, fitted_state, index_row,
+    BLIX_CORRUPTIONS, BruteForceOracle, blix_array_starts, cjk_kb, fitted_state, index_row,
     make_synthetic_kb, reference_build_index, sealed, stand_in, synth_alias, write_corrupt_blix,
 )
 
@@ -538,15 +541,6 @@ SMALL_KB = KnowledgeBase({
 })
 
 
-def cjk_kb(n_aliases: int = 17_000) -> KnowledgeBase:
-    """Aliases of one 4-character CJK word, each position a different
-    permutation of 20,992 code points, so that nearly every gram is new:
-    over 65,536 grams at min_df=1."""
-    words = ["".join(chr(0x4E00 + m * i % 20_992) for m in (1, 7, 11, 13))
-             for i in range(n_aliases)]
-    return KnowledgeBase({f"J{i}": Concept(f"J{i}", w, (w,)) for i, w in enumerate(words)})
-
-
 @pytest.mark.parametrize("name, key_dtype", [
     ("toy", "uint8"), ("synthetic", "uint16"), ("small", "uint8"), ("cjk", "uint32")])
 def test_build_index_equals_reference(request, name, key_dtype):
@@ -565,36 +559,73 @@ def test_build_index_equals_reference(request, name, key_dtype):
         assert a.dtype == b.dtype and np.array_equal(a, b), field
 
 
-# the tracemalloc peak after `encode_csr` over the final postings' bytes
-# reads 1.78 on the synthetic KB (numpy 2.4, Python 3.11), so this leaves
-# a 20% margin. Keeping the encoded weights to the end, or gathering the
-# rows as int64, reads 2.28; the earlier transpose, which did both and
-# also kept the gram ids, 2.56.
-TRANSPOSE_PEAK_RATIO = 2.15
+# the tracemalloc peak of `encode_csc` over the postings' bytes, in chunks
+# of 256 strings so that one chunk's temporaries are small beside the
+# whole: 1.28 on the synthetic KB (numpy 2.4, Python 3.11), against a floor
+# of 1.19 for the output and the 3 bytes per entry of the pass-1 records.
+# Encoding to rows and transposing them, as `build_index` did before,
+# reads 1.57.
+ENCODE_CSC_PEAK_RATIO = 1.45
 
 
-def test_build_index_transpose_memory(synth_kb, synth_index):
-    """The build's arrays after `encode_csr` stay under a bound set by the
-    postings they make. At this size `encode_csr`'s per-chunk temporaries
-    set the whole build's peak, so the peak is restarted when it returns:
-    what is left is the encoded rows, the key table and the transpose."""
-    v = synth_index.vectorizer
-    vec = NgramVectorizer(v.codes, v.df, v.n_docs, v.min_df)
+def test_encode_csc_memory(synth_index):
+    """`encode_csc` holds no whole-matrix temporary beside the postings it
+    makes, so its peak stays under a bound set by their bytes."""
+    vec = synth_index.vectorizer
+    with mock.patch.object(vectorizer, "_CHUNK", 256):
+        tracemalloc.start()
+        try:
+            post_ptr, post_rows, post_weights = vec.encode_csc(synth_index.aliases)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak / (post_ptr.nbytes + post_rows.nbytes + post_weights.nbytes) < ENCODE_CSC_PEAK_RATIO
 
-    def encode_csr(texts):
-        out = NgramVectorizer.encode_csr(vec, texts)
-        tracemalloc.reset_peak()
-        return out
 
-    vec.encode_csr = encode_csr
-    tracemalloc.start()
-    try:
-        index = build_index(synth_kb, vec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    postings = index.post_ptr.nbytes + index.post_rows.nbytes + index.post_weights.nbytes
-    assert peak / postings < TRANSPOSE_PEAK_RATIO
+def test_load_widens_rows_a_block_at_a_time(synth_index, tmp_path):
+    """Reading the arrays of a `.blix` file takes no more than the arrays the
+    index keeps and one block of int32 rows (and a few small objects): 1.9
+    kB over those on the synthetic KB, while reading its 190k rows whole as
+    int32 before widening them reads 0.76 MB over the kept arrays."""
+    path = tmp_path / "synth.blix"
+    save_index(synth_index, str(path))
+    assert 4 * len(synth_index.post_rows) > 2 * 4 * index_module._BLOCK
+    with open(path, "rb") as fp:
+        header = fp.read(index_module._HEADER.size)
+        tracemalloc.start()
+        try:
+            arrays = index_module._read_arrays(fp, path.stat().st_size - 4, zlib.crc32(header))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert np.array_equal(arrays[-2], synth_index.post_rows)
+    assert peak < sum(a.nbytes for a in arrays) + 4 * index_module._BLOCK + (1 << 14)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1], ids=[
+    "shorter than one block", "exactly one block", "one block + 1"])
+def test_rows_in_blocks_keep_the_bytes(extra, toy_index, tmp_path):
+    """Rows saved and loaded in blocks of any size give the golden bytes and
+    the same arrays, and damage to the last row is still found: a flipped
+    byte by the CRC, a cut by the CRC or, resealed, as an early end."""
+    golden = GOLDEN_BLIX.read_bytes()
+    n_rows = len(toy_index.post_rows)
+    # a byte of the last row, in the second block when `extra` is 1
+    last_row = blix_array_starts(golden)["post_rows"] + 4 * n_rows - 2
+    flipped = golden[:last_row] + bytes([golden[last_row] ^ 0x10]) + golden[last_row + 1:]
+    path = tmp_path / "toy.blix"
+    with mock.patch.object(index_module, "_BLOCK", n_rows - extra):
+        save_index(toy_index, str(path))
+        assert path.read_bytes() == golden
+        loaded = load_index(str(path))
+        for field in ("post_ptr", "post_rows", "post_weights"):
+            a, b = getattr(loaded, field), getattr(toy_index, field)
+            assert a.dtype == b.dtype and np.array_equal(a, b), field
+        for raw, match in [(flipped, "CRC-32 mismatch"), (golden[:last_row], "CRC-32 mismatch"),
+                           (sealed(golden[:last_row]), "unexpected end of file")]:
+            path.write_bytes(raw)
+            with pytest.raises(IndexFormatError, match=match):
+                load_index(str(path))
 
 
 def test_failed_save_keeps_existing_file(toy_index, tmp_path):

@@ -15,7 +15,7 @@ from bioling.vectorizer import (
     NgramVectorizer, SparseVector, extract_3grams, zero_vector,
 )
 
-from conftest import dot, fitted_state, reference_encode
+from conftest import cjk_kb, dot, fitted_state, reference_csr, reference_encode
 
 
 # -- reference build -------------------------------------------------------
@@ -31,17 +31,26 @@ def reference_fit(corpus, min_df):
     return kept, np.array([df_counts[g] for g in kept], dtype=np.int64)
 
 
-def reference_csr(vec, texts):
-    vectors = [vec.encode(t) for t in texts]
-    indptr = np.zeros(len(vectors) + 1, dtype=np.int64)
-    np.cumsum([len(v.indices) for v in vectors], dtype=np.int64, out=indptr[1:])
-    indices = np.concatenate([np.empty(0, np.int32)] + [v.indices for v in vectors])
-    weights = np.concatenate([np.empty(0)] + [v.weights for v in vectors])
-    return indptr, indices, weights
+def reference_csc(vec, texts):
+    """`reference_csr` of the texts as scipy transposes it: (`post_ptr`,
+    `post_rows`, `post_weights`)."""
+    indptr, indices, weights = reference_csr(vec, texts)
+    csc = sp.csr_matrix((weights, indices, indptr), shape=(len(texts), vec.vocab_size)).tocsc()
+    return csc.indptr, csc.indices, csc.data
+
+
+def assert_csc_equals_reference(vec, texts):
+    """`encode_csc` of the texts gives the reference postings, with the
+    dtypes the index keeps; returns them."""
+    got = vec.encode_csc(texts)
+    assert [a.dtype for a in got] == [np.int64, np.int64, np.float64]
+    for a, b in zip(got, reference_csc(vec, texts)):
+        assert np.array_equal(a, b)
+    return got
 
 
 def assert_matches_reference(aliases, min_df):
-    """`fit`, `encode_csr` and `build_index` on `aliases` give the oracles'
+    """`fit`, `encode_csc` and `build_index` on `aliases` give the oracles'
     bits."""
     grams, df = reference_fit(aliases, min_df)
     if not grams:
@@ -53,16 +62,11 @@ def assert_matches_reference(aliases, min_df):
     assert np.array_equal(vec.df, df) and vec.n_docs == len(aliases)
     # every surface, also those that share a normalized key with a smaller
     # one and so get no index row
-    for got, expected in zip(vec.encode_csr(aliases), reference_csr(vec, aliases)):
-        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+    assert_csc_equals_reference(vec, aliases)
     kb = KnowledgeBase({"C1": Concept("C1", "c", tuple(aliases))})
     index = build_index(kb, vec)
-    # the postings are the reference rows in CSC form, as scipy transposes them
-    indptr, indices, weights = reference_csr(vec, index.aliases)
-    want = sp.csr_matrix((weights, indices, indptr),
-                         shape=(len(index), vec.vocab_size)).tocsc()
     for got, expected in zip((index.post_ptr, index.post_rows, index.post_weights),
-                             (want.indptr, want.indices, want.data)):
+                             reference_csc(vec, index.aliases)):
         assert np.array_equal(got, expected)
 
 
@@ -208,6 +212,9 @@ ALIASES = st.lists(st.text(alphabet=st.sampled_from(_ALIAS_CHARS), max_size=10),
 
 @given(ALIASES, st.integers(1, 3), st.integers(1, 7))
 @example(["", "   ", "a", "a b", "\ud800\udc00 x\ud800", "İİ"], 1, 2)
+# an all-OOV row (the emoji's grams occur once) in the second chunk, and
+# grams ("ba") first seen there
+@example(["ab", "ab", "\U0001F600", "ba", "ba"], 2, 2)
 @settings(max_examples=300, deadline=None)
 def test_array_pass_matches_reference(aliases, min_df, chunk):
     # small chunks, so most examples span several of them
@@ -248,6 +255,25 @@ def test_array_pass_matches_reference_over_chunks(synth_kb):
     aliases = synth_kb.alias_surfaces()
     assert len(aliases) > 2 * vectorizer._CHUNK
     assert_matches_reference(aliases, 10)
+
+
+@pytest.mark.parametrize("name, id_type", [
+    ("small", "uint8"), ("synthetic", "uint16"), ("cjk", "uint32")])
+def test_encode_csc_in_each_gram_id_width(request, name, id_type):
+    """`encode_csc` gives the reference postings in each width of the gram
+    ids it keeps between its passes, over chunks of 1,000 strings, with an
+    all-OOV row in a later chunk and grams first seen after the first."""
+    aliases, min_df = {
+        "small": lambda: (["tumor"] * 1_500 + ["hsp"] * 1_500, 1),
+        "synthetic": lambda: (request.getfixturevalue("synth_kb").alias_surfaces(), 10),
+        "cjk": lambda: (cjk_kb().alias_surfaces(), 1)}[name]()
+    vec = NgramVectorizer.fit(aliases, min_df=min_df)
+    assert np.min_scalar_type(vec.vocab_size - 1) == id_type
+    texts = [*aliases[:1_500], "\U0001F600 zzz", *aliases[1_500:]]
+    with mock.patch.object(vectorizer, "_CHUNK", 1_000):
+        post_ptr, post_rows, _ = assert_csc_equals_reference(vec, texts)
+    assert 1_500 not in post_rows
+    assert post_rows[post_ptr[:-1][np.diff(post_ptr) > 0]].max() >= 1_000
 
 
 def test_fit_accepts_a_generator():
