@@ -140,12 +140,21 @@ def find_abbreviations(doc: Document) -> list[AbbreviationPair]:
                 pair = _extract_pair(text, c_start, c_end, wstart, lp)
             else:
                 # mirrored pattern: the word before the parenthesis is the
-                # short form, the parenthetical holds the definition
-                prev = words[-1].start()
-                candidate = text[prev:lp].rstrip().rstrip(".,;:")
+                # short form, the parenthetical holds the definition. Its
+                # tail is stripped back from the parenthesis, whitespace and
+                # then ".,;:", and only a short one is sliced: a word of many
+                # parentheticals would be sliced whole at each of them
+                prev, end = words[-1].start(), lp
+                while end > prev and text[end - 1].isspace():
+                    end -= 1
+                while end > prev and text[end - 1] in ".,;:":
+                    end -= 1
+                if end - prev > _MAX_SF_LEN:
+                    continue
+                candidate = text[prev:end]
                 if not _is_valid_short_form(candidate):
                     continue
-                pair = _extract_pair(text, prev, prev + len(candidate), c_start, c_end)
+                pair = _extract_pair(text, prev, end, c_start, c_end)
             if pair is not None:
                 pairs.append(pair)
     return pairs

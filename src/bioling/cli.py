@@ -28,7 +28,7 @@ import sys
 from . import __version__
 from .abbrev import expansion_map, find_abbreviations
 from .bench import run_bench
-from .doc import Document, from_json_obj, to_json_obj
+from .doc import Document, from_json_obj, json_line
 from .evals import (
     GoldMention, make_citation_corpus, recall_at_k, segmentation_accuracy,
 )
@@ -130,15 +130,20 @@ def _iter_doc_lines(lines: Lines, rules=None):
 
 
 def _stream(args, step) -> int:
-    """Write as JSON lines to --output what `step(doc, obj, cfg, error)` yields
-    per --input document: `cfg` is any --seg-config, `error(message)` names its line."""
+    """Write to --output the text `step(doc, obj, cfg, error)` yields per
+    --input document, JSON lines: `cfg` is any --seg-config, `error(message)`
+    names its line."""
     rules = _get_config(args, "rules")
     cfg = _get_config(args, "seg_config") if "seg_config" in vars(args) else None
     with _open_in(args.input) as fin, _open_out(args.output) as fout:
         for lineno, doc, obj in _iter_doc_lines(fin, rules):
-            for out in step(doc, obj, cfg, functools.partial(fin.error, lineno)):
-                fout.write(json.dumps(out, ensure_ascii=False) + "\n")
+            fout.writelines(step(doc, obj, cfg, functools.partial(fin.error, lineno)))
     return 0
+
+
+def _json_lines(objs):
+    """The JSON line of each object."""
+    return (json.dumps(obj, ensure_ascii=False) + "\n" for obj in objs)
 
 
 def _abbreviations(doc: Document, cfg):
@@ -148,13 +153,13 @@ def _abbreviations(doc: Document, cfg):
 
 # -- subcommands --------------------------------------------------------
 
-_cmd_tokenize = functools.partial(_stream, step=lambda doc, obj, cfg, error: [to_json_obj(doc)])
+_cmd_tokenize = functools.partial(_stream, step=lambda doc, obj, cfg, error: json_line(doc))
 _cmd_segment = functools.partial(
-    _stream, step=lambda doc, obj, cfg, error: [to_json_obj(segment(doc, cfg))])
-_cmd_abbrev = functools.partial(_stream, step=lambda doc, obj, cfg, error: [
+    _stream, step=lambda doc, obj, cfg, error: json_line(segment(doc, cfg)))
+_cmd_abbrev = functools.partial(_stream, step=lambda doc, obj, cfg, error: _json_lines(
     {"short": {"start": pair.short_form.start, "end": pair.short_form.end},
      "long": {"start": pair.long_form.start, "end": pair.long_form.end}}
-    for pair in _abbreviations(doc, cfg)])
+    for pair in _abbreviations(doc, cfg)))
 
 
 def _cmd_kb(args) -> int:
@@ -224,7 +229,7 @@ def _cmd_link(args) -> int:
                     for c in cs.candidates
                 ],
             }
-    return _stream(args, step)
+    return _stream(args, lambda *doc_args: _json_lines(step(*doc_args)))
 
 
 def _cmd_eval_recall(args) -> int:

@@ -12,8 +12,11 @@ in field order are part of its API.
 
 from __future__ import annotations
 
+import itertools
+import json
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from operator import attrgetter, itemgetter
+from typing import Iterable, Iterator, NamedTuple
 
 
 class Token(NamedTuple):
@@ -68,22 +71,45 @@ def detokenize(doc: Document) -> str:
     return "".join(parts)
 
 
-def to_json_obj(doc: Document) -> dict:
-    return {
-        "text": doc.text,
-        "tokens": [{"start": t.start, "end": t.end} for t in doc.tokens],
-        "sentences": [
-            {"first_token": s.first_token, "last_token": s.last_token}
-            for s in doc.sentences
-        ],
-    }
+# spans per piece of a JSON list
+_JSON_BLOCK = 4096
+
+
+def _json_list(fmt: str, items: Iterable[tuple[int, int]]) -> Iterator[str]:
+    """The JSON list of `fmt % item` for each item, in pieces of a block of
+    items each."""
+    yield "["
+    objs = map(fmt.__mod__, items)
+    sep = ""
+    while block := ", ".join(itertools.islice(objs, _JSON_BLOCK)):
+        yield sep
+        yield block
+        sep = ", "
+    yield "]"
+
+
+def json_line(doc: Document) -> Iterator[str]:
+    """The JSON line of `doc`, newline included, in pieces: its text, its
+    token spans as {"start", "end"} objects and its sentence spans as
+    {"first_token", "last_token"} objects, byte for byte as `json.dumps`
+    with `ensure_ascii=False` writes them, but with the spans formatted
+    straight into the line, a block at a time. `from_json_obj` reads it."""
+    yield '{"text": '
+    yield json.dumps(doc.text, ensure_ascii=False)
+    yield ', "tokens": '
+    # a Token is (surface, start, end, trailing_ws)
+    yield from _json_list('{"start": %d, "end": %d}', map(itemgetter(1, 2), doc.tokens))
+    yield ', "sentences": '
+    yield from _json_list('{"first_token": %d, "last_token": %d}',
+                          map(attrgetter("first_token", "last_token"), doc.sentences))
+    yield "}\n"
 
 
 def from_json_obj(obj: dict) -> Document:
     """Rebuild a Document from its JSON form.
 
     Surfaces and whitespace are recovered from the text and the spans, so a
-    valid document survives the round trip through `to_json_obj`. Raises
+    valid document survives the round trip through `json_line`. Raises
     ValueError, naming the token, on a span that is not integers, out of
     range, empty or not after the previous one, or on non-whitespace text
     before, between or after the tokens; and, naming the sentence, on

@@ -171,7 +171,8 @@ def build_index(kb: KnowledgeBase, vectorizer: NgramVectorizer) -> AliasIndex:
     `kb.alias_table`; `encode_csc` makes the posting lists."""
     # key -> (smallest surface, concept id of each pair): tuples of strings,
     # which the garbage collector stops tracking; lists, which it tracks to
-    # the end, took ~0.15 s longer on a 100k-alias KB (2-core VM)
+    # the end, took ~0.15 s longer on a 100k-alias KB (2-core VM). An
+    # already normalized alias is its own key, not a copy
     by_key: dict[str, tuple[str, ...]] = {}
     for concept in kb.concepts.values():
         cid = concept.concept_id
@@ -185,7 +186,9 @@ def build_index(kb: KnowledgeBase, vectorizer: NgramVectorizer) -> AliasIndex:
     # free the keys before the ids are copied out, so the copies can reuse
     # their memory
     del by_key
-    alias_table = {row[0]: tuple(sorted(set(row[1:]))) for row in rows}
+    # most keys have one pair, whose id needs no sorting
+    alias_table = {row[0]: row[1:] if len(row) == 2 else tuple(sorted(set(row[1:])))
+                   for row in rows}
     del rows
     post_ptr, post_rows, post_weights = vectorizer.encode_csc(list(alias_table))
     return AliasIndex(alias_table, post_ptr, post_rows, post_weights, vectorizer)

@@ -13,6 +13,12 @@ canonical name leads its aliases unless one of them has the same key.
 concept ids) is derived from them on first use, and `build_index` does
 not use it, so an index build never holds it.
 
+Equal strings are kept once: a canonical name that is literally one of
+its concept's aliases is that alias's string, the concepts of one load
+with equal type lists share one `types` tuple, and `normalize_alias`
+returns an already normalized alias itself, so a key table holds no
+second copy of it.
+
 Input is checked where it enters: `load_kb` validates each line as
 `lines.open_lines` reads it, and a bad one raises KBFormatError.
 """
@@ -38,7 +44,7 @@ class KBFormatError(InputError):
     """Raised when a line of a KB file violates the format or its invariants."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Concept:
     concept_id: str
     canonical_name: str
@@ -78,13 +84,17 @@ class KnowledgeBase:
 
 
 def normalize_alias(s: str) -> str:
-    """Lowercase, collapse internal whitespace, strip; idempotent."""
-    return " ".join(s.split()).lower()
+    """Lowercase, collapse internal whitespace, strip; idempotent. An
+    already normalized `s` is returned itself, not an equal copy."""
+    key = " ".join(s.split()).lower()
+    return s if key == s else key
 
 
-def _parse_concept(obj: dict, lines: Lines, lineno: int) -> Concept:
+def _parse_concept(obj: dict, lines: Lines, lineno: int,
+                   shared_types: dict[tuple[str, ...], tuple[str, ...]]) -> Concept:
     """The concept on a line; its canonical name leads its aliases unless
-    one of them has the same normalized key."""
+    one of them has the same normalized key. Its `types` tuple is the one
+    in `shared_types` equal to it, which it joins if there is none."""
     try:
         concept_id = obj["concept_id"]
         canonical = obj["canonical_name"]
@@ -104,24 +114,28 @@ def _parse_concept(obj: dict, lines: Lines, lineno: int) -> Concept:
     if definition is not None and not isinstance(definition, str):
         raise lines.error(lineno, "definition must be a string or null")
     # canonical name is always an alias of its own concept; a literal
-    # match needs no normalizing
-    if canonical not in aliases and (
-            normalize_alias(canonical) not in map(normalize_alias, aliases)):
+    # match needs no normalizing, and the alias's string serves for both
+    if canonical in aliases:
+        canonical = aliases[aliases.index(canonical)]
+    elif normalize_alias(canonical) not in map(normalize_alias, aliases):
         aliases = [canonical, *aliases]
-    return Concept(concept_id, canonical, tuple(aliases), tuple(types), definition)
+    types = tuple(types)
+    return Concept(concept_id, canonical, tuple(aliases),
+                   shared_types.setdefault(types, types), definition)
 
 
 def load_kb(path: str) -> KnowledgeBase:
     """Load and validate a KB file, or standard input for "-"; a bad line
     raises KBFormatError naming the file and the line."""
     concepts: dict[str, Concept] = {}
+    shared_types: dict[tuple[str, ...], tuple[str, ...]] = {}
     with open_lines(path, KBFormatError) as lines:
         for lineno, line in lines:
             line = line.strip()
             if not line:
                 continue
             obj = lines.json_object(lineno, line)
-            concept = _parse_concept(obj, lines, lineno)
+            concept = _parse_concept(obj, lines, lineno, shared_types)
             if concept.concept_id in concepts:
                 raise lines.error(lineno, f"duplicate concept_id {concept.concept_id!r}")
             concepts[concept.concept_id] = concept

@@ -24,6 +24,19 @@ from bioling.vectorizer import NgramVectorizer, SparseVector, zero_vector
 # citation families a segmenter without citation handling tends to split
 ADVERSARIAL_FAMILIES = frozenset({"plain_author_year"})
 
+
+def to_json_obj(doc: Document) -> dict:
+    """A document's JSON form as an object: `json_line` writes its
+    `json.dumps(..., ensure_ascii=False)`, byte for byte."""
+    return {
+        "text": doc.text,
+        "tokens": [{"start": t.start, "end": t.end} for t in doc.tokens],
+        "sentences": [
+            {"first_token": s.first_token, "last_token": s.last_token}
+            for s in doc.sentences
+        ],
+    }
+
 # word pool for synthetic aliases; drawn from recognizable biomedical
 # morphemes so character 3-grams overlap heavily across aliases
 _STEMS = [

@@ -1,8 +1,10 @@
+import json
+
 import pytest
 
 import bioling
 from bioling import Candidate, Token, segment, tokenize
-from bioling.doc import from_json_obj, to_json_obj
+from bioling.doc import from_json_obj, json_line
 
 
 def test_every_public_name_resolves():
@@ -29,4 +31,4 @@ def test_token_and_candidate_are_immutable(value, field):
 def test_document_json_round_trip():
     doc = segment(tokenize("  Levels (IL-2/IL-4) rose, e.g. 5\u00b12% [3].\tSee Fig. 2. \n"))
     assert len(doc.sentences) == 2
-    assert from_json_obj(to_json_obj(doc)) == doc
+    assert from_json_obj(json.loads("".join(json_line(doc)))) == doc

@@ -14,14 +14,14 @@ from hypothesis import strategies as st
 import bioling
 from bioling.abbrev import expansion_map, find_abbreviations
 from bioling.cli import main
-from bioling.doc import SentenceSpan, to_json_obj
+from bioling.doc import SentenceSpan
 from bioling.index import build_index, load_index, save_index
 from bioling.linker import generate_candidates
 from bioling.segmenter import segment
 from bioling.tokenizer import tokenize
 from bioling.vectorizer import NgramVectorizer
 
-from conftest import BLIX_CORRUPTIONS, write_corrupt_blix
+from conftest import BLIX_CORRUPTIONS, to_json_obj, write_corrupt_blix
 
 
 @pytest.fixture
@@ -264,6 +264,20 @@ def test_stream_command_equals_library_calls(run, index_path, argv):
     assert code == 0, err
     assert out_lines(out) == expected
     assert len(expected) >= 3
+
+
+@pytest.mark.parametrize("command", ["tokenize", "segment"])
+def test_stream_writes_the_bytes_of_json_dumps(run, command):
+    texts = ["Heat shock protein (HSP) rose. See Fig. 2.",
+             'Tλ \x01 "q" \\ 😀\x7f rose.\tIt fell.', "", "   "]
+    stdin = "".join(json.dumps({"text": t}) + "\n" for t in texts)
+    code, out, err = run([command], stdin=stdin)
+    assert code == 0, err
+    docs = [tokenize(t) for t in texts]
+    if command == "segment":
+        docs = [segment(doc) for doc in docs]
+    assert out == "".join(json.dumps(to_json_obj(doc), ensure_ascii=False) + "\n"
+                          for doc in docs)
 
 
 def test_link_missing_index_names_path(run):

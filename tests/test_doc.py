@@ -1,16 +1,21 @@
 import io
 import json
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bioling import doc as doc_module
 from bioling.cli import _iter_doc_lines
 from bioling.doc import (
-    Document, SentenceSpan, Token, detokenize, from_json_obj, to_json_obj,
+    Document, SentenceSpan, Token, detokenize, from_json_obj, json_line,
 )
 from bioling.lines import Lines
+from bioling.segmenter import segment
 from bioling.tokenizer import tokenize
+
+from conftest import to_json_obj
 
 TEXT_ALPHABET = st.characters(
     codec="utf-8", categories=("L", "N", "P", "S", "Zs"),
@@ -135,3 +140,47 @@ def test_sentence_char_span():
     start, end = doc.sentence_char_span(doc.sentences[0])
     assert doc.text[start:end] == "One two."
     assert doc.sentence_char_span(doc.sentences[1]) == (9, 15)
+
+
+# -- the JSON line writer -------------------------------------------------
+# `json_line` formats the spans itself; `json.dumps` of the oracle object is
+# the reference for every byte, JSON escapes of control characters,
+# quotes and backslashes included, and non-ASCII text written as itself.
+
+JSON_TEXT = st.text(alphabet=st.characters(
+    codec="utf-8", categories=("L", "N", "P", "S", "Zs", "Cc"),
+    include_characters='\x00\x1f\x7f  "\\/.()αβµ\U0001F600',
+), max_size=200)
+
+
+def oracle_line(doc: Document) -> str:
+    return json.dumps(to_json_obj(doc), ensure_ascii=False) + "\n"
+
+
+@given(JSON_TEXT, st.integers(1, 4))
+@settings(max_examples=200, deadline=None)
+@example("  Heat shock protein (HSP) rose.\tSee Fig. 2.\n", 1)
+@example('x\x00"y\\z\x1f é 😀. Next one.', 2)
+def test_json_line_equals_oracle(s, block):
+    """Token and sentence lists of any length, cut into blocks of 1-4
+    spans, and documents with and without sentences."""
+    with mock.patch.object(doc_module, "_JSON_BLOCK", block):
+        for doc in (tokenize(s), segment(tokenize(s))):
+            line = "".join(json_line(doc))
+            assert line == oracle_line(doc)
+            assert from_json_obj(json.loads(line)) == doc
+
+
+def test_json_line_of_documents_without_spans():
+    for doc in (Document(""), Document(" \t"), tokenize("")):
+        assert "".join(json_line(doc)) == oracle_line(doc)
+    assert "".join(json_line(Document("é"))) == '{"text": "é", "tokens": [], "sentences": []}\n'
+
+
+def test_json_line_writes_tokens_a_block_at_a_time():
+    doc = tokenize(" ".join(["a"] * (2 * doc_module._JSON_BLOCK + 1)))
+    pieces = list(json_line(doc))
+    tokens = pieces[pieces.index(', "tokens": ') + 1:pieces.index(', "sentences": ')]
+    per_piece = [piece.count('"start"') for piece in tokens]
+    assert [n for n in per_piece if n] == [doc_module._JSON_BLOCK, doc_module._JSON_BLOCK, 1]
+    assert "".join(pieces) == oracle_line(doc)

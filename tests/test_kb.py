@@ -1,6 +1,8 @@
 import json
 import os
+import random
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +11,8 @@ from hypothesis import strategies as st
 from bioling.kb import (
     Concept, KBFormatError, KnowledgeBase, kb_stats, load_kb, normalize_alias, save_kb,
 )
+
+from conftest import synth_alias
 
 
 def write_kb(tmp_path, lines, name="kb.jsonl"):
@@ -246,3 +250,71 @@ def test_rejects_lone_surrogate_with_line_and_field(tmp_path, field, concept):
 def test_accepts_escaped_surrogate_pair(tmp_path):
     path = write_kb(tmp_path, ['{"concept_id": "X1", "canonical_name": "\\ud83d\\ude00 A"}'])
     assert load_kb(path).concepts["X1"].canonical_name == "\U0001F600 A"
+
+
+# -- one string per distinct value --------------------------------------
+
+def test_loaded_concept_has_no_instance_dict(toy_kb):
+    concept = toy_kb.concepts["C01"]
+    assert not hasattr(concept, "__dict__")
+    with pytest.raises(AttributeError):
+        concept.concept_id = "C99"
+
+
+def test_canonical_name_is_its_equal_alias(tmp_path):
+    path = write_kb(tmp_path, [
+        {"concept_id": "X1", "canonical_name": "Lung Cancer", "aliases": ["cancer", "Lung Cancer"]},
+        {"concept_id": "X2", "canonical_name": "Breast Cancer", "aliases": ["breast cancer"]},
+    ])
+    x1, x2 = load_kb(path).concepts.values()
+    assert x1.canonical_name is x1.aliases[1]
+    # equal only after normalization: the alias is kept, the name is not an alias
+    assert x2.aliases == ("breast cancer",) and x2.canonical_name == "Breast Cancer"
+
+
+def test_equal_type_lists_share_one_tuple(tmp_path):
+    path = write_kb(tmp_path, [
+        {"concept_id": f"X{i}", "canonical_name": f"c{i}", "types": types}
+        for i, types in enumerate([["T047", "T191"], ["T116"], ["T047", "T191"], [], []])
+    ])
+    t0, t1, t2, t3, t4 = (c.types for c in load_kb(path).concepts.values())
+    assert t0 == t2 == ("T047", "T191") and t0 is t2
+    assert t1 == ("T116",) and t3 is t4
+
+
+@pytest.mark.parametrize("s", ["heat shock protein", "il-2", "a", "αβ 2"])
+def test_normalized_alias_is_returned_itself(s):
+    assert normalize_alias(s) is s
+    assert normalize_alias(s.upper()) == s
+
+
+def _memory_kb(path, n_concepts: int) -> None:
+    """A KB shaped like the benchmark's: each canonical name is literally its
+    first alias, aliases mostly lowercase already, one type list for all."""
+    rng = random.Random(7)
+    with open(path, "w", encoding="utf-8") as fp:
+        for i in range(n_concepts):
+            names = [f"{synth_alias(rng)} {i}", f"{synth_alias(rng)} {i}"]
+            if i % 3 == 0:
+                names.append(names[0].capitalize())
+            fp.write(json.dumps({"concept_id": f"C{i:07d}", "canonical_name": names[0],
+                                 "aliases": names, "types": ["T047"], "definition": None}))
+            fp.write("\n")
+
+
+# tracemalloc bytes that `load_kb` keeps per concept of `_memory_kb`: 375
+# (Python 3.11), against 586 with a dict per concept, a canonical name
+# apart from its alias and a types tuple per concept
+LOAD_KB_BYTES_PER_CONCEPT = 480
+
+
+def test_load_kb_memory_per_concept(tmp_path):
+    path = tmp_path / "kb.jsonl"
+    _memory_kb(path, 3_000)
+    tracemalloc.start()
+    try:
+        kb = load_kb(str(path))
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept / len(kb.concepts) < LOAD_KB_BYTES_PER_CONCEPT
