@@ -26,6 +26,9 @@ _PAREN_RE = re.compile(r"\(([^()]*)\)")
 _MIN_SF_LEN = 2
 _MAX_SF_LEN = 10
 _MAX_SF_WORDS = 2
+# characters of a long-form window that `_best_long_form_start` lowers
+# first; each later block is twice the one before
+_LOWER_BLOCK = 256
 
 
 def _is_valid_short_form(s: str) -> bool:
@@ -42,33 +45,47 @@ def _max_long_form_words(short_form: str) -> int:
     return min(len(short_form) + 5, len(short_form) * 2)
 
 
-def _best_long_form_start(short_form: str, window: str) -> int | None:
-    """Start index in `window` of the shortest matching suffix, or None.
+def _best_long_form_start(short_form: str, text: str, start: int = 0,
+                          end: int | None = None) -> int | None:
+    """Start in `text` of the shortest matching suffix of the window
+    `text[start:end]`, or None.
 
-    Characters compare lowered one at a time. ASCII strings are lowered
-    whole, which is the same; other strings are not, since "İ" lowers to
-    two code points and a word-final "Σ" to "ς", not "σ"."""
-    if short_form.isascii() and window.isascii():
-        sf, lowered = short_form.lower(), window.lower()
-    else:
-        sf, lowered = [c.lower() for c in short_form], [c.lower() for c in window]
+    Characters compare lowered one at a time, and the scan reads the window
+    from its end only as far as it must: blocks of it, each twice the one
+    before, are lowered as it reaches them. An ASCII block is lowered whole,
+    which is the same; other blocks are not, since "İ" lowers to two code
+    points and a word-final "Σ" to "ς", not "σ"."""
+    if end is None:
+        end = len(text)
+    sf = short_form.lower() if short_form.isascii() else [c.lower() for c in short_form]
+    # `lowered` is the block text[lo:hi] that the scan is in, lowered; the
+    # scan is at text[lo + i], and the next block takes `size` characters
+    lowered, lo, size = "", end, _LOWER_BLOCK
     s = len(short_form) - 1
-    l = len(window) - 1
+    i = -1
     while s >= 0:
         c = sf[s]
         if not c.isalnum():
             s -= 1
             continue
-        while l >= 0 and (
-            lowered[l] != c
-            or (s == 0 and l > 0 and window[l - 1].isalnum())
-        ):
-            l -= 1
-        if l < 0:
-            return None
+        while True:
+            while i >= 0 and (
+                lowered[i] != c
+                or (s == 0 and lo + i > start and text[lo + i - 1].isalnum())
+            ):
+                i -= 1
+            if i >= 0:
+                break
+            if lo == start:
+                return None
+            hi, lo = lo, max(start, lo - size)
+            size *= 2
+            block = text[lo:hi]
+            lowered = block.lower() if block.isascii() else [ch.lower() for ch in block]
+            i = hi - lo - 1
         s -= 1
-        l -= 1
-    return l + 1
+        i -= 1
+    return lo + i + 1
 
 
 def _validate_pair(short_form: str, long_form: str) -> bool:
@@ -88,17 +105,19 @@ def _extract_pair(
     text: str, sf_start: int, sf_end: int, window_start: int, window_end: int
 ) -> AbbreviationPair | None:
     short_form = text[sf_start:sf_end]
-    window = text[window_start:window_end].rstrip()
-    lf_rel = _best_long_form_start(short_form, window)
-    if lf_rel is None:
+    # the window with its trailing whitespace stripped, read in place: it
+    # may start far back, at the start of a word of many parentheticals
+    while window_end > window_start and text[window_end - 1].isspace():
+        window_end -= 1
+    lf_start = _best_long_form_start(short_form, text, window_start, window_end)
+    if lf_start is None:
         return None
-    long_form = window[lf_rel:]
+    long_form = text[lf_start:window_end]
     if not _validate_pair(short_form, long_form):
         return None
-    lf_start = window_start + lf_rel
     return AbbreviationPair(
         MentionSpan(sf_start, sf_end, short_form),
-        MentionSpan(lf_start, lf_start + len(long_form), long_form),
+        MentionSpan(lf_start, window_end, long_form),
     )
 
 

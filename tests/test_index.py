@@ -582,6 +582,22 @@ def test_encode_csc_memory(synth_index):
     assert peak / (post_ptr.nbytes + post_rows.nbytes + post_weights.nbytes) < ENCODE_CSC_PEAK_RATIO
 
 
+# the tracemalloc peak of `build_index` on the synthetic KB at the module's
+# `_CHUNK`: 6.0 MB in chunks of 1,024 strings, 3.0 MB of it the postings
+# kept, against 12.0 MB in chunks of 4,096 (numpy 2.4, Python 3.11)
+BUILD_INDEX_PEAK_MB = 9.0
+
+
+def test_build_index_memory(synth_kb, synth_index):
+    tracemalloc.start()
+    try:
+        build_index(synth_kb, synth_index.vectorizer)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 1e6 < BUILD_INDEX_PEAK_MB
+
+
 def test_load_widens_rows_a_block_at_a_time(synth_index, tmp_path):
     """Reading the arrays of a `.blix` file takes no more than the arrays the
     index keeps and one block of int32 rows (and a few small objects): 1.9

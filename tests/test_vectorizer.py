@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -255,6 +256,24 @@ def test_array_pass_matches_reference_over_chunks(synth_kb):
     aliases = synth_kb.alias_surfaces()
     assert len(aliases) > 2 * vectorizer._CHUNK
     assert_matches_reference(aliases, 10)
+
+
+# the tracemalloc peak of `fit` on the synthetic KB's 10k aliases (206k
+# characters) at the module's `_CHUNK`: 2.2 MB in chunks of 1,024 strings,
+# 7.9 MB in chunks of 4,096 (numpy 2.4, Python 3.11); a chunk's temporary
+# arrays take about 90 bytes per character
+FIT_PEAK_MB = 4.5
+
+
+def test_fit_memory(synth_kb):
+    aliases = synth_kb.alias_surfaces()
+    tracemalloc.start()
+    try:
+        NgramVectorizer.fit(aliases, min_df=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 1e6 < FIT_PEAK_MB
 
 
 @pytest.mark.parametrize("name, id_type", [
