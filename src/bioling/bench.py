@@ -1,13 +1,13 @@
-"""Wall-clock throughput harness.
+"""The document pipeline and its wall-clock throughput harness.
 
-Times the pipeline over a corpus of documents, each a text and its
-mention spans: the text stages (tokenize, segment, abbrev) always run,
-and link runs when an index is given, querying each span with the
-document's own abbreviation expansions, as `bioling link` does. Warmup
-repetitions run untimed, then each timed repetition processes the whole
-corpus. `setup_s` times the parse of the shipped rule files; the caller
-loads the index. The headline number is the median per-abstract time over
-repetitions; each stage is also timed on its own, so the stage times of a
+`run_pipeline` runs one document through the stages a caller names, as
+the stream commands of `bioling` do, timing each stage. `run_bench` times
+it over a corpus of documents, each a text and its mention spans: the
+text stages (tokenize, segment, abbrev) always run, and link runs when an
+index is given. Warmup repetitions run untimed, then each timed
+repetition processes the whole corpus. `setup_s` times the parse of the
+shipped rule files; the caller loads the index. The headline number is
+the median per-abstract time over repetitions; the stage times of a
 repetition add up to at most its total. Counts are read off the timed
 runs, outside the stage clocks: tokens, sentences and abbreviation pairs,
 and with link mentions, out-of-vocabulary mentions and perfbench-named
@@ -22,13 +22,14 @@ import statistics
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import abbrev as abbrev_mod
+from .doc import AbbreviationPair, Document
 from .index import AliasIndex
-from .linker import REASON_OUT_OF_VOCABULARY, generate_candidates
+from .linker import REASON_OUT_OF_VOCABULARY, CandidateSet, generate_candidates
 from .segmenter import SegmenterConfig, default_segmenter_config, segment
 from .tokenizer import TokenizerRules, default_biomedical_rules, tokenize
 
@@ -63,43 +64,40 @@ class BenchReport:
     n_abbreviation_pairs: int = 0
 
 
-def _process(
-    text: str,
-    spans: Sequence[tuple[int, int]],
-    rules: TokenizerRules,
-    seg_cfg: SegmenterConfig,
-    index: AliasIndex | None,
-    stage_ns: list[int],
-    counts: Counter,
-) -> None:
-    """Run one document through `STAGES`, linking its `spans` only with an
-    `index`, adding each stage's nanoseconds to `stage_ns` (indexed as
-    `STAGES`), then, outside the clocks, the document's counts to `counts`."""
+class PipelineRun(NamedTuple):
+    doc: Document
+    pairs: list[AbbreviationPair]
+    candidate_sets: list[CandidateSet]
+    stage_ns: tuple[int, ...]  # nanoseconds per stage of `STAGES`, named or not
+
+
+def run_pipeline(doc: Document, stages: Sequence[str], rules: TokenizerRules,
+                 seg_config: SegmenterConfig | None, index: AliasIndex | None = None,
+                 spans: Sequence[tuple[int, int]] = (), k: int = _LINK_K) -> PipelineRun:
+    """Run `doc` through the named `stages`, in `STAGES` order: tokenize
+    it if it has no tokens and its text is not blank, segment it if it has
+    no sentences, find its abbreviation pairs, and link each of its `spans`
+    in `index` to at most `k` candidates, expanding the document's own
+    short forms, with each stage's nanoseconds."""
     clock = time.perf_counter_ns
+    pairs, expansion, sets = [], None, []
     t0 = clock()
-    doc = tokenize(text, rules)
+    if "tokenize" in stages and not doc.tokens and doc.text.strip():
+        doc = tokenize(doc.text, rules)
     t1 = clock()
-    doc = segment(doc, seg_cfg)
+    if "segment" in stages and not doc.sentences:
+        doc = segment(doc, seg_config)
     t2 = clock()
-    pairs = abbrev_mod.find_abbreviations(doc)
-    expansion = abbrev_mod.expansion_map(pairs)
+    if "abbrev" in stages:
+        pairs = abbrev_mod.find_abbreviations(doc)
+        expansion = abbrev_mod.expansion_map(pairs)
     t3 = clock()
-    if index is not None:
-        sets = [generate_candidates(index, index.alias_table, text[start:end], _LINK_K,
+    if "link" in stages:
+        sets = [generate_candidates(index, index.alias_table, doc.text[start:end], k,
                                     expansion, start, end)
                 for start, end in spans]
-        stage_ns[3] += clock() - t3
-        for cs in sets:
-            counts["mentions"] += 1
-            counts["oov"] += cs.reason == REASON_OUT_OF_VOCABULARY
-            counts["candidates"] += len(cs.candidates)
-            counts["candidates_max"] = max(counts["candidates_max"], len(cs.candidates))
-    stage_ns[0] += t1 - t0
-    stage_ns[1] += t2 - t1
-    stage_ns[2] += t3 - t2
-    counts["tokens"] += len(doc.tokens)
-    counts["sentences"] += len(doc.sentences)
-    counts["pairs"] += len(pairs)
+    t4 = clock()
+    return PipelineRun(doc, pairs, sets, (t1 - t0, t2 - t1, t3 - t2, t4 - t3))
 
 
 def run_bench(
@@ -123,21 +121,30 @@ def run_bench(
 
     ran = STAGES if index is not None else STAGES[:3]
 
-    def one_pass(stage_ns, counts):
+    def one_pass():
+        """The stage nanoseconds, as `PipelineRun.stage_ns`, and counts of a pass."""
+        stage_ns, counts = [0] * len(STAGES), Counter()
         for text, spans in corpus:
-            _process(text, spans, rules, seg_config, index, stage_ns, counts)
+            run = run_pipeline(Document(text), ran, rules, seg_config, index, spans)
+            stage_ns = [a + b for a, b in zip(stage_ns, run.stage_ns)]
+            counts.update(tokens=len(run.doc.tokens), sentences=len(run.doc.sentences),
+                          pairs=len(run.pairs), mentions=len(run.candidate_sets))
+            for cs in run.candidate_sets:
+                counts["oov"] += cs.reason == REASON_OUT_OF_VOCABULARY
+                counts["candidates"] += len(cs.candidates)
+                counts["candidates_max"] = max(counts["candidates_max"], len(cs.candidates))
+        return stage_ns, counts
 
     for _ in range(warmup):
-        one_pass([0] * len(STAGES), Counter())
+        one_pass()
 
     per_rep: list[float] = []
     per_rep_stage: dict[str, list[float]] = {s: [] for s in ran}
     cpu0 = time.process_time()
     for _ in range(reps):
         # every repetition gives the same counts; the last one's are kept
-        stage_ns, counts = [0] * len(STAGES), Counter()
         t0 = time.perf_counter_ns()
-        one_pass(stage_ns, counts)
+        stage_ns, counts = one_pass()
         per_rep.append((time.perf_counter_ns() - t0) / 1e9)
         for s, ns in zip(ran, stage_ns):
             per_rep_stage[s].append(ns / 1e9)

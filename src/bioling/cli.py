@@ -3,11 +3,9 @@
 All subcommands stream JSON Lines documents in input order, so they
 compose via pipes. Exit codes: 0 success, 1 usage error, 2 data error.
 Environment: BIOLING_RULES and BIOLING_SEG_CONFIG supply default paths
-for --rules / --seg-config. tokenize, segment, abbrev and link share one
-document stream and differ only in what they write for each document.
-`bioling link` detects abbreviations only in documents that have mentions.
-`bioling bench` reads the same documents, untokenized, since it times
-tokenize itself, and links their mentions as `link` does.
+for --rules / --seg-config. tokenize, segment, abbrev and link run each
+document of one stream through `bench.run_pipeline`, which `bioling bench`
+times; `link` finds abbreviations only in documents that have mentions.
 
 Input is checked where it enters: each flag value as it is parsed, a bad
 one exiting 1 before any file is read ("argument --k: must be an integer
@@ -23,11 +21,11 @@ import dataclasses
 import functools
 import json
 import os
+import stat
 import sys
 
 from . import __version__
-from .abbrev import expansion_map, find_abbreviations
-from .bench import run_bench
+from .bench import STAGES, run_bench, run_pipeline
 from .doc import Document, from_json_obj, json_line
 from .evals import (
     GoldMention, make_citation_corpus, recall_at_k, segmentation_accuracy,
@@ -35,11 +33,8 @@ from .evals import (
 from .index import IndexFormatError, build_index, load_index, save_index
 from .kb import kb_stats, load_kb
 from .lines import InputError, Lines, open_lines
-from .linker import generate_candidates
-from .segmenter import (
-    citation_split_rate, default_segmenter_config, load_segmenter_config, segment,
-)
-from .tokenizer import default_biomedical_rules, load_rules, tokenize
+from .segmenter import citation_split_rate, default_segmenter_config, load_segmenter_config
+from .tokenizer import default_biomedical_rules, load_rules
 from .vectorizer import NgramVectorizer
 
 
@@ -105,11 +100,10 @@ def _get_config(args, attr: str):
     return default()
 
 
-def _iter_doc_lines(lines: Lines, rules=None):
+def _iter_doc_lines(lines: Lines):
     """Yield (lineno, doc, obj) per nonempty input line: a JSON object with
     a "text" field is a core_text document, any other line raw text (`obj`
-    {}). With `rules`, raw text and a document with text but no tokens are
-    tokenized with them."""
+    {})."""
     for lineno, line in lines:
         line = line.rstrip("\n")
         if not line.strip():
@@ -124,20 +118,29 @@ def _iter_doc_lines(lines: Lines, rules=None):
                 raise lines.error(lineno, f"malformed document: {exc}") from None
         else:
             doc, obj = Document(line), {}
-        if rules is not None and not doc.tokens and doc.text.strip():
-            doc = tokenize(doc.text, rules)
         yield lineno, doc, obj
 
 
+def _refuse_input_as_output(args) -> None:
+    """A DataError if --output is the regular file --input reads (standard
+    input's for "-"), by any path or link: opening it would empty it."""
+    with contextlib.suppress(OSError, ValueError):  # no such file, or a stdin without one
+        out = os.stat(args.output)
+        src = os.fstat(sys.stdin.fileno()) if args.input == "-" else os.stat(args.input)
+        if args.output != "-" and stat.S_ISREG(out.st_mode) and os.path.samestat(src, out):
+            raise DataError(f"--output {args.output} is the input file; writing would empty it")
+
+
 def _stream(args, step) -> int:
-    """Write to --output the text `step(doc, obj, cfg, error)` yields per
-    --input document, JSON lines: `cfg` is any --seg-config, `error(message)`
-    names its line."""
-    rules = _get_config(args, "rules")
+    """Write to --output the text `step(doc, obj, run, error)` yields per
+    --input document, JSON lines: `run(doc, stages, ...)` is `run_pipeline`
+    with the --rules and any --seg-config, `error(message)` names its line."""
+    _refuse_input_as_output(args)
     cfg = _get_config(args, "seg_config") if "seg_config" in vars(args) else None
+    run = functools.partial(run_pipeline, rules=_get_config(args, "rules"), seg_config=cfg)
     with _open_in(args.input) as fin, _open_out(args.output) as fout:
-        for lineno, doc, obj in _iter_doc_lines(fin, rules):
-            fout.writelines(step(doc, obj, cfg, functools.partial(fin.error, lineno)))
+        for lineno, doc, obj in _iter_doc_lines(fin):
+            fout.writelines(step(doc, obj, run, functools.partial(fin.error, lineno)))
     return 0
 
 
@@ -146,20 +149,17 @@ def _json_lines(objs):
     return (json.dumps(obj, ensure_ascii=False) + "\n" for obj in objs)
 
 
-def _abbreviations(doc: Document, cfg):
-    """The abbreviation pairs of `doc`, segmented with `cfg` if it has no sentences."""
-    return find_abbreviations(doc if doc.sentences else segment(doc, cfg))
-
-
 # -- subcommands --------------------------------------------------------
 
-_cmd_tokenize = functools.partial(_stream, step=lambda doc, obj, cfg, error: json_line(doc))
-_cmd_segment = functools.partial(
-    _stream, step=lambda doc, obj, cfg, error: json_line(segment(doc, cfg)))
-_cmd_abbrev = functools.partial(_stream, step=lambda doc, obj, cfg, error: _json_lines(
+_cmd_tokenize = functools.partial(
+    _stream, step=lambda doc, obj, run, error: json_line(run(doc, STAGES[:1]).doc))
+# existing sentences dropped, so that segment always segments
+_cmd_segment = functools.partial(_stream, step=lambda doc, obj, run, error: json_line(
+    run(doc.with_sentences(()), STAGES[:2]).doc))
+_cmd_abbrev = functools.partial(_stream, step=lambda doc, obj, run, error: _json_lines(
     {"short": {"start": pair.short_form.start, "end": pair.short_form.end},
      "long": {"start": pair.long_form.start, "end": pair.long_form.end}}
-    for pair in _abbreviations(doc, cfg)))
+    for pair in run(doc, STAGES[:3]).pairs))
 
 
 def _cmd_kb(args) -> int:
@@ -210,26 +210,16 @@ def _mention_spans(doc: Document, obj: dict, error) -> list[tuple[int, int]]:
 def _cmd_link(args) -> int:
     index = _load_file(args.index, load_index, "index file")
 
-    def step(doc, obj, cfg, error):
+    def step(doc, obj, run, error):
         spans = _mention_spans(doc, obj, error)
-        expansion = None if args.no_abbrev or not spans else expansion_map(
-            _abbreviations(doc, cfg))
-        for start, end in spans:
-            mention = doc.text[start:end]
-            cs = generate_candidates(index, index.alias_table, mention,
-                                     args.k, expansion, start, end)
-            yield {
-                "mention": mention,
-                "start": start,
-                "end": end,
-                "query_text": cs.query_text,
-                "candidates": [
-                    {"concept_id": c.concept_id, "alias": c.alias,
-                     "score": c.similarity}
-                    for c in cs.candidates
-                ],
-            }
-    return _stream(args, lambda *doc_args: _json_lines(step(*doc_args)))
+        stages = STAGES if spans and not args.no_abbrev else STAGES[3:]
+        return _json_lines(
+            {"mention": cs.mention, "start": cs.start, "end": cs.end,
+             "query_text": cs.query_text,
+             "candidates": [{"concept_id": c.concept_id, "alias": c.alias,
+                             "score": c.similarity} for c in cs.candidates]}
+            for cs in run(doc, stages, index=index, spans=spans, k=args.k).candidate_sets)
+    return _stream(args, step)
 
 
 def _cmd_eval_recall(args) -> int:
@@ -324,6 +314,7 @@ def _checked(parse, ok, expected: str):
 
 
 _POSITIVE = _checked(int, lambda n: n >= 1, "an integer >= 1")
+_FILE = _checked(str, lambda path: path != "-", "a file path other than '-'")
 _K_LIST = _checked(lambda text: [int(k) for k in text.split(",") if k],
                    lambda ks: ks and ks[0] >= 1 and all(a < b for a, b in zip(ks, ks[1:])),
                    "integers, increasing from 1 or more")
@@ -361,7 +352,7 @@ def _build_parser() -> _Parser:
     bp = idx_sub.add_parser("build")
     bp.add_argument("--kb", required=True, metavar="FILE")
     bp.add_argument("--min-df", dest="min_df", type=_POSITIVE, default=10)
-    bp.add_argument("--output", required=True, metavar="FILE")
+    bp.add_argument("--output", required=True, type=_FILE, metavar="FILE")
     bp.set_defaults(func=_cmd_index_build)
 
     p = sub.add_parser("link", help="generate linking candidates for mentions")

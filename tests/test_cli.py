@@ -185,7 +185,7 @@ def test_link_finds_abbreviations_only_with_mentions(run, index_path, monkeypatc
         seen.append(doc.text)
         return find_abbreviations(doc)
 
-    monkeypatch.setattr("bioling.cli.find_abbreviations", counting)
+    monkeypatch.setattr("bioling.abbrev.find_abbreviations", counting)
     code, out, _ = run(["link", "--index", index_path], stdin=json.dumps(obj) + "\n")
     assert code == 0
     assert len(seen) == calls
@@ -584,6 +584,41 @@ def test_custom_rules_via_flag_and_env(run, tmp_path, monkeypatch):
     assert len(doc["tokens"]) == 3
 
 
+@pytest.mark.parametrize("via", ["flag", "env"])
+@pytest.mark.parametrize("command", ["abbrev", "link"])
+@pytest.mark.parametrize("flag, env, config, text, default_pairs", [
+    ("--rules", "BIOLING_RULES", "INFIX .\nPREFIX (\nSUFFIX )\nSUFFIX .\n",
+     "Tumor.Necrosis factor (TNF) rose. TNF fell.", 1),
+    ("--seg-config", "BIOLING_SEG_CONFIG", "NOSPLIT factor.\n",
+     "Mice got tumor necrosis factor. (TNF) rose. TNF fell.", 0),
+], ids=["rules", "seg-config"])
+def test_abbrev_and_link_apply_rules_and_seg_config(run, index_path, tmp_path, monkeypatch,
+                                                     via, command, flag, env, config, text,
+                                                     default_pairs):
+    """Rules that split "Tumor.Necrosis" end a sentence inside the long form;
+    a segmenter config that does not split after "factor." keeps it in the
+    sentence of "(TNF)". Either way the document's one pair comes or goes,
+    and with it the expansion of the mention of the last "TNF"."""
+    path = tmp_path / "config.txt"
+    path.write_text(config)
+    at = text.rindex("TNF")
+    line = json.dumps({"text": text, "mentions": [{"start": at, "end": at + 3}]}) + "\n"
+    argv = [command] + (["--index", index_path] if command == "link" else [])
+
+    def n_pairs(extra):
+        code, out, err = run(argv + extra, stdin=line)
+        assert code == 0, err
+        if command == "abbrev":
+            return len(out_lines(out))
+        (linked,) = out_lines(out)
+        return int(linked["query_text"] != "TNF")
+
+    assert n_pairs([]) == default_pairs
+    if via == "env":
+        monkeypatch.setenv(env, str(path))
+    assert n_pairs([flag, str(path)] if via == "flag" else []) == 1 - default_pairs
+
+
 def test_bad_rules_file_exits_2(run, tmp_path):
     rules = tmp_path / "rules.txt"
     rules.write_text("FROBNICATE x\n")
@@ -696,6 +731,54 @@ def test_index_build_min_df_below_1_exits_1(run, tmp_path, min_df):
                         "--min-df", min_df, "--output", str(tmp_path / "x.blix")])
     assert code == 1
     assert "--min-df" in err
+
+
+@pytest.mark.parametrize("kb", ["toy", "missing"])
+def test_index_build_to_stdout_exits_1(run, toy_kb_path, tmp_path, monkeypatch, kb):
+    # an index is a file: "-" is refused before the KB is read, not written
+    # as a file of that name
+    monkeypatch.chdir(tmp_path)
+    kb_path = toy_kb_path if kb == "toy" else str(tmp_path / "missing.jsonl")
+    code, out, err = run(["index", "build", "--kb", kb_path, "--min-df", "1",
+                          "--output", "-"])
+    assert code == 1 and out == ""
+    assert "argument --output: must be a file path other than '-'" in err
+    assert "missing.jsonl" not in err and not (tmp_path / "-").exists()
+
+
+@pytest.mark.parametrize("via", ["same path", "symlink", "hard link", "stdin"])
+@pytest.mark.parametrize("command", ["tokenize", "segment", "abbrev", "link"])
+def test_output_that_is_the_input_exits_2(run, capsys, index_path, tmp_path, monkeypatch,
+                                          via, command):
+    # opening --output for writing would empty the input before it is read
+    path = tmp_path / "docs.txt"
+    content = ('Tumor necrosis factor (TNF) rose.\n'
+               '{"text": "TNF fell.", "mentions": [{"start": 0, "end": 3}]}\n')
+    path.write_text(content)
+    out = path
+    if via == "symlink":
+        out = tmp_path / "symlink.txt"
+        out.symlink_to(path)
+    elif via == "hard link":
+        out = tmp_path / "hard_link.txt"
+        os.link(path, out)
+    argv = [command, "--output", str(out)] + (
+        ["--index", index_path] if command == "link" else [])
+    if via == "stdin":
+        with open(path, encoding="utf-8") as stdin:
+            monkeypatch.setattr(sys, "stdin", stdin)
+            code, err = main(argv), capsys.readouterr().err
+    else:
+        code, _, err = run(argv + ["--input", str(path)])
+    assert code == 2
+    assert f"error: --output {out} is the input file" in err and "Traceback" not in err
+    assert path.read_text() == content
+
+
+def test_device_as_input_and_output_runs(run):
+    # only a regular file is emptied by writing it
+    code, out, err = run(["tokenize", "--input", os.devnull, "--output", os.devnull])
+    assert (code, out, err) == (0, "", "")
 
 
 @pytest.mark.parametrize("command", ["index build", "tokenize"])
