@@ -2,6 +2,9 @@
 
 All subcommands stream JSON Lines documents in input order, so they
 compose via pipes. Exit codes: 0 success, 1 usage error, 2 data error.
+A file that cannot be read or written exits 2 ("error: <path>: <reason>"),
+and so does, before any file is opened, an output that is a regular file
+the command reads, standard output included.
 Environment: BIOLING_RULES and BIOLING_SEG_CONFIG supply default paths
 for --rules / --seg-config. tokenize, segment, abbrev and link run each
 document of one stream through `bench.run_pipeline`, which `bioling bench`
@@ -51,53 +54,34 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@contextlib.contextmanager
-def _open_in(path: str):
-    """The `Lines` of the file at `path`, or of standard input for "-"."""
-    with contextlib.ExitStack() as stack:
-        yield _load_file(path, lambda p: stack.enter_context(open_lines(p)),
-                         "input file")
-
-
-@contextlib.contextmanager
 def _open_out(path: str):
-    if path == "-":
-        yield sys.stdout
-    else:
-        try:
-            fp = open(path, "w", encoding="utf-8")
-        except OSError as exc:
-            raise DataError(f"cannot write {path}: {exc.strerror}") from None
-        with fp:
-            yield fp
+    """The file at `path` opened for writing, or standard output for "-"."""
+    return contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w", encoding="utf-8")
 
 
-def _load_file(path: str, loader, what: str):
-    """`loader(path)`, with a missing or unreadable file as a DataError."""
-    try:
-        return loader(path)
-    except FileNotFoundError:
-        raise DataError(f"{what} not found: {path}") from None
-    except OSError as exc:
-        raise DataError(f"cannot read {what} {path}: {exc.strerror}") from None
-
-
-# argument attribute -> (environment variable, loader, what it is, default)
+# argument attribute -> (environment variable, loader, default)
 _CONFIGS = {
-    "rules": ("BIOLING_RULES", load_rules, "rules file", default_biomedical_rules),
-    "seg_config": ("BIOLING_SEG_CONFIG", load_segmenter_config, "segmenter config",
-                   default_segmenter_config),
+    "rules": ("BIOLING_RULES", load_rules, default_biomedical_rules),
+    "seg_config": ("BIOLING_SEG_CONFIG", load_segmenter_config, default_segmenter_config),
 }
+# the arguments that name a file a command reads, "-" for standard input
+_READS = ("input", "kb", "index", "gold", "pred", "base", "rules", "seg_config")
 
 
 def _get_config(args, attr: str):
-    """The --rules or --seg-config file (`attr`), else the one its
-    environment variable names, else the default."""
-    env, loader, what, default = _CONFIGS[attr]
-    path = getattr(args, attr, None) or os.environ.get(env)
-    if path:
-        return _load_file(path, loader, what)
-    return default()
+    """The --rules or --seg-config file (`attr`), which `main` fills from its
+    environment variable when unset, else the default."""
+    _, loader, default = _CONFIGS[attr]
+    path = getattr(args, attr)
+    return loader(path) if path else default()
+
+
+def _regular_file(path: str, stream):
+    """The stat of the regular file at `path` (`stream`'s for "-"), else None."""
+    with contextlib.suppress(OSError, ValueError):  # no such file, or a stream without one
+        st = os.fstat(stream.fileno()) if path == "-" else os.stat(path)
+        return st if stat.S_ISREG(st.st_mode) else None
+    return None
 
 
 def _iter_doc_lines(lines: Lines):
@@ -121,24 +105,13 @@ def _iter_doc_lines(lines: Lines):
         yield lineno, doc, obj
 
 
-def _refuse_input_as_output(args) -> None:
-    """A DataError if --output is the regular file --input reads (standard
-    input's for "-"), by any path or link: opening it would empty it."""
-    with contextlib.suppress(OSError, ValueError):  # no such file, or a stdin without one
-        out = os.stat(args.output)
-        src = os.fstat(sys.stdin.fileno()) if args.input == "-" else os.stat(args.input)
-        if args.output != "-" and stat.S_ISREG(out.st_mode) and os.path.samestat(src, out):
-            raise DataError(f"--output {args.output} is the input file; writing would empty it")
-
-
 def _stream(args, step) -> int:
     """Write to --output the text `step(doc, obj, run, error)` yields per
     --input document, JSON lines: `run(doc, stages, ...)` is `run_pipeline`
     with the --rules and any --seg-config, `error(message)` names its line."""
-    _refuse_input_as_output(args)
     cfg = _get_config(args, "seg_config") if "seg_config" in vars(args) else None
     run = functools.partial(run_pipeline, rules=_get_config(args, "rules"), seg_config=cfg)
-    with _open_in(args.input) as fin, _open_out(args.output) as fout:
+    with open_lines(args.input) as fin, _open_out(args.output) as fout:
         for lineno, doc, obj in _iter_doc_lines(fin):
             fout.writelines(step(doc, obj, run, functools.partial(fin.error, lineno)))
     return 0
@@ -163,7 +136,7 @@ _cmd_abbrev = functools.partial(_stream, step=lambda doc, obj, run, error: _json
 
 
 def _cmd_kb(args) -> int:
-    kb = _load_file(args.input, load_kb, "KB file")
+    kb = load_kb(args.input)
     if args.kb_cmd == "validate":
         print(f"OK: {len(kb.concepts)} concepts, {len(kb.alias_table)} aliases")
         return 0
@@ -172,7 +145,7 @@ def _cmd_kb(args) -> int:
 
 
 def _cmd_index_build(args) -> int:
-    kb = _load_file(args.kb, load_kb, "KB file")
+    kb = load_kb(args.kb)
     aliases = kb.alias_surfaces()
     if not aliases:
         raise DataError("KB has no aliases to index")
@@ -181,10 +154,7 @@ def _cmd_index_build(args) -> int:
     except ValueError as exc:
         raise DataError(str(exc))
     index = build_index(kb, vectorizer)
-    try:
-        save_index(index, args.output)
-    except OSError as exc:
-        raise DataError(f"cannot write index {args.output}: {exc.strerror}") from None
+    save_index(index, args.output)
     print(f"indexed {len(index)} alias keys -> {args.output}", file=sys.stderr)
     return 0
 
@@ -208,7 +178,7 @@ def _mention_spans(doc: Document, obj: dict, error) -> list[tuple[int, int]]:
 
 
 def _cmd_link(args) -> int:
-    index = _load_file(args.index, load_index, "index file")
+    index = load_index(args.index)
 
     def step(doc, obj, run, error):
         spans = _mention_spans(doc, obj, error)
@@ -223,9 +193,9 @@ def _cmd_link(args) -> int:
 
 
 def _cmd_eval_recall(args) -> int:
-    index = _load_file(args.index, load_index, "index file")
+    index = load_index(args.index)
     gold = []
-    with _open_in(args.gold) as lines:
+    with open_lines(args.gold) as lines:
         for lineno, line in lines:
             line = line.strip()
             if not line:
@@ -248,7 +218,7 @@ def _cmd_eval_recall(args) -> int:
 
 def _read_docs_jsonl(path: str):
     docs = []
-    with _open_in(path) as lines:
+    with open_lines(path) as lines:
         for lineno, doc, obj in _iter_doc_lines(lines):
             if not obj:
                 raise lines.error(lineno, "expected core_text JSONL documents")
@@ -270,7 +240,7 @@ def _cmd_eval_segmentation(args) -> int:
 
 def _nonempty_lines(path: str) -> list[str]:
     """The stripped nonempty lines of a file; a file with none is a DataError."""
-    with _open_in(path) as lines:
+    with open_lines(path) as lines:
         found = [line.strip() for _, line in lines if line.strip()]
         if not found:
             raise DataError(f"{lines.name}: no nonempty lines")
@@ -290,8 +260,8 @@ def _cmd_eval_citations(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    index = _load_file(args.index, load_index, "index file") if args.index else None
-    with _open_in(args.input) as fin:
+    index = load_index(args.index) if args.index else None
+    with open_lines(args.input) as fin:
         corpus = [(doc.text, _mention_spans(doc, obj, functools.partial(fin.error, lineno)))
                   for lineno, doc, obj in _iter_doc_lines(fin)]
         if not corpus:
@@ -398,6 +368,20 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        for attr, (env, _, _) in _CONFIGS.items():
+            if attr in vars(args) and not getattr(args, attr):
+                setattr(args, attr, os.environ.get(env))
+        # no command writes to a regular file it reads, before any is opened:
+        # opening it would empty it, and appending to it might never end
+        output = getattr(args, "output", "-")
+        if out := _regular_file(output, sys.stdout):
+            for attr in _READS:
+                path = getattr(args, attr, None)
+                src = path and _regular_file(path, sys.stdin)
+                if src and os.path.samestat(src, out):
+                    target = "standard output" if output == "-" else f"--output {output}"
+                    flag = "--" + attr.replace("_", "-")
+                    raise DataError(f"{target} is the input file ({flag} {path})")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -408,6 +392,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except BrokenPipeError:
         return 0
+    except OSError as exc:
+        # a rename (`save_index`) names its target, the user's path, second
+        path = exc.filename2 or exc.filename
+        print(f"error: {f'{path}: ' if path else ''}{exc.strerror or exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

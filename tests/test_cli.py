@@ -775,6 +775,85 @@ def test_output_that_is_the_input_exits_2(run, capsys, index_path, tmp_path, mon
     assert path.read_text() == content
 
 
+# the files of the cases below, by name
+_READ_FILES = {"docs": "Tumor necrosis factor (TNF) rose.\n",
+               "gold": '{"mention": "tumor", "concept_id": "C03"}\n',
+               "rules": "PREFIX (\n", "seg config": "NOSPLIT al.\n"}
+
+
+@pytest.mark.parametrize("argv, flag, env", [
+    pytest.param(["index", "build", "--min-df", "1", "--kb", "{kb}"], "--kb", None,
+                 id="index build --kb"),
+    pytest.param(["eval", "recall", "--index", "{index}", "--gold", "{gold}"], "--gold", None,
+                 id="eval recall --gold"),
+    pytest.param(["eval", "recall", "--gold", "{gold}", "--index", "{index}"], "--index", None,
+                 id="eval recall --index"),
+    pytest.param(["link", "--input", "{docs}", "--index", "{index}"], "--index", None,
+                 id="link --index"),
+    pytest.param(["tokenize", "--input", "{docs}", "--rules", "{rules}"], "--rules", None,
+                 id="tokenize --rules"),
+    pytest.param(["segment", "--input", "{docs}", "--seg-config", "{seg config}"],
+                 "--seg-config", None, id="segment --seg-config"),
+    pytest.param(["abbrev", "--input", "{docs}"], "--seg-config", "BIOLING_SEG_CONFIG",
+                 id="abbrev BIOLING_SEG_CONFIG"),
+])
+def test_output_that_another_input_reads_exits_2(run, toy_kb_path, index_path, tmp_path,
+                                                 monkeypatch, argv, flag, env):
+    # the output is the file `flag` reads, the last argument or else the one
+    # `env` names: writing it would replace or empty that file
+    contents = {name: text.encode() for name, text in _READ_FILES.items()}
+    contents["kb"] = pathlib.Path(toy_kb_path).read_bytes()
+    contents["index"] = pathlib.Path(index_path).read_bytes()
+    paths = {name: tmp_path / name.replace(" ", "_") for name in contents}
+    for name, data in contents.items():
+        paths[name].write_bytes(data)
+    read = paths["seg config"] if env else argv[-1].format_map(paths)
+    if env:
+        monkeypatch.setenv(env, str(read))
+    code, _, err = run([a.format_map(paths) for a in argv] + ["--output", str(read)])
+    assert code == 2
+    assert f"error: --output {read} is the input file ({flag} {read})" in err
+    assert "Traceback" not in err
+    assert all(paths[name].read_bytes() == data for name, data in contents.items())
+
+
+def _cli_process(argv: list[str], env: dict | None = None, **kwargs):
+    """`bioling` run on `argv` in a new process, with this test's package."""
+    package_root = str(pathlib.Path(bioling.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from bioling.cli import main; sys.exit(main())",
+         *argv], env={**os.environ, **(env or {}), "PYTHONPATH": package_root}, **kwargs)
+
+
+def test_stdout_appended_to_the_input_exits_2(tmp_path):
+    # `bioling tokenize --input docs.txt >> docs.txt` would read its own
+    # output back, growing the file without end
+    path = tmp_path / "docs.txt"
+    content = b"IL-2 (interleukin-2) rose.\n" * 400
+    path.write_bytes(content)
+    with open(path, "ab") as stdout:
+        proc = _cli_process(["tokenize", "--input", str(path)], stdout=stdout,
+                            stderr=subprocess.PIPE, timeout=20)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: standard output is the input file (--input {path})\n".encode()
+    assert path.read_bytes() == content
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["tokenize", "--output", "/dev/full"],
+                                  ["kb", "stats", "--input", "{kb}"]],
+                         ids=["tokenize --output", "kb stats"])
+def test_write_error_exits_2(toy_kb_path, argv):
+    # /dev/full fails every write with ENOSPC, as a full disk does; standard
+    # output goes there too, where kb stats writes
+    with open("/dev/full", "wb") as full:
+        proc = _cli_process([a.format(kb=toy_kb_path) for a in argv], input=b"IL-2 rose.\n",
+                            stdout=full, stderr=subprocess.PIPE, timeout=60)
+    err = proc.stderr.decode()
+    assert proc.returncode == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_device_as_input_and_output_runs(run):
     # only a regular file is emptied by writing it
     code, out, err = run(["tokenize", "--input", os.devnull, "--output", os.devnull])
@@ -818,12 +897,8 @@ def test_lone_surrogate_in_kb_exits_2(run, tmp_path, argv):
 
 def test_non_utf8_stdin_exits_2_under_c_locale():
     # a C locale decodes stdin with surrogateescape unless the CLI checks it
-    package_root = str(pathlib.Path(bioling.__file__).resolve().parents[1])
-    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONPATH": package_root}
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys; from bioling.cli import main; sys.exit(main())",
-         "tokenize"],
-        input=b'{"text": "fine"}\n\xff\n', capture_output=True, env=env, timeout=60)
+    proc = _cli_process(["tokenize"], env={"LC_ALL": "C", "PYTHONUTF8": "0"},
+                        input=b'{"text": "fine"}\n\xff\n', capture_output=True, timeout=60)
     assert proc.returncode == 2
     assert b"standard input: line 2: not valid UTF-8" in proc.stderr
     assert b"\xff" not in proc.stdout and b"Traceback" not in proc.stderr
