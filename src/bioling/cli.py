@@ -154,7 +154,10 @@ def _cmd_index_build(args) -> int:
     except ValueError as exc:
         raise DataError(str(exc))
     index = build_index(kb, vectorizer)
-    save_index(index, args.output)
+    try:
+        save_index(index, args.output)
+    except OSError as exc:  # it names its temporary file, not the user's path
+        raise OSError(exc.errno, exc.strerror, args.output) from exc
     print(f"indexed {len(index)} alias keys -> {args.output}", file=sys.stderr)
     return 0
 
@@ -382,7 +385,9 @@ def main(argv: list[str] | None = None) -> int:
                     target = "standard output" if output == "-" else f"--output {output}"
                     flag = "--" + attr.replace("_", "-")
                     raise DataError(f"{target} is the input file ({flag} {path})")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a write error here, not at exit, where it would be ignored
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(parser.format_usage().rstrip(), file=sys.stderr)
@@ -393,10 +398,14 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         return 0
     except OSError as exc:
-        # a rename (`save_index`) names its target, the user's path, second
-        path = exc.filename2 or exc.filename
+        path = exc.filename
         print(f"error: {f'{path}: ' if path else ''}{exc.strerror or exc}", file=sys.stderr)
         return 2
+    finally:  # what stdout still holds would fail again at exit, ignored, with code 120
+        try:
+            sys.stdout.flush()
+        except OSError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 if __name__ == "__main__":
