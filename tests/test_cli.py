@@ -844,19 +844,30 @@ def test_stdout_appended_to_the_input_exits_2(tmp_path):
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("argv", [["tokenize", "--output", "/dev/full"],
-                                  ["tokenize"],
-                                  ["kb", "stats", "--input", "{kb}"]],
-                         ids=["tokenize --output", "tokenize", "kb stats"])
-def test_write_error_exits_2(toy_kb_path, argv, unbuffered):
+@pytest.mark.parametrize("argv, target", [
+    pytest.param(["tokenize", "--output", "/dev/full"], "--output /dev/full",
+                 id="tokenize --output"),
+    pytest.param(["tokenize"], "standard output", id="tokenize"),
+    pytest.param(["kb", "stats", "--input", "{kb}"], "standard output", id="kb stats"),
+    pytest.param(["segment", "--input", "{text}", "--output", "/dev/full"], "--output /dev/full",
+                 id="segment --input --output"),
+    pytest.param(["eval", "recall", "--index", "{index}", "--gold", "{gold}",
+                  "--output", "/dev/full"], "--output /dev/full", id="eval recall --output")])
+def test_write_error_exits_2(toy_kb_path, index_path, tmp_path, argv, target, unbuffered):
     # /dev/full fails every write with ENOSPC, as a full disk does; standard
     # output goes there too, where tokenize and kb stats write. Buffered, the
     # output is first written when flushed, after the command has returned.
+    # The error names the output, which the OSError of a write does not.
+    paths = {"kb": toy_kb_path, "index": index_path,
+             "text": tmp_path / "docs.txt", "gold": tmp_path / "gold.jsonl"}
+    paths["text"].write_text("IL-2 rose.\n")
+    paths["gold"].write_bytes(_GOOD_GOLD + b"\n")
     with open("/dev/full", "wb") as full:
-        proc = _cli_process([a.format(kb=toy_kb_path) for a in argv], input=b"IL-2 rose.\n",
+        proc = _cli_process([a.format(**paths) for a in argv], input=b"IL-2 rose.\n",
                             env={"PYTHONUNBUFFERED": unbuffered},
                             stdout=full, stderr=subprocess.PIPE, timeout=60)
-    assert (proc.returncode, proc.stderr) == (2, b"error: No space left on device\n")
+    assert (proc.returncode, proc.stderr.decode()) == (
+        2, f"error: {target}: No space left on device\n")
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])

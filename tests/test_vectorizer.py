@@ -216,6 +216,9 @@ ALIASES = st.lists(st.text(alphabet=st.sampled_from(_ALIAS_CHARS), max_size=10),
 # an all-OOV row (the emoji's grams occur once) in the second chunk, and
 # grams ("ba") first seen there
 @example(["ab", "ab", "\U0001F600", "ba", "ba"], 2, 2)
+# a second chunk of grams never seen before, one below the first chunk's
+# (" a ") and one above (" z "): `fit` inserts at both ends of its vocabulary
+@example(["m", "m", "a", "z"], 1, 2)
 @settings(max_examples=300, deadline=None)
 def test_array_pass_matches_reference(aliases, min_df, chunk):
     # small chunks, so most examples span several of them
@@ -258,22 +261,36 @@ def test_array_pass_matches_reference_over_chunks(synth_kb):
     assert_matches_reference(aliases, 10)
 
 
-# the tracemalloc peak of `fit` on the synthetic KB's 10k aliases (206k
-# characters) at the module's `_CHUNK`: 2.2 MB in chunks of 1,024 strings,
-# 7.9 MB in chunks of 4,096 (numpy 2.4, Python 3.11); a chunk's temporary
-# arrays take about 90 bytes per character
-FIT_PEAK_MB = 4.5
-
-
-def test_fit_memory(synth_kb):
-    aliases = synth_kb.alias_surfaces()
+def fit_peak_mb(aliases) -> float:
+    """The tracemalloc peak of `fit` on `aliases`, in MB."""
     tracemalloc.start()
     try:
         NgramVectorizer.fit(aliases, min_df=10)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1] / 1e6
     finally:
         tracemalloc.stop()
-    assert peak / 1e6 < FIT_PEAK_MB
+
+
+# the tracemalloc peak of `fit` on the synthetic KB's 10k aliases (206k
+# characters) at the module's `_CHUNK`: 1.1 MB in chunks of 512 strings,
+# 2.2 MB in chunks of 1,024 and 7.9 MB in chunks of 4,096 (numpy 2.4,
+# Python 3.11); a chunk's temporary arrays take about 90 bytes per character
+FIT_PEAK_MB = 2.0
+
+
+def test_fit_memory(synth_kb):
+    assert fit_peak_mb(synth_kb.alias_surfaces()) < FIT_PEAK_MB
+
+
+# the same peak in chunks of 16 strings, 625 of them: 0.20 MB, as `fit`
+# folds each chunk into one running vocabulary; keeping every chunk's grams
+# and counts until the end, as `fit` did before, reads 5.9 MB
+FIT_MANY_CHUNKS_PEAK_MB = 1.0
+
+
+def test_fit_memory_does_not_grow_with_the_chunk_count(synth_kb):
+    with mock.patch.object(vectorizer, "_CHUNK", 16):
+        assert fit_peak_mb(synth_kb.alias_surfaces()) < FIT_MANY_CHUNKS_PEAK_MB
 
 
 @pytest.mark.parametrize("name, id_type", [
