@@ -329,7 +329,7 @@ def _build_parser() -> _Parser:
     bp.set_defaults(func=_cmd_index_build)
 
     p = sub.add_parser("link", help="generate linking candidates for mentions")
-    p.add_argument("--index", required=True, metavar="FILE")
+    p.add_argument("--index", required=True, type=_FILE, metavar="FILE")
     p.add_argument("--k", type=_POSITIVE, default=30)
     p.add_argument("--no-abbrev", dest="no_abbrev", action="store_true")
     add_stream(p, _cmd_link)
@@ -338,7 +338,7 @@ def _build_parser() -> _Parser:
     ev_sub = p.add_subparsers(dest="eval_cmd", required=True)
 
     rp = ev_sub.add_parser("recall")
-    rp.add_argument("--index", required=True, metavar="FILE")
+    rp.add_argument("--index", required=True, type=_FILE, metavar="FILE")
     rp.add_argument("--gold", required=True, metavar="FILE")
     rp.add_argument("--k-list", dest="k_list", type=_K_LIST, default="1,5,10,25,50,100")
     rp.add_argument("--output", default="-", metavar="FILE|-")
@@ -358,7 +358,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("bench", help="throughput benchmark")
     p.add_argument("--input", required=True, metavar="FILE")
-    p.add_argument("--index", metavar="FILE")
+    p.add_argument("--index", type=_FILE, metavar="FILE")
     p.add_argument("--reps", type=_POSITIVE, default=3)
     p.add_argument("--warmup", type=_checked(int, lambda n: n >= 0, "an integer >= 0"),
                    default=1)

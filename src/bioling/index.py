@@ -41,16 +41,17 @@ so beside the index it holds one string list's offsets, text and UTF-8
 bytes at most: at 1M perfbench aliases it adds 24-49 MB to the 841 MB
 `build_index` leaves, and `bioling index build` peaks at 891-892 MB,
 where making every array first read 906-930 MB (2-core VM). `load_index`
-raises `IndexFormatError` on any damaged, malformed or older file. It
-reads each array straight into the buffer the index keeps, except the
-int32 posting rows, which it widens into theirs a block of `_BLOCK` rows
-at a time (as `save_index` narrows them), and carries the CRC over the
-arrays as it reads them; the file is never held whole (a pipe or FIFO,
-which cannot seek, is read into one `io.BytesIO` first). Every byte is
-checked against the CRC before any field, so a damaged file is reported
-as such whatever its counts say, and a count that runs past the end of
-the file is rejected before anything is allocated. Constructors trust
-their inputs; the reader checks them.
+raises `IndexFormatError` on any damaged, malformed or older file. Past
+the magic, the size and the version, it checks the CRC over the whole
+file first, 1 MiB at a time in one buffer, so a damaged file is reported
+as such whatever its counts say, before any array is allocated. Only
+then does it read each array straight into the buffer the index keeps,
+except the int32 posting rows, which it widens into theirs a block of
+`_BLOCK` rows at a time (as `save_index` narrows them); a count that
+runs past the end of the file is rejected before anything is allocated.
+The file is never held whole (a pipe or FIFO, which cannot seek, is read
+into one `io.BytesIO` first). Constructors trust their inputs; the
+reader checks them.
 """
 
 from __future__ import annotations
@@ -258,59 +259,51 @@ def save_index(index: AliasIndex, path: str) -> None:
         raise
 
 
-def _crc_of_rest(fp: BinaryIO, n: int, crc: int) -> int:
-    """`crc` carried over the next `n` bytes of `fp`, read a block at a time."""
-    while n > 0:
-        block = fp.read(min(n, 1 << 20))
-        if not block:
+def _check_crc(fp: BinaryIO, end: int) -> None:
+    """Check bytes [0, end) of `fp` against the CRC-32 trailer at `end`,
+    read a block at a time into one buffer."""
+    fp.seek(0)
+    buf = memoryview(bytearray(min(end, 1 << 20)))
+    crc, pos = 0, 0
+    while pos < end:
+        n = fp.readinto(buf[:end - pos])
+        if not n:
             raise IndexFormatError("unexpected end of file")
-        crc, n = zlib.crc32(block, crc), n - len(block)
-    return crc
+        crc, pos = zlib.crc32(buf[:n], crc), pos + n
+    if crc != int.from_bytes(fp.read(4), "little"):
+        raise IndexFormatError("CRC-32 mismatch: the file is damaged")
 
 
-def _read_arrays(fp: BinaryIO, end: int, crc: int) -> list[np.ndarray]:
+def _read_arrays(fp: BinaryIO, end: int) -> list[np.ndarray]:
     """The arrays after the header, which `fp` is positioned at; `end` is where
-    the CRC-32 trailer starts and `crc` the CRC-32 of the header.
+    the CRC-32 trailer starts.
 
-    Each array is read into a buffer of its own, the one the index keeps,
-    and the CRC is carried over it. The int32 rows are read a block at a
-    time and widened into an int64 buffer (`np.add.at` would convert them
-    on every query), so no whole int32 copy is ever held. A count
-    that runs past `end` stops the reading before anything is allocated;
-    the rest of the bytes are still checked against the trailer first, so
-    damage reads as damage whatever the counts say."""
-    arrays, problem, pos = [], None, fp.tell()
+    Each array is read into a buffer of its own, the one the index keeps.
+    The int32 rows are read a block at a time and widened into an int64
+    buffer (`np.add.at` would convert them on every query), so no whole
+    int32 copy is ever held. A count that runs past `end` is rejected
+    before anything is allocated."""
+    arrays, pos = [], fp.tell()
     for dtype in map(np.dtype, _ARRAYS):
-        count = fp.read(8)
-        n = int.from_bytes(count, "little")
+        n = int.from_bytes(fp.read(8), "little")
         # a count cut short by `end` fails this too, whatever it reads as
-        if pos + 8 + n * dtype.itemsize > end:
-            problem = "unexpected end of file"
-            fp.seek(pos)
-            break
+        pos += 8 + n * dtype.itemsize
+        if pos > end:
+            raise IndexFormatError("unexpected end of file")
         arr = np.empty(n, dtype=np.int64 if dtype.kind == "i" else dtype)
         # the int32 rows are read a block at a time into `buf` and widened
         # into `arr`; every other array is read in place
         buf = None if arr.dtype == dtype else np.empty(min(n, _BLOCK), dtype)
-        crc = zlib.crc32(count, crc)
         for lo in range(0, n, _BLOCK):
             dst = arr[lo:lo + _BLOCK]
             block = dst if buf is None else buf[:len(dst)]
             if fp.readinto(block) != block.nbytes:
                 raise IndexFormatError("unexpected end of file")
-            crc = zlib.crc32(block, crc)
             if buf is not None:
                 dst[:] = block
         arrays.append(arr)
-        pos += 8 + n * dtype.itemsize
-    else:
-        if pos != end:
-            problem = f"{end - pos} trailing bytes after the postings"
-    crc = _crc_of_rest(fp, end - pos, crc)
-    if crc != int.from_bytes(fp.read(4), "little"):
-        raise IndexFormatError("CRC-32 mismatch: the file is damaged")
-    if problem:
-        raise IndexFormatError(problem)
+    if pos != end:
+        raise IndexFormatError(f"{end - pos} trailing bytes after the postings")
     return arrays
 
 
@@ -377,8 +370,10 @@ def _parse_index(fp: BinaryIO) -> AliasIndex:
             f"unsupported format version {version} (expected {FORMAT_VERSION}); "
             "rebuild the index with `bioling index build`")
     # the CRC-32 trailer covers every byte before it
+    _check_crc(fp, size - 4)
+    fp.seek(_HEADER.size)
     (codes, df, alias_offsets, alias_bytes, id_ptr, id_offsets, id_bytes,
-     post_ptr, post_rows, post_weights) = _read_arrays(fp, size - 4, zlib.crc32(header))
+     post_ptr, post_rows, post_weights) = _read_arrays(fp, size - 4)
     # a repeated code would shadow an earlier gram id in the vocabulary
     if np.any(codes[1:] <= codes[:-1]):
         raise IndexFormatError("gram codes must be strictly increasing")

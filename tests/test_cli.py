@@ -746,6 +746,17 @@ def test_index_build_to_stdout_exits_1(run, toy_kb_path, tmp_path, monkeypatch, 
     assert "missing.jsonl" not in err and not (tmp_path / "-").exists()
 
 
+@pytest.mark.parametrize("command", [["link"], ["eval", "recall", "--gold", "gold.jsonl"],
+                                     ["bench", "--input", "docs.txt"]],
+                         ids=["link", "eval recall", "bench"])
+def test_index_from_stdin_exits_1(run, tmp_path, monkeypatch, command):
+    # an index is a file: "-" is refused, not opened as a file of that name
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run([*command, "--index", "-"])
+    assert code == 1 and out == ""
+    assert "argument --index: must be a file path other than '-', got '-'" in err
+
+
 @pytest.mark.parametrize("via", ["same path", "symlink", "hard link", "stdin"])
 @pytest.mark.parametrize("command", ["tokenize", "segment", "abbrev", "link"])
 def test_output_that_is_the_input_exits_2(run, capsys, index_path, tmp_path, monkeypatch,
