@@ -86,12 +86,9 @@ def _regular_file(path: str, stream):
 
 def _iter_doc_lines(lines: Lines):
     """Yield (lineno, doc, obj) per nonempty input line: a JSON object with
-    a "text" field is a core_text document, any other line raw text (`obj`
-    {})."""
+    a "text" field is a core_text document, any other line raw text, as
+    read (`obj` {})."""
     for lineno, line in lines:
-        line = line.rstrip("\n")
-        if not line.strip():
-            continue
         if line.lstrip().startswith("{"):
             obj = lines.json_object(lineno, line)
             if "text" not in obj:
@@ -147,8 +144,8 @@ def _cmd_kb(args) -> int:
 def _cmd_index_build(args) -> int:
     kb = load_kb(args.kb)
     aliases = kb.alias_surfaces()
-    if not aliases:
-        raise DataError("KB has no aliases to index")
+    if not aliases:  # every concept has an alias, so the file had no concept
+        raise DataError(f"{kb.source_path or 'standard input'}: no nonempty lines")
     try:
         vectorizer = NgramVectorizer.fit(aliases, min_df=args.min_df)
     except ValueError as exc:
@@ -200,16 +197,13 @@ def _cmd_eval_recall(args) -> int:
     gold = []
     with open_lines(args.gold) as lines:
         for lineno, line in lines:
-            line = line.strip()
-            if not line:
-                continue
             obj = lines.json_object(lineno, line)
             for field in ("mention", "concept_id"):
                 if not isinstance(obj.get(field), str) or not obj[field]:
                     raise lines.error(lineno, f"'{field}' must be a nonempty string")
             gold.append(GoldMention(obj["mention"], obj["concept_id"]))
-    if not gold:
-        raise DataError("empty gold mention set")
+        if not gold:
+            raise DataError(f"{lines.name}: no nonempty lines")
     curve = recall_at_k(index, gold, args.k_list)
     with _open_out(args.output) as fout:
         fout.write("k,recall,mean_candidates,max_candidates\n")
@@ -226,6 +220,8 @@ def _read_docs_jsonl(path: str):
             if not obj:
                 raise lines.error(lineno, "expected core_text JSONL documents")
             docs.append(doc)
+        if not docs:
+            raise DataError(f"{lines.name}: no nonempty lines")
     return docs
 
 
@@ -241,17 +237,11 @@ def _cmd_eval_segmentation(args) -> int:
     return 0
 
 
-def _nonempty_lines(path: str) -> list[str]:
-    """The stripped nonempty lines of a file; a file with none is a DataError."""
-    with open_lines(path) as lines:
-        found = [line.strip() for _, line in lines if line.strip()]
-        if not found:
-            raise DataError(f"{lines.name}: no nonempty lines")
-    return found
-
-
 def _cmd_eval_citations(args) -> int:
-    base = _nonempty_lines(args.base)
+    with open_lines(args.base) as lines:
+        base = [line.strip() for _, line in lines]
+        if not base:
+            raise DataError(f"{lines.name}: no nonempty lines")
     cfg = _get_config(args, "seg_config")
     try:
         corpus = [sent for sent, _ in make_citation_corpus(base, args.seed, args.n)]

@@ -38,20 +38,17 @@ version 4 (see docs/index-format.md): a header, flat typed arrays and a
 CRC-32 trailer. `save_index` replaces the target atomically and makes
 each string list's arrays only once the arrays before them are written,
 so beside the index it holds one string list's offsets, text and UTF-8
-bytes at most: at 1M perfbench aliases it adds 24-49 MB to the 841 MB
-`build_index` leaves, and `bioling index build` peaks at 891-892 MB,
-where making every array first read 906-930 MB (2-core VM). `load_index`
-raises `IndexFormatError` on any damaged, malformed or older file. Past
-the magic, the size and the version, it checks the CRC over the whole
-file first, 1 MiB at a time in one buffer, so a damaged file is reported
-as such whatever its counts say, before any array is allocated. Only
-then does it read each array straight into the buffer the index keeps,
-except the int32 posting rows, which it widens into theirs a block of
-`_BLOCK` rows at a time (as `save_index` narrows them); a count that
-runs past the end of the file is rejected before anything is allocated.
-The file is never held whole (a pipe or FIFO, which cannot seek, is read
-into one `io.BytesIO` first). Constructors trust their inputs; the
-reader checks them.
+bytes at most. `load_index` raises `IndexFormatError` on any damaged,
+malformed or older file. Past the magic, the size and the version, it
+checks the CRC over the whole file first, 1 MiB at a time in one buffer,
+so a damaged file is reported as such whatever its counts say, before
+any array is allocated. Only then does it read each array straight into
+the buffer the index keeps, except the int32 posting rows, which it
+widens into theirs a block of `_BLOCK` rows at a time (as `save_index`
+narrows them); a count that runs past the end of the file is rejected
+before anything is allocated. The file is never held whole (a pipe or
+FIFO, which cannot seek, is read into one `io.BytesIO` first).
+Constructors trust their inputs; the reader checks them.
 """
 
 from __future__ import annotations

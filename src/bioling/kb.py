@@ -113,6 +113,12 @@ def _parse_concept(obj: dict, lines: Lines, lineno: int,
         raise lines.error(lineno, "types must be a list of strings")
     if definition is not None and not isinstance(definition, str):
         raise lines.error(lineno, "definition must be a string or null")
+    # a blank name normalizes to the key "", which no query reaches
+    if canonical.isspace():
+        raise lines.error(lineno, f"canonical_name is blank: {canonical!r}")
+    for i, alias in enumerate(aliases):
+        if not alias or alias.isspace():
+            raise lines.error(lineno, f"aliases[{i}] is blank: {alias!r}")
     # canonical name is always an alias of its own concept; a literal
     # match needs no normalizing, and the alias's string serves for both
     if canonical in aliases:
@@ -131,11 +137,7 @@ def load_kb(path: str) -> KnowledgeBase:
     shared_types: dict[tuple[str, ...], tuple[str, ...]] = {}
     with open_lines(path, KBFormatError) as lines:
         for lineno, line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            obj = lines.json_object(lineno, line)
-            concept = _parse_concept(obj, lines, lineno, shared_types)
+            concept = _parse_concept(lines.json_object(lineno, line), lines, lineno, shared_types)
             if concept.concept_id in concepts:
                 raise lines.error(lineno, f"duplicate concept_id {concept.concept_id!r}")
             concepts[concept.concept_id] = concept

@@ -1,8 +1,10 @@
 """Line input: KB, document, gold, base-sentence, bench and rule files are
-all read and checked here, through `open_lines`. With surrogateescape, a
-byte that is not UTF-8 fails its own line, not a whole read-ahead block.
-A bad line raises InputError (or a subclass) reading "<file>: line <n>:
-<message>", with "standard input" for "-"."""
+all read and checked here, through `open_lines`. Every one of them skips
+a line of whitespace only, and a JSON line may carry whitespace around
+its object. With surrogateescape, a byte that is not UTF-8 fails its own
+line, not a whole read-ahead block. A bad line raises InputError (or a
+subclass) reading "<file>: line <n>: <message>", with "standard input"
+for "-"."""
 
 import contextlib
 import io
@@ -26,11 +28,13 @@ def _lone_surrogate(text: str) -> str | None:
 
 class Lines:
     """Numbered lines of a text file or a text in memory, and errors naming
-    them. Iterating yields (lineno, line) from 1; a line holding an
-    undecoded byte (a lone surrogate) raises. A text in memory is split as
-    a file opened with universal newlines is: at LF, CR and CR LF only, not
-    at the other line boundaries of `str.splitlines` (VT, FF, FS, GS, RS,
-    NEL, U+2028, U+2029). With `name` None, errors read "line <n>: ..."."""
+    them. Iterating yields (lineno, line) from 1 for each line with a
+    non-whitespace character, without its line end; the lines skipped are
+    counted. A line holding an undecoded byte (a lone surrogate) raises.
+    A text in memory is split as a file opened with universal newlines is:
+    at LF, CR and CR LF only, not at the other line boundaries of
+    `str.splitlines` (VT, FF, FS, GS, RS, NEL, U+2028, U+2029). With
+    `name` None, errors read "line <n>: ..."."""
 
     def __init__(self, source: str | Iterable[str], name: str | None = None,
                  error: type[InputError] = InputError):
@@ -40,20 +44,23 @@ class Lines:
 
     def __iter__(self) -> Iterator[tuple[int, str]]:
         for lineno, line in enumerate(self._source, start=1):
+            if line.isspace():  # no lone surrogate is whitespace
+                continue
             # isascii is O(1), so only lines with other characters are scanned
             if not line.isascii() and _lone_surrogate(line):
                 raise self.error(lineno, "not valid UTF-8")
-            yield lineno, line
+            yield lineno, line.removesuffix("\n")
 
     def error(self, lineno: int, message: str) -> InputError:
         where = f"line {lineno}" if self.name is None else f"{self.name}: line {lineno}"
         return self._error(f"{where}: {message}")
 
     def json_object(self, lineno: int, line: str) -> dict:
-        """The JSON object on a line. Rejects invalid or too deep JSON, other
-        values, and a lone surrogate in a top-level string or string list."""
+        """The JSON object on a line, whitespace around it ignored. Rejects
+        invalid or too deep JSON, other values, and a lone surrogate in a
+        top-level string or string list."""
         try:
-            obj = json.loads(line)
+            obj = json.loads(line.strip())
         except (ValueError, RecursionError) as exc:
             raise self.error(lineno, f"invalid JSON: {exc}") from None
         if not isinstance(obj, dict):

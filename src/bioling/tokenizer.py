@@ -24,9 +24,9 @@ suffixes, none shadowed by a longer affix. Such a chunk becomes its
 prefix, core and suffixes straight from the scan, unless the core is a
 special case or, with affixes, the core of a protected or special
 literal that the peeling might meet. That is 95.6% of the chunks of
-diverse perfbench abstracts (81.7% with bare cores only) and 99.2% of
-repetitive ones; the rest, mostly infix units like "mg/kg" and
-"p<0.05", goes through the rules. Prefixes, suffixes and infixes each
+diverse perfbench abstracts and 99.2% of repetitive ones; the rest,
+mostly infix units like "mg/kg" and "p<0.05", goes through the rules.
+Prefixes, suffixes and infixes each
 become one regex alternation, which tries alternatives in list order;
 suffixes are reversed and matched on the chunk reversed once. A piece is
 looked up in the protected and special literals only when it is no
@@ -113,13 +113,13 @@ class RulesFileError(InputError):
 def _directives(lines: Lines, table: dict[str, bool]) -> Iterator[tuple[int, str, str]]:
     """Yield (lineno, DIRECTIVE, arg) per directive line of a rules file.
 
-    Blank lines and '#' comments are skipped; directive names are
-    case-insensitive. `table` maps each known directive to whether it
+    '#' comments are skipped, as `Lines` skips blank lines; directive names
+    are case-insensitive. `table` maps each known directive to whether it
     takes an argument (arg is "" for one that does not).
     """
-    for lineno, raw in lines:
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for lineno, line in lines:
+        line = line.strip()
+        if line.startswith("#"):
             continue
         parts = line.split(None, 1)
         directive = parts[0].upper()

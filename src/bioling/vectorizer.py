@@ -29,11 +29,7 @@ order and their document frequencies: it adds the counts of the grams
 seen before and inserts the new ones in place, so it holds one chunk
 and the vocabulary however many chunks there are. On the 10k-alias
 synthetic KB of the tests (206k characters) the traced peak of `fit` is
-1.1 MB and of `build_index` 5.1 MB, 3.0 MB of it the postings kept,
-against 2.2 and 6.0 MB in chunks of 1,024 strings and 7.9 and 12.0 MB in
-chunks of 4,096; on the abstracts-20k benchmark peak resident memory
-fell from ~73 to ~66 MB in chunks of 1,024 and to ~64 MB in chunks of
-512, with no slower set-up (2-core VM).
+1.1 MB and of `build_index` 5.1 MB, 3.0 MB of it the postings kept.
 
 `encode_csc` gives every row the bits `encode` gives. Its squared norms
 come from the same `np.dot`, one call per row (~0.12 s per 100k rows);
@@ -51,9 +47,7 @@ entry counts, each in the smallest type that holds them (3 bytes per
 entry below 65,536 grams, against the 16 of the output), and counts each
 gram's rows. The second allocates the output once, weights each chunk,
 and scatters its entries, stably sorted by gram, to the end of each
-gram's list so far. At 1M perfbench aliases `bioling index build` peaked
-at 1,090 MB this way, against 1,551 MB encoding the rows and then
-transposing them whole (2-core VM); it peaks at 891-892 MB since.
+gram's list so far.
 """
 
 from __future__ import annotations

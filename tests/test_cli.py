@@ -425,15 +425,27 @@ def test_bad_flag_value_exits_1(run, tmp_path, index_path, argv, flag):
     assert flag in err and "missing.txt" not in err
 
 
-@pytest.mark.parametrize("argv", [["eval", "citations", "--base"],
-                                  ["bench", "--input"]],
-                         ids=["base sentences", "bench corpus"])
-def test_file_of_blank_lines_exits_2(run, tmp_path, argv):
+@pytest.mark.parametrize("argv", [
+    ["eval", "citations", "--base", "{path}"],
+    ["bench", "--input", "{path}"],
+    ["eval", "recall", "--index", "{index}", "--gold", "{path}"],
+    ["index", "build", "--kb", "{path}", "--output", "{out}"],
+    # --pred is read first, so the missing --gold is not reported
+    ["eval", "segmentation", "--pred", "{path}", "--gold", "{missing}"],
+], ids=["base sentences", "bench corpus", "gold", "KB", "pred documents"])
+def test_file_of_blank_lines_exits_2(run, tmp_path, index_path, argv):
+    content = "\n  \n\x0c\n"
     path = tmp_path / "blank.txt"
-    path.write_text("\n  \n")
-    code, _, err = run(argv + [str(path)])
-    assert code == 2
-    assert f"{path}: no nonempty lines" in err and "Traceback" not in err
+    path.write_text(content)
+    out = tmp_path / "out.blix"
+    # the file by its path, standard input by that name
+    for source, name, stdin in [(path, path, ""), ("-", "standard input", content)]:
+        code, _, err = run([a.format(path=source, index=index_path, out=out,
+                                     missing=tmp_path / "missing.jsonl") for a in argv],
+                           stdin=stdin)
+        assert code == 2
+        assert err == f"error: {name}: no nonempty lines\n"
+        assert not out.exists()
 
 
 def test_eval_segmentation(run, tmp_path):
@@ -722,6 +734,53 @@ def test_bad_line_names_file_and_line(run, index_path, tmp_path, kind, bad):
     assert err.startswith(f"error: {name}: line 2: ") and "Traceback" not in err
     if bad == "not UTF-8":
         assert err == f"error: {name}: line 2: not valid UTF-8\n"
+
+
+@pytest.mark.parametrize("kind", sorted(_LINE_INPUTS))
+def test_blank_lines_and_crlf_ends_in_every_input(run, index_path, tmp_path, kind):
+    # whitespace-only lines are skipped but counted, and CR LF line ends
+    # read as LF: the same output, or the same error at the same line
+    argv, good, malformed = _LINE_INPUTS[kind]
+    text = tmp_path / "text.txt"
+    text.write_text("A line (B) [1].\n")
+
+    def run_lines(lines, end):
+        content = b"".join(line + end for line in lines)
+        path = tmp_path / "input"
+        path.write_bytes(content)
+        stdin = kind == "document stdin"
+        code, out, err = run([a.format(path="-" if stdin else path, index=index_path, text=text)
+                              for a in argv], stdin=content if stdin else b"")
+        if kind == "bench corpus" and code == 0:  # its counts, not its times
+            out = {k: v for k, v in json.loads(out).items() if k.startswith("n_")}
+        return code, out, err
+
+    lines = [b" \t", good, b"\x0c", b"\t\x0c"]
+    result = run_lines(lines, b"\n")
+    assert result[0] == 0, result
+    assert run_lines(lines, b"\r\n") == result
+    # the malformed KB line is the good one again, bad only after it
+    for bad in [b"\xff", *([malformed] if malformed not in (None, good) else [])]:
+        lines = [b" \t", b"\x0c", bad]
+        code, _, err = result = run_lines(lines, b"\n")
+        assert code == 2 and ": line 3: " in err and "Traceback" not in err, err
+        assert run_lines(lines, b"\r\n") == result
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["tokenize"], {"text": "IL-2 rose."}),
+    (["kb", "validate", "--input", "-"], {"concept_id": "C1", "canonical_name": "A b"}),
+    (["eval", "recall", "--index", "{index}", "--gold", "-"],
+     {"mention": "tumor", "concept_id": "C03"}),
+], ids=["document", "KB", "gold"])
+def test_json_line_with_surrounding_whitespace(run, index_path, argv, line):
+    # a form feed is whitespace to `str.strip` but not to JSON; a document
+    # line that starts with one is still a document, not raw text
+    argv = [a.format(index=index_path) for a in argv]
+    expected = run(argv, stdin=json.dumps(line) + "\n")
+    assert expected[0] == 0, expected
+    for padded in (f"\x0c{json.dumps(line)}", f" \x0c{json.dumps(line)}\x0c\t\u3000"):
+        assert run(argv, stdin=padded + "\n") == expected
 
 
 @pytest.mark.parametrize("min_df", ["0", "-3"])

@@ -111,6 +111,16 @@ def test_rejects_non_string_aliases(tmp_path):
      "line 2: types must be a list of strings"),
     ({"concept_id": "X2", "canonical_name": "B", "definition": 5},
      "line 2: definition must be a string or null"),
+    # a blank name would normalize to the key "", shared by every blank one
+    ({"concept_id": "X2", "canonical_name": "   "}, r"line 2: canonical_name is blank: '   '"),
+    ({"concept_id": "X2", "canonical_name": "\t\x0c", "aliases": ["b"]},
+     r"line 2: canonical_name is blank: '\\t\\x0c'"),
+    ({"concept_id": "X2", "canonical_name": "B", "aliases": [""]},
+     r"line 2: aliases\[0\] is blank: ''"),
+    ({"concept_id": "X2", "canonical_name": "B", "aliases": ["b", " "]},
+     r"line 2: aliases\[1\] is blank: ' '"),
+    ({"concept_id": "X2", "canonical_name": "B", "aliases": ["b", "\u3000\n"]},
+     r"line 2: aliases\[1\] is blank: '\\u3000\\n'"),
 ])
 def test_rejects_malformed_concept_line(tmp_path, line, match):
     path = write_kb(tmp_path, [{"concept_id": "X1", "canonical_name": "A"}, line])
