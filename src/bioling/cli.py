@@ -4,7 +4,8 @@ All subcommands stream JSON Lines documents in input order, so they
 compose via pipes. Exit codes: 0 success, 1 usage error, 2 data error.
 A file that cannot be read or written exits 2 ("error: <path>: <reason>"),
 and so does, before any file is opened, an output that is a regular file
-the command reads, standard output included.
+the command reads, standard output included, or an `index build --output`
+that exists and is not a regular file.
 Environment: BIOLING_RULES and BIOLING_SEG_CONFIG supply default paths
 for --rules / --seg-config. tokenize, segment, abbrev and link run each
 document of one stream through `bench.run_pipeline`, which `bioling bench`
@@ -142,6 +143,9 @@ def _cmd_kb(args) -> int:
 
 
 def _cmd_index_build(args) -> int:
+    # `save_index` renames a file over it, which would replace a FIFO or device
+    if os.path.exists(args.output) and not os.path.isfile(args.output):
+        raise DataError(f"--output {args.output}: not a regular file")
     kb = load_kb(args.kb)
     aliases = kb.alias_surfaces()
     if not aliases:  # every concept has an alias, so the file had no concept

@@ -28,10 +28,9 @@ included. `np.partition` then finds the k-th best kept score, and only
 the rows scoring at least that much are sorted, by score descending with
 a stable sort over ascending rows.
 
-Surfaces with the same `normalize_alias` key have identical vectors, so
-each key has one row: its smallest surface, carrying the key's concept
-ids. A top-k slot is thus one alias key. `build_index` finds these rows
-in one pass over the KB's (concept, alias) pairs, each normalized once.
+The rows are `KnowledgeBase.alias_table`'s: a normalized alias key's
+smallest surface, with the key's concept ids (surfaces of one key have
+identical vectors). A top-k slot is thus one alias key.
 
 Persistence: single little-endian binary file, magic "BLIX", format
 version 4 (see docs/index-format.md): a header, flat typed arrays and a
@@ -63,7 +62,7 @@ from typing import BinaryIO, Iterator
 
 import numpy as np
 
-from .kb import KnowledgeBase, normalize_alias
+from .kb import KnowledgeBase
 from .vectorizer import NgramVectorizer, SparseVector, gram_code_points
 
 MAGIC = b"BLIX"
@@ -168,33 +167,9 @@ class AliasIndex:
 
 
 def build_index(kb: KnowledgeBase, vectorizer: NgramVectorizer) -> AliasIndex:
-    """Index one row per alias key of the KB, in alias order: the smallest
-    surface of the key, with the key's concept ids, sorted. One pass over
-    the KB's (concept, alias) pairs normalizes each pair once, without
-    `kb.alias_table`; `encode_csc` makes the posting lists."""
-    # key -> (smallest surface, concept id of each pair): tuples of strings,
-    # which the garbage collector stops tracking; lists, which it tracks to
-    # the end, took ~0.15 s longer on a 100k-alias KB (2-core VM). An
-    # already normalized alias is its own key, not a copy
-    by_key: dict[str, tuple[str, ...]] = {}
-    for concept in kb.concepts.values():
-        cid = concept.concept_id
-        for alias in concept.aliases:
-            key = normalize_alias(alias)
-            row = by_key.get(key)
-            by_key[key] = (alias, cid) if row is None else (min(alias, row[0]), *row[1:], cid)
-    # surfaces of distinct keys differ, so rows sort by surface alone (at 1M
-    # aliases in 1.0 s, against 2.2 s comparing whole rows)
-    rows = sorted(by_key.values(), key=operator.itemgetter(0))
-    # free the keys before the ids are copied out, so the copies can reuse
-    # their memory
-    del by_key
-    # most keys have one pair, whose id needs no sorting
-    alias_table = {row[0]: row[1:] if len(row) == 2 else tuple(sorted(set(row[1:])))
-                   for row in rows}
-    del rows
-    post_ptr, post_rows, post_weights = vectorizer.encode_csc(list(alias_table))
-    return AliasIndex(alias_table, post_ptr, post_rows, post_weights, vectorizer)
+    """Index the rows of `kb.alias_table`, sharing the dict, by `encode_csc`."""
+    post_ptr, post_rows, post_weights = vectorizer.encode_csc(list(kb.alias_table))
+    return AliasIndex(kb.alias_table, post_ptr, post_rows, post_weights, vectorizer)
 
 
 # -- persistence --------------------------------------------------------
@@ -216,7 +191,7 @@ def _arrays(index: AliasIndex) -> Iterator[np.ndarray]:
     made only once the arrays before them have been written."""
     yield from (index.vectorizer.codes, index.vectorizer.df)
     yield from _string_list(index.aliases)
-    ids = [index.alias_table[alias] for alias in index.aliases]
+    ids = list(index.alias_table.values())
     yield _offsets(ids)
     yield from _string_list(list(itertools.chain.from_iterable(ids)))
     yield from (index.post_ptr, index.post_rows, index.post_weights)

@@ -1,10 +1,10 @@
 """Line input: KB, document, gold, base-sentence, bench and rule files are
 all read and checked here, through `open_lines`. Every one of them skips
-a line of whitespace only, and a JSON line may carry whitespace around
-its object. With surrogateescape, a byte that is not UTF-8 fails its own
-line, not a whole read-ahead block. A bad line raises InputError (or a
-subclass) reading "<file>: line <n>: <message>", with "standard input"
-for "-"."""
+a line of whitespace only and a UTF-8 byte order mark opening the input,
+and a JSON line may carry whitespace around its object. With
+surrogateescape, a byte that is not UTF-8 fails its own line, not a whole
+read-ahead block. A bad line raises InputError (or a subclass) reading
+"<file>: line <n>: <message>", with "standard input" for "-"."""
 
 import contextlib
 import io
@@ -35,6 +35,7 @@ class Lines:
     at LF, CR and CR LF only, not at the other line boundaries of
     `str.splitlines` (VT, FF, FS, GS, RS, NEL, U+2028, U+2029). With
     `name` None, errors read "line <n>: ..."."""
+    _decoder = json.JSONDecoder()
 
     def __init__(self, source: str | Iterable[str], name: str | None = None,
                  error: type[InputError] = InputError):
@@ -59,8 +60,10 @@ class Lines:
         """The JSON object on a line, whitespace around it ignored. Rejects
         invalid or too deep JSON, other values, and a lone surrogate in a
         top-level string or string list."""
-        try:
-            obj = json.loads(line.strip())
+        try:  # decoded in place, so an error's column is the line's own
+            obj, end = self._decoder.raw_decode(line, len(line) - len(line.lstrip()))
+            if rest := line[end:].lstrip():
+                raise json.JSONDecodeError("Extra data", line, len(line) - len(rest))
         except (ValueError, RecursionError) as exc:
             raise self.error(lineno, f"invalid JSON: {exc}") from None
         if not isinstance(obj, dict):
@@ -77,13 +80,14 @@ class Lines:
 
 @contextlib.contextmanager
 def open_lines(path: str, error: type[InputError] = InputError) -> Iterator[Lines]:
-    """The `Lines` of the file at `path`, or of standard input for "-"."""
+    """The `Lines` of the file at `path`, or of standard input for "-"; a
+    byte order mark opening either is dropped."""
     if path != "-":
-        with open(path, encoding="utf-8", errors="surrogateescape") as fp:
+        with open(path, encoding="utf-8-sig", errors="surrogateescape") as fp:
             yield Lines(fp, path, error)
         return
     # detached afterwards, so closing the wrapper leaves stdin open
-    fp = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8", errors="surrogateescape")
+    fp = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8-sig", errors="surrogateescape")
     try:
         yield Lines(fp, "standard input", error)
     finally:

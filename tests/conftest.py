@@ -511,15 +511,33 @@ def cjk_kb(n_aliases: int = 17_000) -> KnowledgeBase:
     return KnowledgeBase({f"J{i}": Concept(f"J{i}", w, (w,)) for i, w in enumerate(words)})
 
 
-def reference_build_index(kb: KnowledgeBase, vectorizer: NgramVectorizer) -> AliasIndex:
-    """`build_index` by its earlier rules: each key's smallest surface from
-    a sort of every surface, the key's ids from `kb.alias_table`, and the
-    postings from `encode`'s rows by a stable argsort of the `int32` gram
-    ids."""
+def reference_alias_keys(kb: KnowledgeBase) -> dict[str, frozenset[str]]:
+    """Each normalized alias key, in order of first appearance, with the ids
+    of the concepts that have it, grouped one (concept, alias) pair at a
+    time: the alias table `KnowledgeBase` once kept."""
+    table: dict[str, set[str]] = {}
+    for concept in kb.concepts.values():
+        for alias in concept.aliases:
+            table.setdefault(normalize_alias(alias), set()).add(concept.concept_id)
+    return {key: frozenset(ids) for key, ids in table.items()}
+
+
+def reference_alias_rows(kb: KnowledgeBase) -> dict[str, tuple[str, ...]]:
+    """`KnowledgeBase.alias_table` by earlier rules: each key's smallest
+    surface from a sort of every surface, in that order, with the key's ids
+    from `reference_alias_keys`, sorted."""
+    keys = reference_alias_keys(kb)
     smallest: dict[str, str] = {}
     for alias in sorted(kb.alias_surfaces()):
         smallest.setdefault(normalize_alias(alias), alias)
-    alias_table = {alias: tuple(sorted(kb.alias_table[key])) for key, alias in smallest.items()}
+    return {alias: tuple(sorted(keys[key])) for key, alias in smallest.items()}
+
+
+def reference_build_index(kb: KnowledgeBase, vectorizer: NgramVectorizer) -> AliasIndex:
+    """`build_index` by its earlier rules: the rows of `reference_alias_rows`,
+    and the postings from `encode`'s rows by a stable argsort of the `int32`
+    gram ids."""
+    alias_table = reference_alias_rows(kb)
     indptr, indices, weights = reference_csr(vectorizer, alias_table)
     by_gram = np.argsort(indices, kind="stable")
     post_rows = np.repeat(np.arange(len(alias_table)), np.diff(indptr))[by_gram]

@@ -27,7 +27,8 @@ from bioling.tokenizer import tokenize
 from bioling.vectorizer import NgramVectorizer, SparseVector, extract_3grams
 
 from conftest import (
-    ADVERSARIAL_FAMILIES, BruteForceOracle, dot, index_row, longest_word_mentions, synth_alias,
+    ADVERSARIAL_FAMILIES, BruteForceOracle, dot, index_row, longest_word_mentions,
+    reference_alias_keys, synth_alias,
 )
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -88,10 +89,11 @@ def perturb(rng, s):
 def synth_gold(synth_kb):
     rng = random.Random(1234)
     surfaces = synth_kb.alias_surfaces()
+    keys = reference_alias_keys(synth_kb)
     gold = []
     while len(gold) < 300:
         alias = rng.choice(surfaces)
-        cids = synth_kb.alias_table[normalize_alias(alias)]
+        cids = keys[normalize_alias(alias)]
         gold.append(GoldMention(perturb(rng, alias), sorted(cids)[0]))
     return gold
 

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import pathlib
+import stat
 import subprocess
 import sys
 import tempfile
@@ -538,9 +539,16 @@ def test_missing_input_file_exits_2(run):
 
 
 def test_invalid_json_line_exits_2(run):
-    code, _, err = run(["tokenize"], stdin='{"text": broken}\n')
-    assert code == 2
-    assert "line 1" in err
+    for line, where in [
+        ('{"text": broken}', "column 10 (char 9)"),
+        # columns count from the start of the line, not of the object
+        ('  {"text": broken}', "column 12 (char 11)"),
+        ('\t{"text": "A"} {}', "Extra data: line 1 column 16 (char 15)"),
+    ]:
+        code, _, err = run(["tokenize"], stdin=line + "\n")
+        assert code == 2
+        assert err.startswith("error: standard input: line 1: invalid JSON: ")
+        assert err.endswith(f"{where}\n"), err
 
 
 # nested past the recursion limit, so `json.loads` raises RecursionError
@@ -687,6 +695,8 @@ def test_non_utf8_input_exits_2(run, tmp_path, argv):
 
 _GOOD_GOLD = b'{"mention": "tumor", "concept_id": "C03"}'
 _GOOD_CONCEPT = b'{"concept_id": "C1", "canonical_name": "A"}'
+# the UTF-8 byte order mark, U+FEFF encoded
+BOM = "\ufeff".encode()
 # input -> (argv, with {path} for the file or "-", a good line 1, a bad line 2)
 _LINE_INPUTS = {
     "document file": (["tokenize", "--input", "{path}"], b'{"text": "A"}',
@@ -738,8 +748,9 @@ def test_bad_line_names_file_and_line(run, index_path, tmp_path, kind, bad):
 
 @pytest.mark.parametrize("kind", sorted(_LINE_INPUTS))
 def test_blank_lines_and_crlf_ends_in_every_input(run, index_path, tmp_path, kind):
-    # whitespace-only lines are skipped but counted, and CR LF line ends
-    # read as LF: the same output, or the same error at the same line
+    # whitespace-only lines are skipped but counted, CR LF line ends read as
+    # LF, and a UTF-8 byte order mark opening the input is dropped: the same
+    # output, or the same error at the same line
     argv, good, malformed = _LINE_INPUTS[kind]
     text = tmp_path / "text.txt"
     text.write_text("A line (B) [1].\n")
@@ -759,12 +770,15 @@ def test_blank_lines_and_crlf_ends_in_every_input(run, index_path, tmp_path, kin
     result = run_lines(lines, b"\n")
     assert result[0] == 0, result
     assert run_lines(lines, b"\r\n") == result
+    assert run_lines([BOM + good, *lines[2:]], b"\n") == result
+    assert run_lines([BOM + lines[0], *lines[1:]], b"\r\n") == result
     # the malformed KB line is the good one again, bad only after it
     for bad in [b"\xff", *([malformed] if malformed not in (None, good) else [])]:
         lines = [b" \t", b"\x0c", bad]
         code, _, err = result = run_lines(lines, b"\n")
         assert code == 2 and ": line 3: " in err and "Traceback" not in err, err
         assert run_lines(lines, b"\r\n") == result
+        assert run_lines([BOM + lines[0], *lines[1:]], b"\n") == result
 
 
 @pytest.mark.parametrize("argv, line", [
@@ -781,6 +795,8 @@ def test_json_line_with_surrounding_whitespace(run, index_path, argv, line):
     assert expected[0] == 0, expected
     for padded in (f"\x0c{json.dumps(line)}", f" \x0c{json.dumps(line)}\x0c\t\u3000"):
         assert run(argv, stdin=padded + "\n") == expected
+    # a byte order mark opening standard input is not text before the object
+    assert run(argv, stdin=BOM + json.dumps(line).encode() + b"\n") == expected
 
 
 @pytest.mark.parametrize("min_df", ["0", "-3"])
@@ -803,6 +819,26 @@ def test_index_build_to_stdout_exits_1(run, toy_kb_path, tmp_path, monkeypatch, 
     assert code == 1 and out == ""
     assert "argument --output: must be a file path other than '-'" in err
     assert "missing.jsonl" not in err and not (tmp_path / "-").exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
+@pytest.mark.parametrize("via_link", [False, True], ids=["fifo", "link to fifo"])
+@pytest.mark.parametrize("kb", ["toy", "missing"])
+def test_index_build_onto_a_fifo_exits_2(run, toy_kb_path, tmp_path, via_link, kb):
+    # the build renames a new file over its target: a FIFO, or a symlink to
+    # one, is refused before the KB is read, and left as it is
+    fifo = tmp_path / "p"
+    os.mkfifo(fifo)
+    target = fifo
+    if via_link:
+        target = tmp_path / "link"
+        target.symlink_to(fifo)
+    kb_path = toy_kb_path if kb == "toy" else str(tmp_path / "missing.jsonl")
+    code, out, err = run(["index", "build", "--kb", kb_path, "--min-df", "1",
+                          "--output", str(target)])
+    assert (code, out, err) == (2, "", f"error: --output {target}: not a regular file\n")
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode) and target.resolve() == fifo
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted({"p", target.name})
 
 
 @pytest.mark.parametrize("command", [["link"], ["eval", "recall", "--gold", "gold.jsonl"],

@@ -12,7 +12,7 @@ from bioling.linker import generate_candidates
 from bioling.segmenter import default_segmenter_config, segment
 from bioling.tokenizer import tokenize
 
-from conftest import ADVERSARIAL_FAMILIES
+from conftest import ADVERSARIAL_FAMILIES, reference_alias_keys
 
 BASE_SENTENCES = [
     "Treatment significantly reduced tumor growth in the cohort.",
@@ -68,7 +68,8 @@ def test_recall_points_equal_one_search_per_k(synth_index, synth_kb):
     separate `generate_candidates` call per mention and k."""
     # clipped aliases, so the gold concept is often below rank 1, and one
     # out-of-vocabulary mention
-    gold = [GoldMention(alias[:-3], min(synth_kb.alias_table[normalize_alias(alias)]))
+    keys = reference_alias_keys(synth_kb)
+    gold = [GoldMention(alias[:-3], min(keys[normalize_alias(alias)]))
             for alias in synth_kb.alias_surfaces()[:6000:150]]
     gold.append(GoldMention("xyzzy qqq", "C0000001"))
     ks = [1, 2, 5, 25, 60]

@@ -22,7 +22,8 @@ from bioling.vectorizer import NgramVectorizer, SparseVector, zero_vector
 
 from conftest import (
     BLIX_CORRUPTIONS, BruteForceOracle, blix_array_starts, cjk_kb, fitted_state, index_row,
-    make_synthetic_kb, reference_build_index, sealed, stand_in, synth_alias, write_corrupt_blix,
+    make_synthetic_kb, reference_alias_keys, reference_build_index, sealed, stand_in, synth_alias,
+    write_corrupt_blix,
 )
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -38,13 +39,25 @@ def query_pool(n, seed):
 
 def test_build_indexes_every_distinct_alias(toy_kb, toy_index):
     # one row per alias key: its smallest surface, with the key's concepts
-    assert len(toy_index) == len(toy_kb.alias_table)
+    keys = reference_alias_keys(toy_kb)
+    assert len(toy_index) == len(keys)
     assert toy_index.aliases == sorted(toy_index.alias_table) == list(toy_index.alias_table)
     for alias, ids in toy_index.alias_table.items():
         key = normalize_alias(alias)
         assert alias == min(a for a in toy_kb.alias_surfaces() if normalize_alias(a) == key)
-        assert ids == tuple(sorted(toy_kb.alias_table[key]))
+        assert ids == tuple(sorted(keys[key]))
     assert "Cancer" in toy_index.alias_table and "cancer" not in toy_index.alias_table
+
+
+def test_index_shares_the_kb_alias_table(toy_kb, tmp_path):
+    # the index keeps the KB's row table itself, and a saved index loads it back
+    vec = NgramVectorizer.fit(toy_kb.alias_surfaces(), min_df=1)
+    index = build_index(toy_kb, vec)
+    assert index.alias_table is toy_kb.alias_table
+    assert index.aliases == list(toy_kb.alias_table)
+    path = str(tmp_path / "shared.blix")
+    save_index(index, path)
+    assert load_index(path).alias_table == toy_kb.alias_table
 
 
 def test_exact_match_scores_one(toy_index):
@@ -500,7 +513,7 @@ def test_save_of_load_is_byte_identical(concept_aliases, min_df):
         key = normalize_alias(alias)
         smallest[key] = min(smallest.get(key, alias), alias)
     assert index.aliases == sorted(smallest.values())
-    assert len(index) == len(kb.alias_table)
+    assert len(index) == len(reference_alias_keys(kb))
     with tempfile.TemporaryDirectory() as directory:
         first, second = os.path.join(directory, "a.blix"), os.path.join(directory, "b.blix")
         save_index(index, first)

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import tempfile
 import tracemalloc
 
@@ -12,7 +13,7 @@ from bioling.kb import (
     Concept, KBFormatError, KnowledgeBase, kb_stats, load_kb, normalize_alias, save_kb,
 )
 
-from conftest import synth_alias
+from conftest import reference_alias_keys, reference_alias_rows, synth_alias
 
 
 def write_kb(tmp_path, lines, name="kb.jsonl"):
@@ -33,11 +34,20 @@ def test_load_toy_kb(toy_kb):
 
 def test_canonical_name_becomes_alias(toy_kb):
     assert "Lung Cancer" in toy_kb.concepts["C01"].aliases
-    assert toy_kb.alias_table["lung cancer"] == frozenset({"C01"})
+    assert reference_alias_keys(toy_kb)["lung cancer"] == frozenset({"C01"})
+    assert toy_kb.alias_table["Lung Cancer"] == ("C01",)
 
 
 def test_shared_alias_maps_to_multiple_concepts(toy_kb):
-    assert toy_kb.alias_table["cancer"] == frozenset({"C01", "C02", "C03"})
+    assert reference_alias_keys(toy_kb)["cancer"] == frozenset({"C01", "C02", "C03"})
+    assert toy_kb.alias_table["Cancer"] == ("C01", "C02", "C03")
+
+
+@pytest.mark.parametrize("fixture", ["toy_kb", "synth_kb"])
+def test_alias_table_equals_reference_rows(request, fixture):
+    # one row per key, in increasing surface order
+    kb = request.getfixturevalue(fixture)
+    assert list(kb.alias_table.items()) == list(reference_alias_rows(kb).items())
 
 
 def test_normalize_alias():
@@ -66,12 +76,20 @@ def test_rejects_duplicate_concept_id(tmp_path):
 
 
 def test_rejects_invalid_json_with_line_number(tmp_path):
-    path = write_kb(tmp_path, [
-        {"concept_id": "X1", "canonical_name": "A"},
-        "{broken",
-    ])
-    with pytest.raises(KBFormatError, match="line 2"):
-        load_kb(path)
+    for line, where in [
+        ("{broken", "column 2 (char 1)"),
+        # columns count from the start of the line, not of the object
+        ("  {broken", "column 4 (char 3)"),
+        (' \u3000{"a": [1, }', "column 13 (char 12)"),
+        ('\x0c{"concept_id": "X2", "canonical_name": "B"} x',
+         "Extra data: line 1 column 46 (char 45)"),
+    ]:
+        path = write_kb(tmp_path, [
+            {"concept_id": "X1", "canonical_name": "A"},
+            line,
+        ])
+        with pytest.raises(KBFormatError, match=f"line 2: invalid JSON: .*{re.escape(where)}$"):
+            load_kb(path)
 
 
 def test_rejects_deeply_nested_json_with_line_number(tmp_path):
@@ -228,7 +246,8 @@ def test_ingest_equals_eager_rules(records):
             fp.writelines(json.dumps(rec) + "\n" for rec in records)
         kb = load_kb(path)
     assert {cid: c.aliases for cid, c in kb.concepts.items()} == aliases_of
-    assert list(kb.alias_table.items()) == list(table.items())
+    assert list(reference_alias_keys(kb).items()) == list(table.items())
+    assert list(kb.alias_table.items()) == list(reference_alias_rows(kb).items())
 
 
 def test_synthetic_kb_shape(synth_kb):
