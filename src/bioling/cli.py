@@ -60,19 +60,19 @@ def _open_out(path: str):
     return contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w", encoding="utf-8")
 
 
-# argument attribute -> (environment variable, loader, default)
+# argument attribute -> (loader, default)
 _CONFIGS = {
-    "rules": ("BIOLING_RULES", load_rules, default_biomedical_rules),
-    "seg_config": ("BIOLING_SEG_CONFIG", load_segmenter_config, default_segmenter_config),
+    "rules": (load_rules, default_biomedical_rules),
+    "seg_config": (load_segmenter_config, default_segmenter_config),
 }
 # the arguments that name a file a command reads, "-" for standard input
 _READS = ("input", "kb", "index", "gold", "pred", "base", "rules", "seg_config")
 
 
 def _get_config(args, attr: str):
-    """The --rules or --seg-config file (`attr`), which `main` fills from its
-    environment variable when unset, else the default."""
-    _, loader, default = _CONFIGS[attr]
+    """The --rules or --seg-config file (`attr`), whose argparse default is
+    its environment variable, else the shipped default."""
+    loader, default = _CONFIGS[attr]
     path = getattr(args, attr)
     return loader(path) if path else default()
 
@@ -86,17 +86,15 @@ def _regular_file(path: str, stream):
 
 
 def _iter_doc_lines(lines: Lines):
-    """Yield (lineno, doc, obj) per nonempty input line: a JSON object with
-    a "text" field is a core_text document, any other line raw text, as
-    read (`obj` {})."""
+    """Yield (lineno, doc, obj) per nonempty input line: a line opening with
+    "{" is a JSON object that `from_json_obj` reads as a core_text document,
+    any other line raw text, as read (`obj` {})."""
     for lineno, line in lines:
         if line.lstrip().startswith("{"):
             obj = lines.json_object(lineno, line)
-            if "text" not in obj:
-                raise lines.error(lineno, "document object needs a 'text' field")
             try:
                 doc = from_json_obj(obj)
-            except (KeyError, TypeError, ValueError) as exc:
+            except ValueError as exc:
                 raise lines.error(lineno, f"malformed document: {exc}") from None
         else:
             doc, obj = Document(line), {}
@@ -294,9 +292,10 @@ def _build_parser() -> _Parser:
 
     def add_stream(p, func, seg_config=True):
         """--rules, --seg-config unless told not to, --input and --output."""
-        p.add_argument("--rules", metavar="FILE")
+        p.add_argument("--rules", metavar="FILE", default=os.environ.get("BIOLING_RULES"))
         if seg_config:
-            p.add_argument("--seg-config", dest="seg_config", metavar="FILE")
+            p.add_argument("--seg-config", metavar="FILE",
+                           default=os.environ.get("BIOLING_SEG_CONFIG"))
         p.add_argument("--input", default="-", metavar="FILE|-")
         p.add_argument("--output", default="-", metavar="FILE|-")
         p.set_defaults(func=func)
@@ -347,7 +346,7 @@ def _build_parser() -> _Parser:
     cp.add_argument("--n", type=_POSITIVE, default=500)
     cp.add_argument("--seed", type=int, default=13)
     cp.add_argument("--base", required=True, metavar="FILE")
-    cp.add_argument("--seg-config", dest="seg_config", metavar="FILE")
+    cp.add_argument("--seg-config", metavar="FILE", default=os.environ.get("BIOLING_SEG_CONFIG"))
     cp.set_defaults(func=_cmd_eval_citations)
 
     p = sub.add_parser("bench", help="throughput benchmark")
@@ -366,9 +365,6 @@ def main(argv: list[str] | None = None) -> int:
     target = "standard output"  # where the command writes, for errors
     try:
         args = parser.parse_args(argv)
-        for attr, (env, _, _) in _CONFIGS.items():
-            if attr in vars(args) and not getattr(args, attr):
-                setattr(args, attr, os.environ.get(env))
         output = getattr(args, "output", "-")
         if output != "-":
             target = f"--output {output}"

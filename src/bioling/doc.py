@@ -106,25 +106,28 @@ def json_line(doc: Document) -> Iterator[str]:
 
 
 def from_json_obj(obj: dict) -> Document:
-    """Rebuild a Document from its JSON form.
+    """Rebuild a Document from its JSON object, checked in one pass.
 
     Surfaces and whitespace are recovered from the text and the spans, so a
-    valid document survives the round trip through `json_line`. Raises
-    ValueError, naming the token, on a span that is not integers, out of
-    range, empty or not after the previous one, or on non-whitespace text
-    before, between or after the tokens; and, naming the sentence, on
-    sentences that do not cover the tokens in order without gaps or overlaps.
+    valid document survives the round trip through `json_line`. The first
+    fault, in field order and then item order, raises ValueError, the only
+    exception that escapes, naming 'text' if not a string, 'tokens' or
+    'sentences' if not a list, or the token or sentence whose offsets are
+    missing, not integers, out of range or out of order, or that leaves
+    non-whitespace text or a token uncovered.
     """
-    text = obj["text"]
+    text = obj.get("text")
     if not isinstance(text, str):
-        raise ValueError("text must be a string")
+        raise ValueError("'text' must be a string")
     items = obj.get("tokens", [])
+    if not isinstance(items, list):
+        raise ValueError("'tokens' must be a list")
     # one pass: a token is built once the next one's start is known, since
     # its trailing whitespace is the gap before that start
     tokens = []
     leading = text
     prev_start = prev_end = 0
-    try:
+    try:  # only the lookups of an item raise KeyError or TypeError
         for i, t in enumerate(items):
             start, end = t["start"], t["end"]
             # only JSON integers are offsets; bool is an int subclass in Python
@@ -142,30 +145,30 @@ def from_json_obj(obj: dict) -> Document:
             else:
                 leading = gap
             prev_start, prev_end = start, end
-    except ValueError:
-        # a later token without "start" or "end" is reported first, as when
-        # every span was read before any was checked
-        for t in items[i + 1:]:
-            t["start"], t["end"]
-        raise
+    except (KeyError, TypeError):
+        raise ValueError(f"token {i}: needs 'start' and 'end'") from None
     if items:
         trailing = text[prev_end:]
         if trailing.strip():
             raise ValueError(f"token {len(items) - 1}: non-whitespace text after it")
         tokens.append(Token(text[prev_start:prev_end], prev_start, prev_end, trailing))
-    sentences = tuple(
-        SentenceSpan(s["first_token"], s["last_token"])
-        for s in obj.get("sentences", [])
-    )
+    items = obj.get("sentences", [])
+    if not isinstance(items, list):
+        raise ValueError("'sentences' must be a list")
+    sentences = []
     next_first = 0
-    for i, s in enumerate(sentences):
-        if not (type(s.first_token) is int and type(s.last_token) is int
-                and next_first == s.first_token <= s.last_token < len(tokens)):
-            raise ValueError(
-                f"sentence {i}: tokens [{s.first_token}, {s.last_token}] do not "
-                f"start at token {next_first} or lie outside the {len(tokens)} tokens")
-        next_first = s.last_token + 1
+    try:
+        for i, s in enumerate(items):
+            first, last = s["first_token"], s["last_token"]
+            if not (type(first) is int and type(last) is int
+                    and next_first == first <= last < len(tokens)):
+                raise ValueError(
+                    f"sentence {i}: tokens [{first}, {last}] do not start at token "
+                    f"{next_first} or lie outside the {len(tokens)} tokens")
+            sentences.append(SentenceSpan(first, last))
+            next_first = last + 1
+    except (KeyError, TypeError):
+        raise ValueError(f"sentence {i}: needs 'first_token' and 'last_token'") from None
     if sentences and next_first != len(tokens):
         raise ValueError(f"sentence {len(sentences) - 1}: ends before the last token")
-    return Document(text, tuple(tokens), sentences, leading)
-
+    return Document(text, tuple(tokens), tuple(sentences), leading)

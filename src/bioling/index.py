@@ -216,8 +216,9 @@ def _write_index(fp: BinaryIO, index: AliasIndex) -> None:
 
 
 def save_index(index: AliasIndex, path: str) -> None:
-    """Write the index to `path` atomically: a temporary file in the same
-    directory is renamed over it only once completely written."""
+    """Write the index to `path`, through any symlink, atomically: a temporary
+    file beside the target is renamed over it only once completely written."""
+    path = os.path.realpath(path)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fp:

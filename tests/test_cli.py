@@ -592,6 +592,23 @@ def test_bad_sentence_span_exits_2(run):
     assert "line 1" in err and "sentence 0" in err
 
 
+@pytest.mark.parametrize("line, message", [
+    ('{"text": "ab", "tokens": [{"start": 0}]}', "token 0: needs 'start' and 'end'"),
+    ('{"text": "ab", "tokens": [1]}', "token 0: needs 'start' and 'end'"),
+    ('{"text": "ab", "tokens": null}', "'tokens' must be a list"),
+    ('{"text": "ab", "sentences": [{"first_token": 0}]}',
+     "sentence 0: needs 'first_token' and 'last_token'"),
+    ('{"text": "ab", "tokens": [{"start": 5, "end": 9}, 7]}',
+     "token 0: span [5, 9) is empty, past the end of the text (2) or overlaps the previous "
+     "token"),
+    ('{"tokens": []}', "'text' must be a string"),
+], ids=["no end", "not an object", "tokens null", "no last_token", "first fault", "no text"])
+def test_malformed_document_names_its_field(run, line, message):
+    code, out, err = run(["tokenize"], stdin=line + "\n")
+    assert (code, out) == (2, "")
+    assert err == f"error: standard input: line 1: malformed document: {message}\n"
+
+
 def test_custom_rules_via_flag_and_env(run, tmp_path, monkeypatch):
     rules = tmp_path / "rules.txt"
     rules.write_text("INFIX @\n")
@@ -602,6 +619,16 @@ def test_custom_rules_via_flag_and_env(run, tmp_path, monkeypatch):
     code, out, _ = run(["tokenize"], stdin="a@b\n")
     (doc,) = out_lines(out)
     assert len(doc["tokens"]) == 3
+
+
+def test_empty_rules_flag_is_the_shipped_rules(run, tmp_path, monkeypatch):
+    # the variable is the flag's default, which an explicit "" overrides
+    rules = tmp_path / "rules.txt"
+    rules.write_text("INFIX @\n")
+    shipped = run(["tokenize"], stdin="a@b\n")
+    monkeypatch.setenv("BIOLING_RULES", str(rules))
+    assert run(["tokenize"], stdin="a@b\n") != shipped
+    assert run(["tokenize", "--rules", ""], stdin="a@b\n") == shipped
 
 
 @pytest.mark.parametrize("via", ["flag", "env"])
@@ -839,6 +866,27 @@ def test_index_build_onto_a_fifo_exits_2(run, toy_kb_path, tmp_path, via_link, k
     assert (code, out, err) == (2, "", f"error: --output {target}: not a regular file\n")
     assert stat.S_ISFIFO(os.lstat(fifo).st_mode) and target.resolve() == fifo
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted({"p", target.name})
+
+
+@pytest.mark.parametrize("target", ["real.blix", "new.blix", "missing/new.blix"],
+                         ids=["live link", "dangling link", "link into a missing directory"])
+def test_index_build_through_a_symlink_writes_its_target(run, toy_kb_path, tmp_path, target):
+    # the new file is renamed over the file the link names, so the link is kept
+    (tmp_path / "real.blix").write_bytes(b"old")
+    link = tmp_path / "link.blix"
+    link.symlink_to(target)
+    argv = ["index", "build", "--kb", toy_kb_path, "--min-df", "1", "--output"]
+    assert run([*argv, str(tmp_path / "direct.blix")])[0] == 0
+    code, _, err = run([*argv, str(link)])
+    assert link.is_symlink() and os.readlink(link) == target
+    names = {"direct.blix", "link.blix", "real.blix"}  # and no temporary file
+    if target.startswith("missing/"):
+        assert (code, err) == (2, f"error: {link}: No such file or directory\n")
+    else:
+        assert code == 0
+        assert (tmp_path / target).read_bytes() == (tmp_path / "direct.blix").read_bytes()
+        names.add(target)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
 
 
 @pytest.mark.parametrize("command", [["link"], ["eval", "recall", "--gold", "gold.jsonl"],

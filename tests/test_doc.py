@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import tracemalloc
 from unittest import mock
 
@@ -103,9 +104,23 @@ def test_jsonl_io_round_trip():
     # JSON booleans decode to bool, an int subclass
     ("cancer", [(False, 6)], "token 0: start and end must be integers"),
     ("a", [(False, True)], "token 0: start and end must be integers"),
+    # an item without both keys, or not an object
+    ("ab", [(0,)], "token 0: needs 'start' and 'end'"),
+    ("ab", [{"end": 1}], "token 0: needs 'start' and 'end'"),
+    ("ab", [1], "token 0: needs 'start' and 'end'"),
+    ("ab", [None], "token 0: needs 'start' and 'end'"),
+    ("ab", ["start"], "token 0: needs 'start' and 'end'"),
+    ("ab", [[0, 1]], "token 0: needs 'start' and 'end'"),
+    ("cancer cell", [(0, 6), (7,)], "token 1: needs 'start' and 'end'"),
+    # the first faulty token is named, whatever follows it
+    ("ab", [(5, 9), 7], "token 0: span"),
+    # a "tokens" field that is not a list
+    ("ab", None, "'tokens' must be a list"),
+    ("ab", {"start": 0, "end": 2}, "'tokens' must be a list"),
+    ("ab", "[]", "'tokens' must be a list"),
 ])
 def test_from_json_obj_rejects_bad_spans(text, spans, match):
-    obj = {"text": text, "tokens": [{"start": a, "end": b} for a, b in spans]}
+    obj = {"text": text, "tokens": json_items(spans, ("start", "end"))}
     with pytest.raises(ValueError, match=match):
         from_json_obj(obj)
 
@@ -119,26 +134,107 @@ def test_from_json_obj_rejects_bad_spans(text, spans, match):
     ([(0, 1)], "sentence 0: ends before the last token"),
     ([(False, 2)], "sentence 0: tokens"),
     ([(0, True), (2, 2)], "sentence 0: tokens"),
+    # an item without both keys, or not an object
+    ([(0,)], "sentence 0: needs 'first_token' and 'last_token'"),
+    ([{"last_token": 2}], "sentence 0: needs 'first_token' and 'last_token'"),
+    ([1], "sentence 0: needs 'first_token' and 'last_token'"),
+    ([None], "sentence 0: needs 'first_token' and 'last_token'"),
+    (["first_token"], "sentence 0: needs 'first_token' and 'last_token'"),
+    ([(0, 0), [1, 2]], "sentence 1: needs 'first_token' and 'last_token'"),
+    # the first faulty sentence is named, whatever follows it
+    ([(0, 9), 7], "sentence 0: tokens"),
+    # a "sentences" field that is not a list
+    (None, "'sentences' must be a list"),
+    ({"first_token": 0, "last_token": 2}, "'sentences' must be a list"),
+    (3, "'sentences' must be a list"),
 ])
 def test_from_json_obj_rejects_bad_sentences(sentences, match):
     obj = to_json_obj(tokenize("Heat shock rose"))
-    obj["sentences"] = [{"first_token": a, "last_token": b} for a, b in sentences]
+    obj["sentences"] = json_items(sentences, ("first_token", "last_token"))
     with pytest.raises(ValueError, match=match):
         from_json_obj(obj)
 
 
-@pytest.mark.parametrize("tokens, error", [
-    ([{"start": 0, "end": 99}, {"start": 1}], KeyError),
-    ([{"start": 7, "end": 11}, {"end": 6}], KeyError),
-    ([{"start": 0, "end": "6"}, 5], TypeError),
-    ([{"start": 0, "end": 6}, {"start": 4, "end": 11}, ["start"]], TypeError),
+def json_items(items, keys):
+    """`items` as the value of a JSON list field: each tuple an object of
+    `keys` (a 1-tuple lacks the second key), any other item, and `items`
+    itself if not a list, as it is."""
+    if not isinstance(items, list):
+        return items
+    return [dict(zip(keys, item)) if isinstance(item, tuple) else item for item in items]
+
+
+@pytest.mark.parametrize("tokens, match", [
+    ([{"start": 0, "end": 99}, {"start": 1}], "token 0: span"),
+    ([{"start": 7, "end": 11}, {"end": 6}], "token 0: non-whitespace text before"),
+    ([{"start": 0, "end": "6"}, 5], "token 0: start and end must be integers"),
+    ([{"start": 0, "end": 6}, {"start": 4, "end": 11}, ["start"]], "token 1: span"),
 ], ids=["out of range", "text before", "not integers", "overlap"])
-def test_from_json_obj_reads_every_span_before_a_bad_one_is_named(tokens, error):
-    """A token without "start" or "end" is reported before a fault in an
-    earlier token's span, as when every span was read before any was
-    checked."""
-    with pytest.raises(error):
+def test_from_json_obj_names_the_first_faulty_token(tokens, match):
+    """A fault in a token's span is reported before a later token without
+    "start" or "end": the tokens are checked in one pass, in order."""
+    with pytest.raises(ValueError, match=match):
         from_json_obj({"text": "cancer cell", "tokens": tokens})
+
+
+@pytest.mark.parametrize("obj, match", [
+    ({}, "'text' must be a string"),
+    ({"text": None}, "'text' must be a string"),
+    ({"text": ["ab"]}, "'text' must be a string"),
+    ({"tokens": "x", "sentences": "x"}, "'text' must be a string"),
+    ({"text": "ab", "tokens": "x", "sentences": "x"}, "'tokens' must be a list"),
+    ({"text": "ab", "tokens": [1], "sentences": "x"}, "token 0: needs"),
+    ({"text": "ab", "tokens": [{"start": 0, "end": 1}], "sentences": "x"},
+     "token 0: non-whitespace text after"),
+    ({"text": "ab", "tokens": [{"start": 0, "end": 2}], "sentences": "x"},
+     "'sentences' must be a list"),
+    ({"text": "ab", "sentences": [{"first_token": 0, "last_token": 0}]}, "sentence 0: tokens"),
+])
+def test_from_json_obj_names_the_first_faulty_field(obj, match):
+    """Fields are checked in the order text, tokens, sentences."""
+    with pytest.raises(ValueError, match=match):
+        from_json_obj(obj)
+
+
+# document objects whose fields and items are arbitrary JSON values, but
+# often of the right type: a short text, objects with integer offsets, and
+# objects with some of the keys, each holding any value
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 12) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=8)
+_OFFSET = st.integers(-1, 5)
+
+
+def _items(*keys):
+    item = (st.fixed_dictionaries(dict.fromkeys(keys, _OFFSET))
+            | st.fixed_dictionaries({}, optional=dict.fromkeys(keys, _OFFSET | _JSON)) | _JSON)
+    return st.lists(item, max_size=6) | _JSON
+
+
+_SPANS = {"tokens": _items("start", "end"), "sentences": _items("first_token", "last_token")}
+_DOC_OBJECTS = (st.fixed_dictionaries({"text": st.text(alphabet=" ab", max_size=5)},
+                                      optional=_SPANS)
+                | st.fixed_dictionaries({}, optional={"text": _JSON, **_SPANS}))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_DOC_OBJECTS)
+@example({"text": "ab", "tokens": [{"start": 0}]})
+@example({"text": "ab", "tokens": [{"start": 5, "end": 9}, 7]})
+@example({"text": "ab", "tokens": [{"start": 0, "end": 2}], "sentences": [{"first_token": 0}]})
+@example(to_json_obj(segment(tokenize(" Heat shock (HSP) rose. It fell. "))))
+def test_from_json_obj_raises_only_value_error_naming_its_subject(obj):
+    """A document, or a ValueError naming 'text', 'tokens', 'sentences', a
+    token or a sentence; no other exception escapes."""
+    try:
+        doc = from_json_obj(obj)
+    except ValueError as exc:
+        assert re.match(r"'(text|tokens|sentences)' must be |(token|sentence) \d+: ", str(exc))
+    else:
+        assert isinstance(doc, Document)
+        assert from_json_obj(json.loads("".join(json_line(doc)))) == doc
 
 
 # the tracemalloc peak of `from_json_obj` per token of a ~100k-token
