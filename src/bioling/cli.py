@@ -14,7 +14,8 @@ times; `link` finds abbreviations only in documents that have mentions.
 Input is checked where it enters: each flag value as it is parsed, a bad
 one exiting 1 before any file is read ("argument --k: must be an integer
 >= 1, got '0'"); each line of each input file as `lines.open_lines` reads
-it, a bad one exiting 2 ("<file>: line <n>: ...").
+it, a bad one exiting 2 ("<file>: line <n>: ..."), and each document
+object, mentions included, by `doc.from_json_obj`, for every command.
 """
 
 from __future__ import annotations
@@ -86,9 +87,9 @@ def _regular_file(path: str, stream):
 
 
 def _iter_doc_lines(lines: Lines):
-    """Yield (lineno, doc, obj) per nonempty input line: a line opening with
-    "{" is a JSON object that `from_json_obj` reads as a core_text document,
-    any other line raw text, as read (`obj` {})."""
+    """Yield (lineno, doc, spans) per nonempty input line: a line opening with
+    "{" is a core_text document object that `from_json_obj` checks, `spans`
+    its mentions' (start, end) pairs; any other line raw text, `spans` None."""
     for lineno, line in lines:
         if line.lstrip().startswith("{"):
             obj = lines.json_object(lineno, line)
@@ -96,20 +97,21 @@ def _iter_doc_lines(lines: Lines):
                 doc = from_json_obj(obj)
             except ValueError as exc:
                 raise lines.error(lineno, f"malformed document: {exc}") from None
+            spans = [(m["start"], m["end"]) for m in obj.get("mentions", [])]
         else:
-            doc, obj = Document(line), {}
-        yield lineno, doc, obj
+            doc, spans = Document(line), None
+        yield lineno, doc, spans
 
 
 def _stream(args, step) -> int:
-    """Write to --output the text `step(doc, obj, run, error)` yields per
-    --input document, JSON lines: `run(doc, stages, ...)` is `run_pipeline`
-    with the --rules and any --seg-config, `error(message)` names its line."""
+    """Write to --output the text `step(doc, spans, run)` yields per --input
+    document and its mention spans, JSON lines: `run(doc, stages, ...)` is
+    `run_pipeline` with the --rules and any --seg-config."""
     cfg = _get_config(args, "seg_config") if "seg_config" in vars(args) else None
     run = functools.partial(run_pipeline, rules=_get_config(args, "rules"), seg_config=cfg)
     with open_lines(args.input) as fin, _open_out(args.output) as fout:
-        for lineno, doc, obj in _iter_doc_lines(fin):
-            fout.writelines(step(doc, obj, run, functools.partial(fin.error, lineno)))
+        for _, doc, spans in _iter_doc_lines(fin):
+            fout.writelines(step(doc, spans, run))
     return 0
 
 
@@ -121,11 +123,11 @@ def _json_lines(objs):
 # -- subcommands --------------------------------------------------------
 
 _cmd_tokenize = functools.partial(
-    _stream, step=lambda doc, obj, run, error: json_line(run(doc, STAGES[:1]).doc))
+    _stream, step=lambda doc, spans, run: json_line(run(doc, STAGES[:1]).doc))
 # existing sentences dropped, so that segment always segments
-_cmd_segment = functools.partial(_stream, step=lambda doc, obj, run, error: json_line(
+_cmd_segment = functools.partial(_stream, step=lambda doc, spans, run: json_line(
     run(doc.with_sentences(()), STAGES[:2]).doc))
-_cmd_abbrev = functools.partial(_stream, step=lambda doc, obj, run, error: _json_lines(
+_cmd_abbrev = functools.partial(_stream, step=lambda doc, spans, run: _json_lines(
     {"short": {"start": pair.short_form.start, "end": pair.short_form.end},
      "long": {"start": pair.long_form.start, "end": pair.long_form.end}}
     for pair in run(doc, STAGES[:3]).pairs))
@@ -136,7 +138,9 @@ def _cmd_kb(args) -> int:
     if args.kb_cmd == "validate":
         print(f"OK: {len(kb.concepts)} concepts, {len(kb.alias_table)} aliases")
         return 0
-    print(json.dumps(dataclasses.asdict(kb_stats(kb))))
+    # standard input has no file to size, whatever file is named "-"
+    size = 0 if args.input == "-" else os.path.getsize(args.input)
+    print(json.dumps(dataclasses.asdict(kb_stats(kb, size))))
     return 0
 
 
@@ -147,7 +151,7 @@ def _cmd_index_build(args) -> int:
     kb = load_kb(args.kb)
     aliases = kb.alias_surfaces()
     if not aliases:  # every concept has an alias, so the file had no concept
-        raise DataError(f"{kb.source_path or 'standard input'}: no nonempty lines")
+        raise DataError(f"{'standard input' if args.kb == '-' else args.kb}: no nonempty lines")
     try:
         vectorizer = NgramVectorizer.fit(aliases, min_df=args.min_df)
     except ValueError as exc:
@@ -161,36 +165,17 @@ def _cmd_index_build(args) -> int:
     return 0
 
 
-def _mention_spans(doc: Document, obj: dict, error) -> list[tuple[int, int]]:
-    mentions = obj.get("mentions", [])
-    if not isinstance(mentions, list):
-        raise error("'mentions' must be a list")
-    spans = []
-    for i, m in enumerate(mentions):
-        if not isinstance(m, dict):
-            raise error(f"mention {i} must be an object")
-        start, end = m.get("start"), m.get("end")
-        # only JSON integers are offsets; bool is an int subclass in Python
-        if type(start) is not int or type(end) is not int:
-            raise error(f"mention {i} needs integer 'start' and 'end': {m!r}")
-        if not (0 <= start < end <= len(doc.text)):
-            raise error(f"mention span out of range {m!r}")
-        spans.append((start, end))
-    return spans
-
-
 def _cmd_link(args) -> int:
     index = load_index(args.index)
 
-    def step(doc, obj, run, error):
-        spans = _mention_spans(doc, obj, error)
+    def step(doc, spans, run):
         stages = STAGES if spans and not args.no_abbrev else STAGES[3:]
         return _json_lines(
             {"mention": cs.mention, "start": cs.start, "end": cs.end,
              "query_text": cs.query_text,
              "candidates": [{"concept_id": c.concept_id, "alias": c.alias,
                              "score": c.similarity} for c in cs.candidates]}
-            for cs in run(doc, stages, index=index, spans=spans, k=args.k).candidate_sets)
+            for cs in run(doc, stages, index=index, spans=spans or (), k=args.k).candidate_sets)
     return _stream(args, step)
 
 
@@ -218,8 +203,8 @@ def _cmd_eval_recall(args) -> int:
 def _read_docs_jsonl(path: str):
     docs = []
     with open_lines(path) as lines:
-        for lineno, doc, obj in _iter_doc_lines(lines):
-            if not obj:
+        for lineno, doc, spans in _iter_doc_lines(lines):
+            if spans is None:
                 raise lines.error(lineno, "expected core_text JSONL documents")
             docs.append(doc)
         if not docs:
@@ -257,8 +242,7 @@ def _cmd_eval_citations(args) -> int:
 def _cmd_bench(args) -> int:
     index = load_index(args.index) if args.index else None
     with open_lines(args.input) as fin:
-        corpus = [(doc.text, _mention_spans(doc, obj, functools.partial(fin.error, lineno)))
-                  for lineno, doc, obj in _iter_doc_lines(fin)]
+        corpus = [(doc.text, spans or ()) for _, doc, spans in _iter_doc_lines(fin)]
         if not corpus:
             raise DataError(f"{fin.name}: no nonempty lines")
     report = run_bench(corpus, reps=args.reps, warmup=args.warmup, index=index)

@@ -106,15 +106,16 @@ def json_line(doc: Document) -> Iterator[str]:
 
 
 def from_json_obj(obj: dict) -> Document:
-    """Rebuild a Document from its JSON object, checked in one pass.
+    """Rebuild a Document from its JSON object, checked in one pass; its
+    "mentions", spans into the text in any order, are checked, not kept.
 
     Surfaces and whitespace are recovered from the text and the spans, so a
     valid document survives the round trip through `json_line`. The first
     fault, in field order and then item order, raises ValueError, the only
-    exception that escapes, naming 'text' if not a string, 'tokens' or
-    'sentences' if not a list, or the token or sentence whose offsets are
-    missing, not integers, out of range or out of order, or that leaves
-    non-whitespace text or a token uncovered.
+    exception that escapes, naming 'text' if not a string, 'tokens',
+    'sentences' or 'mentions' if not a list, or the token, sentence or
+    mention whose offsets are missing, not integers, out of range or out of
+    order, or that leaves non-whitespace text or a token uncovered.
     """
     text = obj.get("text")
     if not isinstance(text, str):
@@ -160,8 +161,9 @@ def from_json_obj(obj: dict) -> Document:
     try:
         for i, s in enumerate(items):
             first, last = s["first_token"], s["last_token"]
-            if not (type(first) is int and type(last) is int
-                    and next_first == first <= last < len(tokens)):
+            if type(first) is not int or type(last) is not int:
+                raise ValueError(f"sentence {i}: first_token and last_token must be integers")
+            if not next_first == first <= last < len(tokens):
                 raise ValueError(
                     f"sentence {i}: tokens [{first}, {last}] do not start at token "
                     f"{next_first} or lie outside the {len(tokens)} tokens")
@@ -171,4 +173,17 @@ def from_json_obj(obj: dict) -> Document:
         raise ValueError(f"sentence {i}: needs 'first_token' and 'last_token'") from None
     if sentences and next_first != len(tokens):
         raise ValueError(f"sentence {len(sentences) - 1}: ends before the last token")
+    items = obj.get("mentions", [])
+    if not isinstance(items, list):
+        raise ValueError("'mentions' must be a list")
+    try:
+        for i, m in enumerate(items):
+            start, end = m["start"], m["end"]
+            if type(start) is not int or type(end) is not int:
+                raise ValueError(f"mention {i}: start and end must be integers")
+            if not 0 <= start < end <= len(text):
+                raise ValueError(f"mention {i}: span [{start}, {end}) is empty or past the end "
+                                 f"of the text ({len(text)})")
+    except (KeyError, TypeError):
+        raise ValueError(f"mention {i}: needs 'start' and 'end'") from None
     return Document(text, tuple(tokens), tuple(sentences), leading)

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter, itemgetter
@@ -64,24 +63,31 @@ class KBStats:
 @dataclass
 class KnowledgeBase:
     concepts: dict[str, Concept] = field(default_factory=dict)
-    source_path: str | None = field(default=None, kw_only=True)
 
     @cached_property
     def alias_table(self) -> dict[str, tuple[str, ...]]:
         """A row per normalized alias key, in surface order: the key's smallest
         surface, with its concept ids, sorted and unique. One pass over the
         (concept, alias) pairs normalizes each once; kept once derived."""
-        # key -> (smallest surface, concept id of each pair): tuples of
-        # strings, which the garbage collector stops tracking; lists, which
-        # it tracks to the end, took ~0.15 s longer on a 100k-alias KB (2-core
+        # key -> (smallest surface, concept id of each pair): a tuple while the
+        # key has one pair, which the garbage collector stops tracking, then a
+        # list extended in place. Rebuilding the tuple at each pair took 9.3 s
+        # for 40k concepts of one alias, against 0.03 s; every row a list, which
+        # it tracks to the end, took ~0.06 s longer on a 100k-alias KB (2-core
         # VM). An already normalized alias is its own key, not a copy
-        by_key: dict[str, tuple[str, ...]] = {}
+        by_key: dict[str, tuple[str, str] | list[str]] = {}
         for concept in self.concepts.values():
             cid = concept.concept_id
             for alias in concept.aliases:
                 key = normalize_alias(alias)
                 row = by_key.get(key)
-                by_key[key] = (alias, cid) if row is None else (min(alias, row[0]), *row[1:], cid)
+                if row is None:
+                    by_key[key] = (alias, cid)
+                elif type(row) is tuple:
+                    by_key[key] = [min(alias, row[0]), row[1], cid]
+                else:
+                    row[0] = min(alias, row[0])
+                    row.append(cid)
         # surfaces of distinct keys differ, so rows sort by surface alone (at
         # 1M aliases in 1.0 s, against 2.2 s comparing whole rows)
         rows = sorted(by_key.values(), key=itemgetter(0))
@@ -155,8 +161,7 @@ def load_kb(path: str) -> KnowledgeBase:
             if concept.concept_id in concepts:
                 raise lines.error(lineno, f"duplicate concept_id {concept.concept_id!r}")
             concepts[concept.concept_id] = concept
-    # standard input has no file to size, whatever file is named "-"
-    return KnowledgeBase(concepts, source_path=None if path == "-" else path)
+    return KnowledgeBase(concepts)
 
 
 def save_kb(kb: KnowledgeBase, path: str) -> None:
@@ -172,14 +177,13 @@ def save_kb(kb: KnowledgeBase, path: str) -> None:
             fp.write("\n")
 
 
-def kb_stats(kb: KnowledgeBase) -> KBStats:
+def kb_stats(kb: KnowledgeBase, bytes_on_disk: int = 0) -> KBStats:
+    """The counts of `kb`, with `bytes_on_disk` the size of the file it was
+    read from, which only its reader knows."""
     shared = sum(1 for ids in kb.alias_table.values() if len(ids) > 1)
-    size = 0
-    if kb.source_path is not None and os.path.exists(kb.source_path):
-        size = os.path.getsize(kb.source_path)
     return KBStats(
         n_concepts=len(kb.concepts),
         n_aliases=len(kb.alias_table),
         n_shared_aliases=shared,
-        bytes_on_disk=size,
+        bytes_on_disk=bytes_on_disk,
     )

@@ -94,6 +94,7 @@ def test_kb_validate_and_stats(run, toy_kb_path):
     assert code == 0
     stats = json.loads(out)
     assert stats["n_concepts"] == 5 and stats["n_shared_aliases"] == 1
+    assert stats["bytes_on_disk"] == os.path.getsize(toy_kb_path) > 0
 
 
 def test_kb_stats_of_stdin_sizes_no_file(run, toy_kb_path, tmp_path, monkeypatch):
@@ -306,9 +307,25 @@ def test_link_version_1_index_exits_2(run):
 
 def test_link_bad_mention_span_exits_2(run, index_path):
     doc_line = json.dumps({"text": "short", "mentions": [{"start": 0, "end": 99}]})
-    code, _, err = run(["link", "--index", index_path], stdin=doc_line + "\n")
-    assert code == 2
-    assert "out of range" in err
+    code, out, err = run(["link", "--index", index_path], stdin=doc_line + "\n")
+    assert (code, out) == (2, "")
+    assert err == ("error: standard input: line 1: malformed document: mention 0: span "
+                   "[0, 99) is empty or past the end of the text (5)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["tokenize"], ["segment"], ["abbrev"],
+    ["eval", "segmentation", "--pred", "-", "--gold", "{gold}"],
+], ids=["tokenize", "segment", "abbrev", "eval segmentation"])
+def test_every_command_checks_mentions(run, tmp_path, argv):
+    """The mentions of a document are checked for every command, not only
+    those that link them."""
+    gold = tmp_path / "gold.jsonl"
+    gold.write_text('{"text": "A b"}\n')
+    argv = [arg.format(gold=gold) for arg in argv]
+    code, out, err = run(argv, stdin='{"text": "A b", "mentions": 5}\n')
+    assert (code, out) == (2, "")
+    assert err == "error: standard input: line 1: malformed document: 'mentions' must be a list\n"
 
 
 @pytest.mark.parametrize("mentions", [
@@ -602,7 +619,13 @@ def test_bad_sentence_span_exits_2(run):
      "token 0: span [5, 9) is empty, past the end of the text (2) or overlaps the previous "
      "token"),
     ('{"tokens": []}', "'text' must be a string"),
-], ids=["no end", "not an object", "tokens null", "no last_token", "first fault", "no text"])
+    ('{"text": "A b", "mentions": [{"start": 0, "end": 1}, {"start": 0, "end": 9}]}',
+     "mention 1: span [0, 9) is empty or past the end of the text (3)"),
+    ('{"text": "A b", "mentions": [{"start": 0.5, "end": 1}]}',
+     "mention 0: start and end must be integers"),
+    ('{"text": "A b", "mentions": [5]}', "mention 0: needs 'start' and 'end'"),
+], ids=["no end", "not an object", "tokens null", "no last_token", "first fault", "no text",
+        "mention span", "mention not integers", "mention not an object"])
 def test_malformed_document_names_its_field(run, line, message):
     code, out, err = run(["tokenize"], stdin=line + "\n")
     assert (code, out) == (2, "")

@@ -132,8 +132,9 @@ def test_from_json_obj_rejects_bad_spans(text, spans, match):
     ([(0, 1), (1, 2)], "sentence 1: tokens"),
     ([(0, 2), (3, 2)], "sentence 1: tokens"),
     ([(0, 1)], "sentence 0: ends before the last token"),
-    ([(False, 2)], "sentence 0: tokens"),
-    ([(0, True), (2, 2)], "sentence 0: tokens"),
+    # JSON booleans decode to bool, an int subclass
+    ([(False, 2)], "sentence 0: first_token and last_token must be integers"),
+    ([(0, True), (2, 2)], "sentence 0: first_token and last_token must be integers"),
     # an item without both keys, or not an object
     ([(0,)], "sentence 0: needs 'first_token' and 'last_token'"),
     ([{"last_token": 2}], "sentence 0: needs 'first_token' and 'last_token'"),
@@ -147,6 +148,9 @@ def test_from_json_obj_rejects_bad_spans(text, spans, match):
     (None, "'sentences' must be a list"),
     ({"first_token": 0, "last_token": 2}, "'sentences' must be a list"),
     (3, "'sentences' must be a list"),
+    # a bound that is not an integer is a type fault, as for a token
+    ([(0, {})], "sentence 0: first_token and last_token must be integers"),
+    ([(0, 0), (True, 2)], "sentence 1: first_token and last_token must be integers"),
 ])
 def test_from_json_obj_rejects_bad_sentences(sentences, match):
     obj = to_json_obj(tokenize("Heat shock rose"))
@@ -162,6 +166,42 @@ def json_items(items, keys):
     if not isinstance(items, list):
         return items
     return [dict(zip(keys, item)) if isinstance(item, tuple) else item for item in items]
+
+
+@pytest.mark.parametrize("mentions, match", [
+    (5, "'mentions' must be a list"),
+    ({"start": 0, "end": 3}, "'mentions' must be a list"),
+    (None, "'mentions' must be a list"),
+    # an item not an object, or without both keys
+    ([5], "mention 0: needs 'start' and 'end'"),
+    (["start"], "mention 0: needs 'start' and 'end'"),
+    ([[0, 3]], "mention 0: needs 'start' and 'end'"),
+    ([(0,)], "mention 0: needs 'start' and 'end'"),
+    ([{"end": 3}], "mention 0: needs 'start' and 'end'"),
+    # offsets that are not JSON integers
+    ([(0, 3.0)], "mention 0: start and end must be integers"),
+    ([(True, 3)], "mention 0: start and end must be integers"),
+    ([(0, "3")], "mention 0: start and end must be integers"),
+    # an empty span, or one reaching past the text or before it
+    ([(2, 2)], "mention 0: span [2, 2) is empty or past the end of the text (3)"),
+    ([(2, 1)], "mention 0: span [2, 1)"),
+    ([(0, 4)], "mention 0: span [0, 4) is empty or past the end of the text (3)"),
+    ([(-1, 2)], "mention 0: span [-1, 2)"),
+    # the first faulty mention is named, whatever follows it
+    ([(0, 1), (0, 9), 7], "mention 1: span [0, 9)"),
+    ([(0, 3), (2,)], "mention 1: needs 'start' and 'end'"),
+])
+def test_from_json_obj_rejects_bad_mentions(mentions, match):
+    obj = {"text": "A b", "mentions": json_items(mentions, ("start", "end"))}
+    with pytest.raises(ValueError, match=re.escape(match)):
+        from_json_obj(obj)
+
+
+def test_from_json_obj_accepts_mentions_in_any_order_and_overlapping():
+    doc = tokenize("heat shock protein")
+    obj = {**to_json_obj(doc), "mentions": [{"start": 5, "end": 18}, {"start": 0, "end": 10},
+                                            {"start": 0, "end": 10}, {"start": 0, "end": 18}]}
+    assert from_json_obj(obj) == doc
 
 
 @pytest.mark.parametrize("tokens, match", [
@@ -189,9 +229,14 @@ def test_from_json_obj_names_the_first_faulty_token(tokens, match):
     ({"text": "ab", "tokens": [{"start": 0, "end": 2}], "sentences": "x"},
      "'sentences' must be a list"),
     ({"text": "ab", "sentences": [{"first_token": 0, "last_token": 0}]}, "sentence 0: tokens"),
+    ({"text": "ab", "tokens": [{"start": 0, "end": 9}], "mentions": 5}, "token 0: span"),
+    ({"text": "ab", "sentences": [1], "mentions": [5]}, "sentence 0: needs"),
+    ({"tokens": [1], "mentions": 5}, "'text' must be a string"),
+    ({"text": "ab", "tokens": [{"start": 0, "end": 2}], "mentions": [{"start": 0, "end": 9}]},
+     "mention 0: span"),
 ])
 def test_from_json_obj_names_the_first_faulty_field(obj, match):
-    """Fields are checked in the order text, tokens, sentences."""
+    """Fields are checked in the order text, tokens, sentences, mentions."""
     with pytest.raises(ValueError, match=match):
         from_json_obj(obj)
 
@@ -213,7 +258,8 @@ def _items(*keys):
     return st.lists(item, max_size=6) | _JSON
 
 
-_SPANS = {"tokens": _items("start", "end"), "sentences": _items("first_token", "last_token")}
+_SPANS = {"tokens": _items("start", "end"), "sentences": _items("first_token", "last_token"),
+          "mentions": _items("start", "end")}
 _DOC_OBJECTS = (st.fixed_dictionaries({"text": st.text(alphabet=" ab", max_size=5)},
                                       optional=_SPANS)
                 | st.fixed_dictionaries({}, optional={"text": _JSON, **_SPANS}))
@@ -225,13 +271,16 @@ _DOC_OBJECTS = (st.fixed_dictionaries({"text": st.text(alphabet=" ab", max_size=
 @example({"text": "ab", "tokens": [{"start": 5, "end": 9}, 7]})
 @example({"text": "ab", "tokens": [{"start": 0, "end": 2}], "sentences": [{"first_token": 0}]})
 @example(to_json_obj(segment(tokenize(" Heat shock (HSP) rose. It fell. "))))
+@example({"text": "ab", "mentions": [{"start": 1, "end": 2}, {"start": 0, "end": 2.0}]})
 def test_from_json_obj_raises_only_value_error_naming_its_subject(obj):
-    """A document, or a ValueError naming 'text', 'tokens', 'sentences', a
-    token or a sentence; no other exception escapes."""
+    """A document, or a ValueError naming 'text', 'tokens', 'sentences',
+    'mentions', a token, a sentence or a mention; no other exception
+    escapes."""
     try:
         doc = from_json_obj(obj)
     except ValueError as exc:
-        assert re.match(r"'(text|tokens|sentences)' must be |(token|sentence) \d+: ", str(exc))
+        assert re.match(r"'(text|tokens|sentences|mentions)' must be "
+                        r"|(token|sentence|mention) \d+: ", str(exc))
     else:
         assert isinstance(doc, Document)
         assert from_json_obj(json.loads("".join(json_line(doc)))) == doc

@@ -3,6 +3,7 @@ import os
 import random
 import re
 import tempfile
+import time
 import tracemalloc
 
 import pytest
@@ -48,6 +49,24 @@ def test_alias_table_equals_reference_rows(request, fixture):
     # one row per key, in increasing surface order
     kb = request.getfixturevalue(fixture)
     assert list(kb.alias_table.items()) == list(reference_alias_rows(kb).items())
+
+
+# grouping the pairs of one key took 9.3 s for 40k concepts when each pair
+# rebuilt the key's row, against 0.03 s extending it in place (2-core VM)
+SHARED_ALIAS_TABLE_SECONDS = 2.0
+
+
+def test_alias_table_of_many_concepts_sharing_an_alias():
+    # every concept has its own name and one of two surfaces of one key
+    kb = KnowledgeBase({f"C{i}": Concept(f"C{i}", f"name {i}",
+                                         (f"name {i}", "Protein" if i % 3 else "protein"))
+                        for i in range(40_000)})
+    start = time.perf_counter()
+    table = kb.alias_table
+    seconds = time.perf_counter() - start
+    assert list(table.items()) == list(reference_alias_rows(kb).items())
+    assert table["Protein"] == tuple(sorted(kb.concepts))
+    assert seconds < SHARED_ALIAS_TABLE_SECONDS
 
 
 def test_normalize_alias():
@@ -176,14 +195,6 @@ def test_kb_stats(toy_kb):
     assert stats.n_concepts == 5
     assert stats.n_shared_aliases == 1  # "cancer"
     assert stats.n_aliases == len(toy_kb.alias_table)
-    assert stats.bytes_on_disk > 0
-
-
-def test_source_path_is_keyword_only():
-    concepts = {"X1": Concept("X1", "a", ("a",))}
-    with pytest.raises(TypeError):
-        KnowledgeBase(concepts, {"a": frozenset({"X1"})})
-    assert KnowledgeBase(concepts, source_path="kb.jsonl").source_path == "kb.jsonl"
 
 
 def reference_ingest(records: list[dict]) -> tuple[dict, dict]:
