@@ -75,14 +75,14 @@ def run_pipeline(doc: Document, stages: Sequence[str], rules: TokenizerRules,
                  seg_config: SegmenterConfig | None, index: AliasIndex | None = None,
                  spans: Sequence[tuple[int, int]] = (), k: int = _LINK_K) -> PipelineRun:
     """Run `doc` through the named `stages`, in `STAGES` order: tokenize
-    it if it has no tokens and its text is not blank, segment it if it has
-    no sentences, find its abbreviation pairs, and link each of its `spans`
-    in `index` to at most `k` candidates, expanding the document's own
-    short forms, with each stage's nanoseconds."""
+    it if it has no tokens, segment it if it has no sentences, find its
+    abbreviation pairs, and link each of its `spans` in `index` to at most
+    `k` candidates, expanding the document's own short forms, with each
+    stage's nanoseconds."""
     clock = time.perf_counter_ns
     pairs, expansion, sets = [], None, []
     t0 = clock()
-    if "tokenize" in stages and not doc.tokens and doc.text.strip():
+    if "tokenize" in stages and not doc.tokens:
         doc = tokenize(doc.text, rules)
     t1 = clock()
     if "segment" in stages and not doc.sentences:

@@ -38,8 +38,8 @@ from .evals import (
 from .index import IndexFormatError, build_index, load_index, save_index
 from .kb import kb_stats, load_kb
 from .lines import InputError, Lines, open_lines
-from .segmenter import citation_split_rate, default_segmenter_config, load_segmenter_config
-from .tokenizer import default_biomedical_rules, load_rules
+from .segmenter import citation_split_rate, load_segmenter_config
+from .tokenizer import load_rules
 from .vectorizer import NgramVectorizer
 
 
@@ -61,21 +61,8 @@ def _open_out(path: str):
     return contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w", encoding="utf-8")
 
 
-# argument attribute -> (loader, default)
-_CONFIGS = {
-    "rules": (load_rules, default_biomedical_rules),
-    "seg_config": (load_segmenter_config, default_segmenter_config),
-}
 # the arguments that name a file a command reads, "-" for standard input
 _READS = ("input", "kb", "index", "gold", "pred", "base", "rules", "seg_config")
-
-
-def _get_config(args, attr: str):
-    """The --rules or --seg-config file (`attr`), whose argparse default is
-    its environment variable, else the shipped default."""
-    loader, default = _CONFIGS[attr]
-    path = getattr(args, attr)
-    return loader(path) if path else default()
 
 
 def _regular_file(path: str, stream):
@@ -107,8 +94,8 @@ def _stream(args, step) -> int:
     """Write to --output the text `step(doc, spans, run)` yields per --input
     document and its mention spans, JSON lines: `run(doc, stages, ...)` is
     `run_pipeline` with the --rules and any --seg-config."""
-    cfg = _get_config(args, "seg_config") if "seg_config" in vars(args) else None
-    run = functools.partial(run_pipeline, rules=_get_config(args, "rules"), seg_config=cfg)
+    cfg = load_segmenter_config(args.seg_config) if "seg_config" in vars(args) else None
+    run = functools.partial(run_pipeline, rules=load_rules(args.rules), seg_config=cfg)
     with open_lines(args.input) as fin, _open_out(args.output) as fout:
         for _, doc, spans in _iter_doc_lines(fin):
             fout.writelines(step(doc, spans, run))
@@ -229,7 +216,7 @@ def _cmd_eval_citations(args) -> int:
         base = [line.strip() for _, line in lines]
         if not base:
             raise DataError(f"{lines.name}: no nonempty lines")
-    cfg = _get_config(args, "seg_config")
+    cfg = load_segmenter_config(args.seg_config)
     try:
         corpus = [sent for sent, _ in make_citation_corpus(base, args.seed, args.n)]
         rate = citation_split_rate(corpus, cfg)

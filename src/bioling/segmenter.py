@@ -68,7 +68,10 @@ def parse_segmenter_config(source: str | Lines) -> SegmenterConfig:
                            "CITE_AUTHOR_YEAR" in flags)
 
 
-def load_segmenter_config(path: str) -> SegmenterConfig:
+def load_segmenter_config(path: str | None) -> SegmenterConfig:
+    """The config in the file at `path`; the shipped, cached config for None or ""."""
+    if not path:
+        return default_segmenter_config()
     with open_lines(path, RulesFileError) as lines:
         return parse_segmenter_config(lines)
 

@@ -161,7 +161,10 @@ def parse_rules(source: str | Lines) -> TokenizerRules:
     )
 
 
-def load_rules(path: str) -> TokenizerRules:
+def load_rules(path: str | None) -> TokenizerRules:
+    """The rules in the file at `path`; the shipped, cached rules for None or ""."""
+    if not path:
+        return default_biomedical_rules()
     with open_lines(path, RulesFileError) as lines:
         return parse_rules(lines)
 

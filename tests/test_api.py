@@ -3,7 +3,7 @@ import json
 import pytest
 
 import bioling
-from bioling import Candidate, Token, segment, tokenize
+from bioling import Candidate, SentenceSpan, Token, segment, tokenize
 from bioling.doc import from_json_obj, json_line
 
 
@@ -13,9 +13,10 @@ def test_every_public_name_resolves():
 
 
 def test_token_and_candidate_field_order():
-    # both are NamedTuples, so the field order is part of the API
+    # all are NamedTuples, so the field order is part of the API
     assert Token._fields == ("surface", "start", "end", "trailing_ws")
     assert Candidate._fields == ("concept_id", "alias", "similarity")
+    assert SentenceSpan._fields == ("first_token", "last_token")
     assert Token("a", 0, 1) == ("a", 0, 1, "")
 
 

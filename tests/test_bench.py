@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from bioling import abbrev, bench, segmenter, tokenizer
-from bioling.bench import STAGES, _LINK_K, run_bench
+from bioling.bench import STAGES, _LINK_K, run_bench, run_pipeline
+from bioling.doc import Document, detokenize
 from bioling.linker import REASON_OUT_OF_VOCABULARY, generate_candidates
 from bioling.segmenter import segment
-from bioling.tokenizer import tokenize
+from bioling.tokenizer import default_biomedical_rules, tokenize
 
 from conftest import longest_word_mentions
 
@@ -182,3 +183,8 @@ def test_no_link_counters_without_the_link_stage():
     report = run_bench(CORPUS, reps=1, warmup=0)
     assert report.n_mentions == report.n_oov_mentions == 0
     assert report.link_counters == {}
+
+
+def test_a_blank_document_keeps_its_whitespace():
+    run = run_pipeline(Document(" \t"), STAGES[:1], default_biomedical_rules(), None)
+    assert detokenize(run.doc) == " \t"

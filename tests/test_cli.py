@@ -654,6 +654,15 @@ def test_empty_rules_flag_is_the_shipped_rules(run, tmp_path, monkeypatch):
     assert run(["tokenize", "--rules", ""], stdin="a@b\n") == shipped
 
 
+def test_missing_seg_config_fails_only_the_commands_that_read_it(run, tmp_path, monkeypatch):
+    missing = str(tmp_path / "missing.txt")
+    monkeypatch.setenv("BIOLING_SEG_CONFIG", missing)
+    code, out, err = run(["tokenize"], stdin="a b\n")
+    assert (code, err) == (0, "")
+    code, out, err = run(["segment"], stdin="a b\n")
+    assert (code, out, err) == (2, "", f"error: {missing}: No such file or directory\n")
+
+
 @pytest.mark.parametrize("via", ["flag", "env"])
 @pytest.mark.parametrize("command", ["abbrev", "link"])
 @pytest.mark.parametrize("flag, env, config, text, default_pairs", [

@@ -93,7 +93,7 @@ def test_jsonl_io_round_trip():
 
 @pytest.mark.parametrize("text, spans, match", [
     ("cancer", [(0, 99)], "token 0: span"),
-    ("cancer", [(-1, 3)], "token 0: span"),
+    ("cancer", [(-1, 3)], "token 0: span [-1, 3) starts before the text"),
     ("cancer cell", [(0, 0), (0, 6)], "token 0: span"),
     ("cancer cell", [(0, 6), (4, 11)], "token 1: span"),
     ("cancer cell", [(0, 6), (7, 11), (0, 6)], "token 2: span"),
@@ -118,10 +118,12 @@ def test_jsonl_io_round_trip():
     ("ab", None, "'tokens' must be a list"),
     ("ab", {"start": 0, "end": 2}, "'tokens' must be a list"),
     ("ab", "[]", "'tokens' must be a list"),
+    # a negative start after a good token
+    ("cancer cell", [(0, 6), (-1, 11)], "token 1: span [-1, 11) starts before the text"),
 ])
 def test_from_json_obj_rejects_bad_spans(text, spans, match):
     obj = {"text": text, "tokens": json_items(spans, ("start", "end"))}
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(ValueError, match=re.escape(match)):
         from_json_obj(obj)
 
 
@@ -186,7 +188,7 @@ def json_items(items, keys):
     ([(2, 2)], "mention 0: span [2, 2) is empty or past the end of the text (3)"),
     ([(2, 1)], "mention 0: span [2, 1)"),
     ([(0, 4)], "mention 0: span [0, 4) is empty or past the end of the text (3)"),
-    ([(-1, 2)], "mention 0: span [-1, 2)"),
+    ([(-1, 2)], "mention 0: span [-1, 2) starts before the text"),
     # the first faulty mention is named, whatever follows it
     ([(0, 1), (0, 9), 7], "mention 1: span [0, 9)"),
     ([(0, 3), (2,)], "mention 1: needs 'start' and 'end'"),

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from bioling.doc import Document, Token
 from bioling.segmenter import (
     SegmenterConfig, citation_split_rate, default_segmenter_config,
-    parse_segmenter_config, segment,
+    load_segmenter_config, parse_segmenter_config, segment,
 )
 from bioling.tokenizer import RulesFileError, tokenize
 
@@ -166,6 +166,11 @@ def test_citation_split_rate_differential():
 def test_citation_split_rate_empty_errors():
     with pytest.raises(ValueError, match="empty evaluation set"):
         citation_split_rate([], default_segmenter_config())
+
+
+@pytest.mark.parametrize("path", [None, ""])
+def test_load_segmenter_config_without_a_path_is_the_shipped_config(path):
+    assert load_segmenter_config(path) is default_segmenter_config()
 
 
 # -- differential property: the candidate scan against the per-token loop --

@@ -148,6 +148,11 @@ def test_default_rules_prefix_paren():
     assert "(" in rules.prefixes
 
 
+@pytest.mark.parametrize("path", [None, ""])
+def test_load_rules_without_a_path_is_the_shipped_rules(path):
+    assert load_rules(path) is default_biomedical_rules()
+
+
 def test_protected_token_beats_suffix_split():
     assert surfaces("(Fig.)") == ["(", "Fig.", ")"]
 
